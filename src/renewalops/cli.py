@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, asdict, fields
@@ -219,7 +220,7 @@ def _cmd_renewal(cfg: ExperimentConfig, outdir: Path) -> dict:
         ch_bar = ch.error_bar
     else:
         exp = None
-        ch_bar = 0.0
+        ch_bar = math.nan
     ns = np.unique(np.round(np.logspace(0, np.log10(n_max), 200)).astype(int))
     rows = []
     for n in ns:
@@ -231,7 +232,7 @@ def _cmd_renewal(cfg: ExperimentConfig, outdir: Path) -> dict:
             pred = float(exp.partial_sum_prediction(np.array([float(n)]))[0])
             row += [pred, U_n - pred, ch_bar * n ** exp.exponents[-1]]
         else:
-            row += [first, U_n - first, 0.0]
+            row += [first, U_n - first, math.nan]
         rows.append(row)
     _write_csv(outdir / "renewal.csv",
                ["n", "u_n", "U_n", "first_order", "ratio", "expansion", "residual",
@@ -257,7 +258,7 @@ def _cmd_dual_ergodic(cfg: ExperimentConfig, outdir: Path) -> dict:
     rows = []
     for row in report.rows():
         rows.append([row["n"], row["a_n"], row["sup_error"],
-                     row.get("expansion_residual", 0.0), row["error_bar"]])
+                     row.get("expansion_residual", math.nan), row["error_bar"]])
     _write_csv(outdir / "dual_ergodic.csv",
                ["n", "a_n", "sup_error", "expansion_residual", "error_bar"], rows)
     _write_plot_script(outdir / "plot_dual_ergodic.py", "dual_ergodic.csv", "n",

@@ -85,4 +85,4 @@ class GridObservable:
         cums = np.concatenate([[0.0], np.cumsum(self.values) * self.grid.width])
         idx = np.clip(np.searchsorted(e, x, side="right") - 1, 0, self.grid.m - 1)
         out = cums[idx] + self.values[idx] * (np.clip(x, e[0], e[-1]) - e[idx])
-        return out if out.shape != (1,) else out
+        return out

@@ -60,19 +60,16 @@ def _branch_entries(edges: np.ndarray, g_row: np.ndarray, m: int, delta: float):
         return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     a = a[live]
     b = b[live]
-    k0 = np.clip(np.searchsorted(edges, a, side="right") - 1, 0, m - 1)
-    k1 = np.clip(np.searchsorted(edges, b, side="left") - 1, 0, m - 1)
-    k1 = np.maximum(k0, k1)
+    k0 = np.minimum(np.maximum(edges.searchsorted(a, side="right") - 1, 0), m - 1)
+    k1 = np.maximum(k0, np.minimum(edges.searchsorted(b, side="left") - 1, m - 1))
     counts = k1 - k0 + 1
     total = int(counts.sum())
-    rows = np.repeat(t_idx, counts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    cols = np.repeat(k0, counts) + (np.arange(total) - np.repeat(starts, counts))
+    rows = t_idx.repeat(counts)
+    # source cells k0, k0 + 1, ..., k1 of each target, laid end to end
+    cols = (k0 - (counts.cumsum() - counts)).repeat(counts) + np.arange(total)
     cell_lo = edges[0] + cols * delta
-    ov = np.minimum(np.repeat(b, counts), cell_lo + delta) - np.maximum(
-        np.repeat(a, counts), cell_lo
-    )
-    w = np.clip(ov, 0.0, None) / delta
+    ov = np.minimum(b.repeat(counts), cell_lo + delta) - np.maximum(a.repeat(counts), cell_lo)
+    w = np.maximum(ov, 0.0) / delta
     keep = w > 0.0
     return rows[keep], cols[keep], w[keep]
 
@@ -222,7 +219,6 @@ def assemble_operator(
     k_ladder: int | None = None,
     span_cap: int = 1024,
     deficit_bound: float | None = None,
-    checkpoint_stride: int = 128,
 ) -> InducedOperator:
     """Assemble the branch family of the first-return operator on Y.
 
@@ -251,7 +247,7 @@ def assemble_operator(
 
     m, delta = grid.m, grid.width
     edges = grid.edges
-    ladder = BranchLadder(spec, edges, n_rungs=k_ladder, checkpoint_stride=checkpoint_stride)
+    ladder = BranchLadder(spec, edges, n_rungs=k_ladder)
 
     sup = min(spec.left_image_sup, 1.0)
     row_hi = min(m, grid.cell_of(sup * (1 - 1e-12)) + 2)
@@ -294,16 +290,9 @@ def assemble_operator(
     acc.flush()
     r1 = acc.mat
 
-    # integral-tail completion of the block sum beyond the ladder
-    tt_cum, width = ladder.top_tail_cumulative()
-    if width > 0:
-        profile = np.diff(tt_cum) / delta
-        total = profile.sum() * delta
-        if total > 0:
-            profile *= width / total
-            hi_edge = min(0.5 + width, 1.0)
-            read = np.clip(np.minimum(edges[1:], hi_edge) - edges[:-1], 0.0, None) / width
-            r1 += np.outer(profile, read)
+    tail = _tail_completion(ladder, edges, delta)
+    if tail is not None:
+        r1 += tail
 
     if st_rows:
         stacked = sp.csr_matrix(
@@ -324,6 +313,26 @@ def assemble_operator(
             f"mass deficit {deficit:.3g} exceeds {deficit_bound}; increase n_trunc"
         )
     return op
+
+
+def _tail_completion(ladder: BranchLadder, edges: np.ndarray, delta: float) -> np.ndarray | None:
+    """Integral-tail estimate of the block sum beyond the ladder (rank one).
+
+    Mass entering the read region [1/2, 1/2 + width] leaves along the
+    profile of the last tabulated rung, scaled to the region's width;
+    ``None`` when the ladder leaves no tail to complete.
+    """
+    tt_cum, width = ladder.top_tail_cumulative()
+    if not width > 0:
+        return None
+    profile = np.diff(tt_cum) / delta
+    total = profile.sum() * delta
+    if not total > 0:
+        return None
+    profile *= width / total
+    hi_edge = min(0.5 + width, 1.0)
+    read = np.maximum(np.minimum(edges[1:], hi_edge) - edges[:-1], 0.0) / width
+    return np.outer(profile, read)
 
 
 def _power_density(r1: np.ndarray, delta: float, tol: float = 1e-12, max_iter: int = 20000):
@@ -380,15 +389,9 @@ def block_series(op: InducedOperator, z: complex, extended: bool = False) -> np.
     out_i.flush()
     mat = out_r.mat + 1j * out_i.mat
     if extended:
-        tt_cum, width = op.ladder.top_tail_cumulative()
-        if width > 0:
-            profile = np.diff(tt_cum) / delta
-            total = profile.sum() * delta
-            if total > 0:
-                profile *= width / total
-                hi_edge = min(0.5 + width, 1.0)
-                read = np.clip(np.minimum(edges[1:], hi_edge) - edges[:-1], 0.0, None) / width
-                mat += (z ** (op.ladder.n_rungs + 2)) * np.outer(profile, read)
+        tail = _tail_completion(op.ladder, edges, delta)
+        if tail is not None:
+            mat += (z ** (op.ladder.n_rungs + 2)) * tail
     # cache a handful of matrices, fewer when the grid is large
     cache_cap = max(2, (1 << 26) // (m * m))
     if len(op._series_cache) >= cache_cap:

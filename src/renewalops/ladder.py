@@ -9,9 +9,13 @@ array of grid edges: rung k of the ladder holds the k-fold pullback of
 every edge, and branch n's geometry is rung n-1 mapped through
 (w + 1) / 2.
 
-Rows are streamed (the full table is large); checkpoint rows allow
-re-sweeping any branch range at the cost of at most ``checkpoint_stride``
-Newton continuations.
+Each rung is pulled back once.  The ladder advances a frontier on demand:
+the first sweep past it computes the new rungs, recording the scalar orbit
+and a checkpoint row every ``checkpoint_stride`` rungs in one preallocated
+array, and later sweeps restart from the nearest checkpoint.  Edges at or
+above the left-branch image sup share one clamped value, so only the
+distinct columns are pulled back (71 of 1025 for lsv0 at grid 1024); the
+swept rows stop at the shared column, and ``rung`` pads back to full width.
 """
 
 from __future__ import annotations
@@ -39,13 +43,12 @@ def _pullback_row(spec: MapSpec, targets: np.ndarray, w0: np.ndarray) -> np.ndar
     fw = spec.left_np(w)
     for _ in range(_MAX_ITER):
         err = fw - targets
-        worst = np.max(np.abs(err))
-        if worst <= _TOL:
+        if np.abs(err).max() <= _TOL:
             return w
         w -= err / spec.left_deriv_np(w)
-        np.clip(w, 1e-300, None, out=w)
+        np.maximum(w, 1e-300, out=w)
         fw = spec.left_np(w)
-    if np.max(np.abs(fw - targets)) > 1e-12:
+    if np.abs(fw - targets).max() > 1e-12:
         raise NumericalError("vectorized left-branch pullback stalled")
     return w
 
@@ -66,27 +69,57 @@ class BranchLadder:
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=float)
-        sup = self.spec.left_image_sup
-        # Edges at or above the left-branch image sup are pinned just below it:
-        # branches n >= 2 carry no mass there and their pullbacks plateau.
-        self._clamped = np.minimum(self.edges, sup * (1.0 - 1e-14))
-        self._checkpoints: dict[int, np.ndarray] = {0: self._clamped.copy()}
-        self._build()
-
-    def _build(self):
         if self.edges[0] != 0.5:
             raise NumericalError("ladder edge array must start at 1/2")
-        x = np.empty(self.n_rungs + 1)
-        x[0] = 0.5
-        row = self._clamped.copy()
-        stride = self.checkpoint_stride
-        for k in range(1, self.n_rungs + 1):
-            row = _pullback_row(self.spec, row, row)
-            x[k] = row[0]  # the 1/2-edge column is the scalar backward orbit
-            if k % stride == 0:
-                self._checkpoints[k] = row.copy()
-        self.x_tail = x  # x_tail[k] = x_{k+1}
-        self._last_row = row
+        # Edges at or above the left-branch image sup are pinned just below it:
+        # branches n >= 2 carry no mass there and their pullbacks plateau.
+        cap = self.spec.left_image_sup * (1.0 - 1e-14)
+        n_live = int(np.searchsorted(self.edges, cap, side="left"))
+        row = np.minimum(self.edges[: n_live + 1], cap)
+        self._checkpoints = np.empty((self.n_rungs // self.checkpoint_stride + 1, row.size))
+        self._checkpoints[0] = row
+        self._x = np.empty(self.n_rungs + 1)
+        self._x[0] = 0.5
+        self._frontier = 0  # highest rung computed so far
+        self._row = row  # the frontier rung
+
+    def _pull(self, k: int, row: np.ndarray) -> np.ndarray:
+        """Rung k + 1 from rung k, recorded when it lies past the frontier."""
+        row = _pullback_row(self.spec, row, row)
+        k += 1
+        if k > self._frontier:
+            self._x[k] = row[0]  # the 1/2-edge column is the scalar backward orbit
+            if k % self.checkpoint_stride == 0:
+                self._checkpoints[k // self.checkpoint_stride] = row
+            self._frontier, self._row = k, row
+        return row
+
+    def _rungs(self, k_lo: int, k_hi: int):
+        """Yield (k, distinct-column row of rung k) for k in [k_lo, k_hi)."""
+        if k_lo >= k_hi:
+            return
+        if k_lo >= self._frontier:
+            k, row = self._frontier, self._row
+        else:
+            base = k_lo // self.checkpoint_stride
+            k, row = base * self.checkpoint_stride, self._checkpoints[base]
+        while k < k_lo:
+            row = self._pull(k, row)
+            k += 1
+        yield k, row
+        for k in range(k_lo + 1, k_hi):
+            row = self._pull(k - 1, row)
+            yield k, row
+
+    def _full_width(self, row: np.ndarray) -> np.ndarray:
+        return np.pad(row, (0, self.edges.size - row.size), mode="edge")
+
+    @property
+    def x_tail(self) -> np.ndarray:
+        """x_tail[k] = x_{k+1}; completes the ladder on first use."""
+        if self._frontier < self.n_rungs:
+            next(self._rungs(self.n_rungs, self.n_rungs + 1))
+        return self._x
 
     def x_n(self, n: int) -> float:
         """n-th element of the backward orbit, x_1 = 1/2."""
@@ -98,35 +131,24 @@ class BranchLadder:
         return 0.5 * (self.x_n(n) + 1.0)
 
     def rung(self, k: int) -> np.ndarray:
-        """Pullback row W^(k) (k = 0 is the clamped edge array)."""
-        base = max(c for c in self._checkpoints if c <= k)
-        row = self._checkpoints[base]
-        if base == k:
-            return row.copy()
-        row = row.copy()
-        for _ in range(k - base):
-            row = _pullback_row(self.spec, row, row)
-        return row
+        """Pullback row W^(k) at every edge (k = 0 is the clamped edge array)."""
+        _, row = next(self._rungs(k, k + 1))
+        return self._full_width(row)
 
     def sweep(self, j_lo: int, j_hi: int):
         """Yield (j, g_row) for branches j in [j_lo, j_hi).
 
-        ``g_row`` holds the branch inverse evaluated at every edge; for
-        branch 1 this is the right-branch inverse of the raw edges, for
-        n >= 2 the ladder rung n - 2 pulled once more and lifted.
+        ``g_row`` holds the branch inverse at the edges; for branch 1 this is
+        the right-branch inverse of the raw edges, for n >= 2 the ladder rung
+        n - 1 lifted, over the distinct columns only (the edges beyond them
+        share the last column's value).
         """
         if j_lo < 1 or j_hi > self.n_rungs + 2:
             raise NumericalError("branch range outside tabulated ladder")
-        row = None
-        for j in range(j_lo, j_hi):
-            if j == 1:
-                yield 1, 0.5 * (self.edges + 1.0)
-            else:
-                if row is None:
-                    row = self.rung(j - 1)
-                else:
-                    row = _pullback_row(self.spec, row, row)
-                yield j, 0.5 * (row + 1.0)
+        if j_lo == 1 and j_hi > 1:
+            yield 1, 0.5 * (self.edges + 1.0)
+        for k, row in self._rungs(max(j_lo, 2) - 1, j_hi - 1):
+            yield k + 1, 0.5 * (row + 1.0)
 
     def top_tail_cumulative(self) -> tuple[np.ndarray, float]:
         """Cumulative geometry of all branches beyond the ladder.
@@ -137,10 +159,11 @@ class BranchLadder:
         estimated from the last tabulated rung by the corresponding integral
         tail factor.
         """
+        x_last = self.x_tail[-1]  # completes the ladder: the frontier is the last rung
         K = self.n_rungs + 1  # last branch with tabulated geometry
-        t_last = 0.5 * (self._last_row - self.x_tail[-1])
+        t_last = 0.5 * (self._full_width(self._row) - x_last)
         if self.spec.family == "lsv":
             factor = K / self.spec.beta
         else:
             factor = K * np.log(K)
-        return t_last * factor, 0.5 * float(self.x_tail[-1])
+        return t_last * factor, 0.5 * float(x_last)

@@ -254,5 +254,5 @@ def test_criterion_11_invariant_suite_budget():
     elapsed = time.time() - SESSION_T0
     ok = elapsed < 1200.0
     verdict(11, ok, f"suite elapsed {elapsed:.0f}s < 1200s at this point "
-                    "(full wall-clock in test_output.txt)")
+                    "(measured workload timings in bench/BENCH_seed.json)")
     assert elapsed < 1200.0
