@@ -368,6 +368,12 @@ def run(subcommand: str, cfg: ExperimentConfig) -> int:
     return 0
 
 
+_CHOICES = {"family": ["lsv", "lsv0"], "check": ["B1", "B2", "B3"]}
+_TYPES = {"int": int, "float": float, "str": str}
+# every config field but the experiment name, which the subcommand sets
+_FLAGS = [f for f in fields(ExperimentConfig) if f.name != "experiment"]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="renewalops",
@@ -375,19 +381,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("subcommand", choices=sorted(_COMMANDS))
     ap.add_argument("--config", type=str, default=None, help="key = value file")
-    ap.add_argument("--family", choices=["lsv", "lsv0"], default=None)
-    ap.add_argument("--alpha", type=float, default=None)
-    ap.add_argument("--grid", type=int, default=None)
-    ap.add_argument("--ntrunc", type=int, default=None)
-    ap.add_argument("--nmax", type=int, default=None)
-    ap.add_argument("--n", type=int, default=None)
-    ap.add_argument("--beta", type=float, default=None)
-    ap.add_argument("--gamma", type=float, default=None)
-    ap.add_argument("--rho", type=float, default=None)
-    ap.add_argument("--check", choices=["B1", "B2", "B3"], default=None)
-    ap.add_argument("--epsilon", type=float, default=None)
-    ap.add_argument("--degrees", type=str, default=None)
-    ap.add_argument("--out", type=str, default=None)
+    for f in _FLAGS:
+        ap.add_argument(f"--{f.name}", type=_TYPES[f.type], choices=_CHOICES.get(f.name),
+                        default=None)
     return ap
 
 
@@ -400,11 +396,10 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, DomainError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    for key in ("family", "alpha", "grid", "ntrunc", "nmax", "n", "beta", "gamma",
-                "rho", "check", "epsilon", "degrees", "out"):
-        val = getattr(args, key)
+    for f in _FLAGS:
+        val = getattr(args, f.name)
         if val is not None:
-            overrides[key] = val
+            overrides[f.name] = val
     try:
         cfg = _coerce(ExperimentConfig, overrides)
     except (DomainError, ValueError) as exc:

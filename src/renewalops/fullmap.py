@@ -135,7 +135,7 @@ def full_map_transfer(spec: MapSpec, obs: MeshObservable,
     if np.any(inside):
         targets = np.minimum(nodes[inside], sup * (1 - 1e-14))
         y = _pullback_row(spec, targets, targets)
-        out[inside] += obs(y) / spec.left_deriv_np(y)
+        out[inside] += obs(y) / spec.left_and_deriv_np(y)[1]
     floor = nodes[0]
     # mass landing in (0, floor): right-branch preimage is [1/2, (1+floor)/2];
     # the left-branch preimage interval is below left_inverse(floor)
@@ -251,7 +251,7 @@ def extended_density(op, mesh: GradedMesh, tol: float = 1e-9,
         last_it = 0
         for it in range(1, max_terms + 1):
             xi = _pullback_row(spec, xi, xi)
-            weight = weight / spec.left_deriv_np(xi)
+            weight = weight / spec.left_and_deriv_np(xi)[1]
             term = weight * h_at(0.5 * (xi + 1.0))
             acc = acc + term
             last_it = it

@@ -17,6 +17,12 @@ for short return times, per-source-cell convolution kernels for long
 ones), the generating-function matrices R(z) = sum_n R_n z^n, and the
 spectral data (leading eigenvalue, eigenfunction, rank-one projection)
 near z = 1.
+
+Every consumer walks the ladder a block of up to 128 branches at a time:
+one vectorized pass extracts the block's Ulam entries in branch order, and
+assembly splits them between the dense block sum, the stacked window and
+the kernel groups.  Dense sums close their batches at branch boundaries,
+so they round exactly as a branch-by-branch pass would.
 """
 
 from __future__ import annotations
@@ -45,25 +51,25 @@ __all__ = [
 _BINCOUNT_BATCH = 1 << 22
 
 
-def _branch_entries(edges: np.ndarray, g_row: np.ndarray, m: int, delta: float):
-    """COO entries (target cell, source cell, weight) of one branch block.
+def _branch_entries(edges: np.ndarray, G: np.ndarray, m: int, delta: float):
+    """COO entries (block row, target cell, source cell, weight) of a block.
 
-    ``g_row`` is the branch inverse at the edges; the preimage of target
-    cell t is [g_row[t], g_row[t+1]] and its overlaps with the source cells
-    give the Ulam weights.
+    Row r of ``G`` is a branch inverse at the edges; the preimage of target
+    cell t is [G[r, t], G[r, t+1]] and its overlaps with the source cells
+    give the Ulam weights.  Entries are ordered by block row, then target,
+    then source cell.
     """
-    a = g_row[:-1]
-    b = g_row[1:]
+    a = G[:, :-1]
+    b = G[:, 1:]
     live = b > a
-    t_idx = np.nonzero(live)[0]
-    if t_idx.size == 0:
-        return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+    r_idx, t_idx = live.nonzero()
     a = a[live]
     b = b[live]
     k0 = np.minimum(np.maximum(edges.searchsorted(a, side="right") - 1, 0), m - 1)
     k1 = np.maximum(k0, np.minimum(edges.searchsorted(b, side="left") - 1, m - 1))
     counts = k1 - k0 + 1
     total = int(counts.sum())
+    brow = r_idx.repeat(counts)
     rows = t_idx.repeat(counts)
     # source cells k0, k0 + 1, ..., k1 of each target, laid end to end
     cols = (k0 - (counts.cumsum() - counts)).repeat(counts) + np.arange(total)
@@ -71,7 +77,38 @@ def _branch_entries(edges: np.ndarray, g_row: np.ndarray, m: int, delta: float):
     ov = np.minimum(b.repeat(counts), cell_lo + delta) - np.maximum(a.repeat(counts), cell_lo)
     w = np.maximum(ov, 0.0) / delta
     keep = w > 0.0
-    return rows[keep], cols[keep], w[keep]
+    return brow[keep], rows[keep], cols[keep], w[keep]
+
+
+def _block_csr(entries, n_rows: int, m: int) -> list[sp.csr_matrix]:
+    """One CSR matrix per block row, straight from ``_branch_entries`` output."""
+    brow, rows, cols, w = entries
+    starts = brow.searchsorted(np.arange(n_rows + 1))
+    indptr = np.zeros((n_rows, m + 1), np.int64)
+    counts = np.bincount(brow * m + rows, minlength=n_rows * m).reshape(n_rows, m)
+    indptr[:, 1:] = counts.cumsum(axis=1)
+    return [
+        sp.csr_matrix((w[lo:hi], cols[lo:hi], indptr[r]), shape=(m, m))
+        for r, (lo, hi) in enumerate(zip(starts[:-1], starts[1:]))
+    ]
+
+
+def _fill_kernels(g: KernelGroup, j: np.ndarray, rows, cols, w):
+    """Scatter entries of branches j (ascending) into g's per-source-cell kernels.
+
+    New kernels are created in order of first branch, then source cell, as a
+    branch-by-branch pass would; the engine sums their products in that order.
+    """
+    order = cols.argsort(kind="stable")
+    j, rows, cols, w = j[order], rows[order], cols[order], w[order]
+    starts = np.flatnonzero(np.diff(cols, prepend=-1))
+    ends = np.append(starts[1:], cols.size)
+    for k in np.lexsort((cols[starts], j[starts])):
+        lo, hi, i = starts[k], ends[k], int(cols[starts[k]])
+        kern = g.kernels.get(i)
+        if kern is None:
+            kern = g.kernels[i] = np.zeros((g.row_hi, g.span))
+        kern[rows[lo:hi], j[lo:hi] - g.glo] += w[lo:hi]
 
 
 class _DenseAccumulator:
@@ -84,12 +121,27 @@ class _DenseAccumulator:
         self._w: list[np.ndarray] = []
         self._count = 0
 
-    def add(self, rows, cols, w, scale: float = 1.0):
-        self._idx.append(rows * self.m + cols)
-        self._w.append(w * scale if scale != 1.0 else w)
-        self._count += len(w)
-        if self._count >= _BINCOUNT_BATCH:
+    def add(self, brow, rows, cols, w):
+        """Queue a block's entries (``brow`` ascending: the branch of each).
+
+        A batch closes at the first branch boundary where it holds
+        ``_BINCOUNT_BATCH`` entries, wherever the blocks begin, so the sums
+        round the same whatever the block size.
+        """
+        lo = 0
+        while self._count + w.size - lo >= _BINCOUNT_BATCH:
+            last = brow[lo + _BINCOUNT_BATCH - self._count - 1]
+            hi = int(brow.searchsorted(last, side="right"))
+            self._queue(rows[lo:hi], cols[lo:hi], w[lo:hi])
             self.flush()
+            lo = hi
+        if lo < w.size:
+            self._queue(rows[lo:], cols[lo:], w[lo:])
+
+    def _queue(self, rows, cols, w):
+        self._idx.append(rows * self.m + cols)
+        self._w.append(w)
+        self._count += w.size
 
     def flush(self):
         if not self._idx:
@@ -166,10 +218,9 @@ class InducedOperator:
             return self._branch_cache[j - 1]
         if not 1 <= j <= self.n_trunc:
             raise DomainError(f"branch {j} outside 1..{self.n_trunc}")
-        _, g_row = next(iter(self.ladder.sweep(j, j + 1)))
+        _, G = next(self.ladder.sweep(j, j + 1))
         m = self.grid.m
-        rows, cols, w = _branch_entries(self.grid.edges, g_row, m, self.grid.width)
-        return sp.csr_matrix((w, (rows, cols)), shape=(m, m))
+        return _block_csr(_branch_entries(self.grid.edges, G, m, self.grid.width), 1, m)[0]
 
     def branch_matrices(self) -> list[sp.csr_matrix]:
         """All blocks as sparse matrices (reference path; small runs only)."""
@@ -179,9 +230,9 @@ class InducedOperator:
             raise NumericalError("branch family too large to materialize; use the fast path")
         m = self.grid.m
         mats = []
-        for _, g_row in self.ladder.sweep(1, self.n_trunc + 1):
-            rows, cols, w = _branch_entries(self.grid.edges, g_row, m, self.grid.width)
-            mats.append(sp.csr_matrix((w, (rows, cols)), shape=(m, m)))
+        for _, G in self.ladder.sweep(1, self.n_trunc + 1):
+            entries = _branch_entries(self.grid.edges, G, m, self.grid.width)
+            mats += _block_csr(entries, G.shape[0], m)
         self._branch_cache = mats
         return mats
 
@@ -261,31 +312,26 @@ def assemble_operator(
     jd = j_direct - 1
     gi = 0
 
-    for j, g_row in ladder.sweep(1, k_ladder + 2):
-        rows, cols, w = _branch_entries(edges, g_row, m, delta)
-        acc.add(rows, cols, w)
-        if j > n_trunc:
+    for j0, G in ladder.sweep(1, k_ladder + 2):
+        brow, rows, cols, w = _branch_entries(edges, G, m, delta)
+        acc.add(brow, rows, cols, w)
+        if j0 > n_trunc:
             continue
-        if j < j_direct:
-            st_rows.append(rows)
-            st_cols.append((jd - j) * m + cols)
-            st_w.append(w)
-        else:
-            while gi < len(groups) and j >= groups[gi].ghi:
+        # entries of branches j < j_direct go to the stacked window, the
+        # rest up to n_trunc to the kernel groups
+        n_direct, n_kept = brow.searchsorted([j_direct - j0, n_trunc + 1 - j0])
+        if n_direct:
+            st_rows.append(rows[:n_direct])
+            st_cols.append((jd - j0 - brow[:n_direct]) * m + cols[:n_direct])
+            st_w.append(w[:n_direct])
+        lo = n_direct
+        while lo < n_kept:
+            while j0 + brow[lo] >= groups[gi].ghi:
                 gi += 1
             g = groups[gi]
-            order = np.argsort(cols, kind="stable")
-            srows, scols, sw = rows[order], cols[order], w[order]
-            cuts = np.nonzero(np.diff(scols))[0] + 1
-            for blk_rows, blk_cols, blk_w in zip(
-                np.split(srows, cuts), np.split(scols, cuts), np.split(sw, cuts)
-            ):
-                i = int(blk_cols[0])
-                kern = g.kernels.get(i)
-                if kern is None:
-                    kern = np.zeros((g.row_hi, g.span))
-                    g.kernels[i] = kern
-                kern[blk_rows, j - g.glo] += blk_w
+            hi = brow.searchsorted(g.ghi - j0)
+            _fill_kernels(g, j0 + brow[lo:hi], rows[lo:hi], cols[lo:hi], w[lo:hi])
+            lo = hi
 
     acc.flush()
     r1 = acc.mat
@@ -378,13 +424,17 @@ def block_series(op: InducedOperator, z: complex, extended: bool = False) -> np.
     az = abs(z)
     out_r = _DenseAccumulator(m)
     out_i = _DenseAccumulator(m)
-    for j, g_row in op.ladder.sweep(1, j_hi):
-        zj = z ** j
-        if az < 1.0 and abs(zj) < 1e-20:
+    for j0, G in op.ladder.sweep(1, j_hi):
+        zjs = [z ** j for j in range(j0, j0 + G.shape[0])]
+        # the series stops at the first negligible power
+        stop = next((i for i, zj in enumerate(zjs) if az < 1.0 and abs(zj) < 1e-20), None)
+        if stop is not None:
+            G, zjs = G[:stop], zjs[:stop]
+        brow, rows, cols, w = _branch_entries(edges, G, m, delta)
+        out_r.add(brow, rows, cols, w * np.array([zj.real for zj in zjs])[brow])
+        out_i.add(brow, rows, cols, w * np.array([zj.imag for zj in zjs])[brow])
+        if stop is not None:
             break
-        rows, cols, w = _branch_entries(edges, g_row, m, delta)
-        out_r.add(rows, cols, w, scale=zj.real)
-        out_i.add(rows, cols, w, scale=zj.imag)
     out_r.flush()
     out_i.flush()
     mat = out_r.mat + 1j * out_i.mat

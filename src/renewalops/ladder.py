@@ -16,11 +16,17 @@ array, and later sweeps restart from the nearest checkpoint.  Edges at or
 above the left-branch image sup share one clamped value, so only the
 distinct columns are pulled back (71 of 1025 for lsv0 at grid 1024); the
 swept rows stop at the shared column, and ``rung`` pads back to full width.
+
+Sweeps hand out branches in blocks of up to ``checkpoint_stride`` rows
+that end where a checkpoint rung begins.  Newton writes the rungs straight
+into a block buffer and each block is lifted in one operation, so the
+consumers in ``induced`` extract a whole block's Ulam entries at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,21 +39,27 @@ _TOL = 1e-15
 _MAX_ITER = 60
 
 
-def _pullback_row(spec: MapSpec, targets: np.ndarray, w0: np.ndarray) -> np.ndarray:
+def _pullback_row(spec: MapSpec, targets: np.ndarray, w0: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Solve left(w) = target elementwise by monotone Newton from above.
 
     Requires left(w0) >= target; convexity of the left branch keeps the
-    iterates above the root and decreasing.
+    iterates above the root and decreasing.  The iterates live in ``out``
+    (a new array by default), which must not overlap ``targets``.
     """
-    w = w0.copy()
-    fw = spec.left_np(w)
+    if out is None:
+        w = w0.copy()
+    else:
+        w = out
+        w[...] = w0
+    fw, dfw = spec.left_and_deriv_np(w)
     for _ in range(_MAX_ITER):
         err = fw - targets
         if np.abs(err).max() <= _TOL:
             return w
-        w -= err / spec.left_deriv_np(w)
+        w -= err / dfw
         np.maximum(w, 1e-300, out=w)
-        fw = spec.left_np(w)
+        fw, dfw = spec.left_and_deriv_np(w)
     if np.abs(fw - targets).max() > 1e-12:
         raise NumericalError("vectorized left-branch pullback stalled")
     return w
@@ -65,7 +77,7 @@ class BranchLadder:
     spec: MapSpec
     edges: np.ndarray
     n_rungs: int
-    checkpoint_stride: int = 128
+    checkpoint_stride: ClassVar[int] = 128  # rungs per checkpoint and per swept block
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=float)
@@ -83,33 +95,41 @@ class BranchLadder:
         self._frontier = 0  # highest rung computed so far
         self._row = row  # the frontier rung
 
-    def _pull(self, k: int, row: np.ndarray) -> np.ndarray:
-        """Rung k + 1 from rung k, recorded when it lies past the frontier."""
-        row = _pullback_row(self.spec, row, row)
-        k += 1
-        if k > self._frontier:
-            self._x[k] = row[0]  # the 1/2-edge column is the scalar backward orbit
-            if k % self.checkpoint_stride == 0:
-                self._checkpoints[k // self.checkpoint_stride] = row
-            self._frontier, self._row = k, row
-        return row
-
     def _rungs(self, k_lo: int, k_hi: int):
-        """Yield (k, distinct-column row of rung k) for k in [k_lo, k_hi)."""
+        """Yield (k0, rows): rows[i] is distinct-column rung k0 + i.
+
+        The blocks cover [k_lo, k_hi) and end at multiples of the checkpoint
+        stride; ``rows`` is a view of a buffer that the next block reuses.
+        """
         if k_lo >= k_hi:
             return
+        stride = self.checkpoint_stride
         if k_lo >= self._frontier:
-            k, row = self._frontier, self._row
+            k, prev = self._frontier, self._row
         else:
-            base = k_lo // self.checkpoint_stride
-            k, row = base * self.checkpoint_stride, self._checkpoints[base]
-        while k < k_lo:
-            row = self._pull(k, row)
-            k += 1
-        yield k, row
-        for k in range(k_lo + 1, k_hi):
-            row = self._pull(k - 1, row)
-            yield k, row
+            base = k_lo // stride
+            k, prev = base * stride, self._checkpoints[base]
+        buf = np.empty((min(stride, k_hi - k), prev.size))
+        k0 = k  # the first block starts on the known rung k, later ones after it
+        while k0 < k_hi:
+            k1 = min(k_hi, (k0 // stride + 1) * stride)
+            rows = buf[: k1 - k0]
+            if k0 == k:
+                rows[0] = prev
+            else:
+                _pullback_row(self.spec, prev, prev, out=rows[0])
+            for i in range(1, k1 - k0):
+                _pullback_row(self.spec, rows[i - 1], rows[i - 1], out=rows[i])
+            # the 1/2-edge column is the scalar backward orbit
+            self._x[k0:k1] = rows[:, 0]
+            if k0 % stride == 0:
+                self._checkpoints[k0 // stride] = rows[0]
+            prev = rows[-1].copy()
+            if k1 - 1 > self._frontier:
+                self._frontier, self._row = k1 - 1, prev
+            if k1 > k_lo:
+                yield max(k0, k_lo), rows[max(0, k_lo - k0):]
+            k0 = k1
 
     def _full_width(self, row: np.ndarray) -> np.ndarray:
         return np.pad(row, (0, self.edges.size - row.size), mode="edge")
@@ -132,23 +152,24 @@ class BranchLadder:
 
     def rung(self, k: int) -> np.ndarray:
         """Pullback row W^(k) at every edge (k = 0 is the clamped edge array)."""
-        _, row = next(self._rungs(k, k + 1))
-        return self._full_width(row)
+        _, rows = next(self._rungs(k, k + 1))
+        return self._full_width(rows[0])
 
     def sweep(self, j_lo: int, j_hi: int):
-        """Yield (j, g_row) for branches j in [j_lo, j_hi).
+        """Yield blocks (j0, G) covering branches j in [j_lo, j_hi).
 
-        ``g_row`` holds the branch inverse at the edges; for branch 1 this is
-        the right-branch inverse of the raw edges, for n >= 2 the ladder rung
-        n - 1 lifted, over the distinct columns only (the edges beyond them
-        share the last column's value).
+        ``G[i]`` holds the inverse of branch j0 + i at the edges.  Branch 1,
+        the right-branch inverse of the raw edges, is a full-width block of
+        its own; for j >= 2 the rows are ladder rungs j - 1 lifted, over the
+        distinct columns only (the edges beyond them share the last
+        column's value), up to ``checkpoint_stride`` rows per block.
         """
         if j_lo < 1 or j_hi > self.n_rungs + 2:
             raise NumericalError("branch range outside tabulated ladder")
         if j_lo == 1 and j_hi > 1:
-            yield 1, 0.5 * (self.edges + 1.0)
-        for k, row in self._rungs(max(j_lo, 2) - 1, j_hi - 1):
-            yield k + 1, 0.5 * (row + 1.0)
+            yield 1, (0.5 * (self.edges + 1.0))[None]
+        for k0, rows in self._rungs(max(j_lo, 2) - 1, j_hi - 1):
+            yield k0 + 1, 0.5 * (rows + 1.0)
 
     def top_tail_cumulative(self) -> tuple[np.ndarray, float]:
         """Cumulative geometry of all branches beyond the ladder.

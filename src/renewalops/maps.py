@@ -72,15 +72,13 @@ class MapSpec:
             return 1.0 + (self.alpha + 1.0) * (2.0 * x) ** self.alpha
         return 1.0 + (2.0 * x + 1.0) * math.exp(-1.0 / x)
 
-    def left_np(self, x: np.ndarray) -> np.ndarray:
+    def left_and_deriv_np(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Left branch and its derivative on an array, sharing one power or exp."""
         if self.family == "lsv":
-            return x * (1.0 + (2.0 * x) ** self.alpha)
-        return x * (1.0 + x * np.exp(-1.0 / x))
-
-    def left_deriv_np(self, x: np.ndarray) -> np.ndarray:
-        if self.family == "lsv":
-            return 1.0 + (self.alpha + 1.0) * (2.0 * x) ** self.alpha
-        return 1.0 + (2.0 * x + 1.0) * np.exp(-1.0 / x)
+            p = (2.0 * x) ** self.alpha
+            return x * (1.0 + p), 1.0 + (self.alpha + 1.0) * p
+        e = np.exp(-1.0 / x)
+        return x * (1.0 + x * e), 1.0 + (2.0 * x + 1.0) * e
 
     @property
     def left_image_sup(self) -> float:

@@ -201,11 +201,13 @@ def indicator_majorant(epsilon: float, degree_cap: int = 1 << 17) -> OneSidedPol
     within delta by a Chebyshev interpolant; multiply by x.  The gap
     integral against x**-3/2 is then below epsilon; it is evaluated in
     closed form from the Chebyshev coefficients and verified by quadrature.
-    Raises (reporting the achievable epsilon) if the needed degree exceeds
-    ``degree_cap``.
+    Raises, reporting the sup error reached and the delta required, if the
+    needed degree exceeds ``degree_cap``.
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
+    if degree_cap < 256:
+        raise DomainError("degree_cap below the starting degree 256")
     delta = 0.9 * min(1.0 / (2 * math.e), epsilon / ((2 * math.e) ** 1.5 + 4.0))
     x_lo = _X_BREAK - delta
 
@@ -240,10 +242,10 @@ def indicator_majorant(epsilon: float, degree_cap: int = 1 << 17) -> OneSidedPol
             break
         m *= 2
     if coeffs is None:
-        # report the epsilon this degree cap can deliver
-        achieved = sup_err / 0.9 * ((2 * math.e) ** 1.5 + 4.0)
         raise NumericalError(
-            f"majorant needs degree > {degree_cap}; achievable epsilon ~ {achieved:.3g}"
+            f"majorant for epsilon {epsilon:g} needs degree > {degree_cap}: the "
+            f"interpolant reached sup error {sup_err:.3g} at degree {m // 2}, "
+            f"above the required delta {delta:.3g}"
         )
     # one-sidedness of q = x * p at the fine sample grid
     q2 = x2 * samp

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import renewalops
 from renewalops.cli import ExperimentConfig, main
 
 
@@ -102,3 +106,23 @@ class TestOutputs:
         # 17 significant digits on at least one float field
         sample = lines[-1].split(",")[2]
         assert len(sample.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+@pytest.mark.parametrize("argv, csv", [
+    (["tails", "--family", "lsv0", "--n", "100", "--grid", "128"], "tails.csv"),
+    (["dual-ergodic", "--alpha", "2", "--grid", "128", "--ntrunc", "400", "--nmax", "300"],
+     "dual_ergodic.csv"),
+])
+def test_csv_bodies_do_not_depend_on_thread_count(tmp_path, argv, csv):
+    src = str(Path(renewalops.__file__).resolve().parents[1])
+    bodies = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["OMP_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "renewalops", *argv, "--out", str(out)],
+                       env=env, check=True, timeout=300)
+        bodies.append(read(out / csv))
+    assert bodies[0] == bodies[1]

@@ -1,8 +1,10 @@
-"""The one-pass ladder against a full-width reference loop.
+"""The blocked ladder and assembly against per-row reference loops.
 
 The reference pulls every clamped edge back rung by rung, as the ladder did
-when it built its rows in one pass and re-pulled them in every sweep.  The
-one-pass ladder pulls only the distinct columns and must agree bit for bit.
+when it built its rows in one pass and re-pulled them in every sweep, and
+extracts each branch's Ulam entries one row at a time, as assembly did
+before it took whole blocks of rungs.  The blocked code must agree bit for
+bit.
 """
 
 import numpy as np
@@ -10,10 +12,11 @@ import pytest
 import scipy.sparse as sp
 
 import renewalops as ro
-from renewalops.induced import _DenseAccumulator, _branch_entries, _tail_completion
+from renewalops import induced
+from renewalops.induced import _tail_completion, block_series
 from renewalops.ladder import BranchLadder, _pullback_row
 
-N_RUNGS = 300
+N_RUNGS = 500  # also the assembly's k_ladder, which must reach n_trunc
 STRIDE = 128
 SPECS = {
     "lsv-5/3": ro.MapSpec("lsv", alpha=5.0 / 3.0),
@@ -39,6 +42,55 @@ def reference_top_tail(spec, rows):
     return 0.5 * (rows[-1] - x_last) * factor, 0.5 * float(x_last)
 
 
+def reference_g_row(edges, ref, j):
+    return 0.5 * (edges + 1.0) if j == 1 else 0.5 * (ref[j - 1] + 1.0)
+
+
+def reference_branch_entries(edges, g_row, m, delta):
+    """COO entries (target cell, source cell, weight) of one branch block."""
+    a = g_row[:-1]
+    b = g_row[1:]
+    live = b > a
+    t_idx = np.nonzero(live)[0]
+    if t_idx.size == 0:
+        return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+    a = a[live]
+    b = b[live]
+    k0 = np.minimum(np.maximum(edges.searchsorted(a, side="right") - 1, 0), m - 1)
+    k1 = np.maximum(k0, np.minimum(edges.searchsorted(b, side="left") - 1, m - 1))
+    counts = k1 - k0 + 1
+    total = int(counts.sum())
+    rows = t_idx.repeat(counts)
+    cols = (k0 - (counts.cumsum() - counts)).repeat(counts) + np.arange(total)
+    cell_lo = edges[0] + cols * delta
+    ov = np.minimum(b.repeat(counts), cell_lo + delta) - np.maximum(a.repeat(counts), cell_lo)
+    w = np.maximum(ov, 0.0) / delta
+    keep = w > 0.0
+    return rows[keep], cols[keep], w[keep]
+
+
+class RowAccumulator:
+    """Scatter-add one branch at a time, flushing once a batch is full."""
+
+    def __init__(self, m, batch):
+        self.m, self.batch = m, batch
+        self.mat = np.zeros((m, m))
+        self._idx, self._w, self._count = [], [], 0
+
+    def add(self, rows, cols, w, scale=1.0):
+        self._idx.append(rows * self.m + cols)
+        self._w.append(w * scale if scale != 1.0 else w)
+        self._count += len(w)
+        if self._count >= self.batch:
+            self.flush()
+
+    def flush(self):
+        if self._idx:
+            idx, w = np.concatenate(self._idx), np.concatenate(self._w)
+            self.mat.ravel()[:] += np.bincount(idx, weights=w, minlength=self.m * self.m)
+        self._idx, self._w, self._count = [], [], 0
+
+
 def padded(row, width):
     return np.concatenate([row, np.full(width - row.size, row[-1])])
 
@@ -53,10 +105,15 @@ def case(request):
 def assert_sweep_matches(ladder, ref, j_lo, j_hi):
     edges = ladder.edges
     js = []
-    for j, g_row in ladder.sweep(j_lo, j_hi):
-        want = 0.5 * (edges + 1.0) if j == 1 else 0.5 * (ref[j - 1] + 1.0)
-        assert np.array_equal(padded(g_row, edges.size), want), j
-        js.append(j)
+    for j0, G in ladder.sweep(j_lo, j_hi):
+        j1 = j0 + G.shape[0]
+        # branch 1 alone, then blocks of at most a stride ending on a checkpoint rung
+        assert j0 > 1 or j1 == 2, (j0, j1)
+        if j0 > 1:
+            assert G.shape[0] <= STRIDE and ((j1 - 1) % STRIDE == 0 or j1 == j_hi), (j0, j1)
+        for j, g_row in zip(range(j0, j1), G):
+            assert np.array_equal(padded(g_row, edges.size), reference_g_row(edges, ref, j)), j
+            js.append(j)
     assert js == list(range(j_lo, j_hi))
 
 
@@ -79,6 +136,7 @@ class TestOnePassLadder:
         assert_sweep_matches(ladder, ref, 1, N_RUNGS + 2)
         assert_sweep_matches(ladder, ref, 1, N_RUNGS + 2)
         assert_sweep_matches(ladder, ref, STRIDE + 1, STRIDE + 5)
+        assert_sweep_matches(ladder, ref, STRIDE - 3, 2 * STRIDE + 4)
         assert_sweep_matches(ladder, ref, N_RUNGS + 1, N_RUNGS + 2)
 
     def test_reads_past_the_frontier_complete_the_ladder(self, case):
@@ -92,7 +150,7 @@ class TestOnePassLadder:
     def test_only_distinct_columns_are_pulled(self, case):
         spec, edges, _ = case
         ladder = BranchLadder(spec, edges, n_rungs=4)
-        widths = {g_row.size for j, g_row in ladder.sweep(2, 6)}
+        widths = {G.shape[1] for j0, G in ladder.sweep(2, 6)}
         if spec.family == "lsv0":
             (width,) = widths
             assert width < edges.size
@@ -101,19 +159,112 @@ class TestOnePassLadder:
             assert widths == {edges.size}
 
 
-def test_assembled_operator_matches_full_width_reference(case):
+# Block edges (after j = 1, 128, 256 and 384) fall inside the stacked range
+# (j_direct = 160), on a group edge (groups [160, 257), [257, 354) and
+# [354, 385)) and at n_trunc = 384; one block also straddles j_direct and
+# another the group edge at 354.
+N_TRUNC, J_DIRECT, SPAN_CAP = 384, 160, 97
+BATCH = 1000  # small enough that dense batches close inside blocks
+
+
+@pytest.fixture(scope="module")
+def assembled(case):
     spec, edges, ref = case
     grid = ro.Grid(128)
-    op = ro.assemble_operator(spec, grid, n_trunc=150, j_direct=32, k_ladder=N_RUNGS)
-    m, delta = grid.m, grid.width
-    acc = _DenseAccumulator(m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(induced, "_BINCOUNT_BATCH", BATCH)
+        op = ro.assemble_operator(spec, grid, n_trunc=N_TRUNC, j_direct=J_DIRECT,
+                                  k_ladder=N_RUNGS, span_cap=SPAN_CAP)
+    return op, ref
+
+
+def reference_assembly(op, ref):
+    """r1, stacked window and kernel groups built one branch at a time."""
+    grid, edges = op.grid, op.grid.edges
+    m, delta, jd = grid.m, grid.width, op.j_direct - 1
+    acc = RowAccumulator(m, BATCH)
+    st_rows, st_cols, st_w = [], [], []
+    groups = [dict() for _ in op.groups]
     for j in range(1, N_RUNGS + 2):
-        g_row = 0.5 * (edges + 1.0) if j == 1 else 0.5 * (ref[j - 1] + 1.0)
-        rows, cols, w = _branch_entries(edges, g_row, m, delta)
+        rows, cols, w = reference_branch_entries(edges, reference_g_row(edges, ref, j), m, delta)
         acc.add(rows, cols, w)
-        if j in (1, 2, STRIDE - 1, STRIDE + 1, 150):
-            want = sp.csr_matrix((w, (rows, cols)), shape=(m, m))
-            assert np.array_equal(op.branch_matrix(j).toarray(), want.toarray()), j
+        if j > op.n_trunc:
+            continue
+        if j < op.j_direct:
+            st_rows.append(rows)
+            st_cols.append((jd - j) * m + cols)
+            st_w.append(w)
+            continue
+        gi, g = next((gi, g) for gi, g in enumerate(op.groups) if g.glo <= j < g.ghi)
+        order = np.argsort(cols, kind="stable")
+        srows, scols, sw = rows[order], cols[order], w[order]
+        cuts = np.nonzero(np.diff(scols))[0] + 1
+        for blk_rows, blk_cols, blk_w in zip(
+            np.split(srows, cuts), np.split(scols, cuts), np.split(sw, cuts)
+        ):
+            kern = groups[gi].setdefault(int(blk_cols[0]), np.zeros((g.row_hi, g.span)))
+            kern[blk_rows, j - g.glo] += blk_w
     acc.flush()
     r1 = acc.mat + _tail_completion(op.ladder, edges, delta)
+    stacked = sp.csr_matrix(
+        (np.concatenate(st_w), (np.concatenate(st_rows), np.concatenate(st_cols))),
+        shape=(m, jd * m),
+    )
+    return r1, stacked, groups
+
+
+def test_assembled_operator_matches_full_width_reference(assembled):
+    op, ref = assembled
+    r1, stacked, groups = reference_assembly(op, ref)
+    assert [(g.glo, g.ghi) for g in op.groups] == [(160, 257), (257, 354), (354, 385)]
     assert np.array_equal(op.r1, r1)
+    for attr in ("data", "indices", "indptr"):
+        got, want = getattr(op.stacked, attr), getattr(stacked, attr)
+        assert got.dtype == want.dtype and np.array_equal(got, want), attr
+    for g, kernels in zip(op.groups, groups):
+        assert list(g.kernels) == list(kernels)  # the engine sums in this order
+        for i, kern in kernels.items():
+            assert np.array_equal(g.kernels[i], kern), (g.glo, i)
+
+
+def test_branch_matrices_match_per_row_reference(assembled):
+    op, ref = assembled
+    edges, m, delta = op.grid.edges, op.grid.m, op.grid.width
+    mats = op.branch_matrices()
+    assert len(mats) == N_TRUNC
+    for j in range(1, N_TRUNC + 1):
+        rows, cols, w = reference_branch_entries(edges, reference_g_row(edges, ref, j), m, delta)
+        want = sp.csr_matrix((w, (rows, cols)), shape=(m, m))
+        for got in (mats[j - 1], op.branch_matrix(j)):
+            for attr in ("data", "indices", "indptr"):
+                a, b = getattr(got, attr), getattr(want, attr)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (j, attr)
+
+
+# 0.7 and the z whose powers drop below 1e-20 at j = 129 stop the series
+# inside a block and on a block's first row.
+@pytest.mark.parametrize("z, extended", [
+    (0.9, False), (0.5 + 0.6j, False), (0.999, True), (0.7, False),
+    (1e-20 ** (1 / 128.5), False),
+])
+def test_block_series_matches_per_row_reference(assembled, z, extended):
+    op, ref = assembled
+    edges, m, delta = op.grid.edges, op.grid.m, op.grid.width
+    out_r, out_i = RowAccumulator(m, BATCH), RowAccumulator(m, BATCH)
+    for j in range(1, (N_RUNGS + 2 if extended else N_TRUNC + 1)):
+        zj = z ** j
+        if abs(z) < 1.0 and abs(zj) < 1e-20:
+            break
+        rows, cols, w = reference_branch_entries(edges, reference_g_row(edges, ref, j), m, delta)
+        out_r.add(rows, cols, w, scale=zj.real)
+        out_i.add(rows, cols, w, scale=zj.imag)
+    out_r.flush()
+    out_i.flush()
+    want = out_r.mat + 1j * out_i.mat
+    if extended:
+        want += (z ** (N_RUNGS + 2)) * _tail_completion(op.ladder, edges, delta)
+    op._series_cache.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(induced, "_BINCOUNT_BATCH", BATCH)
+        got = block_series(op, z, extended=extended)
+    assert np.array_equal(got, want)

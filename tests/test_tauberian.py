@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import renewalops as ro
 import renewalops.tauberian as tb
-from renewalops.errors import DomainError
+from renewalops.errors import DomainError, NumericalError
 
 
 class TestFixedQuadratics:
@@ -33,9 +34,17 @@ class TestIndicatorMajorant:
         assert tb._weighted_gap(p) == pytest.approx(p.gap, abs=5e-3)
 
     def test_degree_cap_reports_achievable(self):
-        with pytest.raises(Exception) as exc:
+        # the error names the cap, the sup error reached there and the delta
+        # the epsilon requires, not an epsilon inverted from the sup error
+        with pytest.raises(NumericalError) as exc:
             tb.indicator_majorant(0.1, degree_cap=512)
-        assert "achievable" in str(exc.value)
+        msg = str(exc.value)
+        delta = 0.9 * 0.1 / ((2 * math.e) ** 1.5 + 4.0)
+        assert "degree > 512" in msg and "at degree 512" in msg
+        assert f"required delta {delta:.3g}" in msg
+        sup_err = float(re.search(r"sup error (\S+) at", msg).group(1))
+        assert sup_err > delta
+        assert "achievable epsilon" not in msg
 
 
 class TestOneSidedFit:
