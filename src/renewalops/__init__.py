@@ -20,10 +20,8 @@ from .specfun import (
 from .maps import (
     MapSpec,
     TailModel,
-    TailSequence,
     apply_map,
     entry_level_sets,
-    left_inverse,
     return_time_tail,
     tail_sequence,
 )
@@ -89,10 +87,8 @@ __all__ = [
     "harmonic_sum",
     "expansion_order",
     "MapSpec",
-    "TailSequence",
     "TailModel",
     "apply_map",
-    "left_inverse",
     "tail_sequence",
     "entry_level_sets",
     "return_time_tail",

@@ -39,7 +39,7 @@ def _density_at_half(op: InducedOperator) -> float:
     return float(h[0] + 0.5 * (h[0] - h[1]))
 
 
-def tail_model_from_operator(op: InducedOperator, n_table: int | None = None) -> TailModel:
+def tail_model_from_operator(op: InducedOperator) -> TailModel:
     """Return-time tail model with constants read off the computed density.
 
     For the polynomial family the tail constant is beta**beta h(1/2) / 4
@@ -55,11 +55,10 @@ def tail_model_from_operator(op: InducedOperator, n_table: int | None = None) ->
         return TailModel(beta=0.0, c=c, ell=SlowlyVarying("log_power", c=1.0 / c, p=1.0))
     beta = op.spec.beta
     c = 0.25 * beta**beta * h_half
-    n_table = op.n_trunc if n_table is None else min(n_table, op.n_trunc)
     hobs = op.density_observable()
-    ys = 0.5 * (op.ladder.x_tail[:n_table] + 1.0)
+    ys = 0.5 * (op.ladder.x_tail[: op.n_trunc] + 1.0)
     tails = hobs.cumulative_at(ys)
-    n = np.arange(1, n_table + 1, dtype=float)
+    n = np.arange(1, op.n_trunc + 1, dtype=float)
     h_table = tails / c - n ** (-beta)
     return TailModel(beta=beta, c=c, h_table=h_table)
 

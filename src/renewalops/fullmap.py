@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .grid import Grid, GridObservable
-from .ladder import BranchLadder, _pullback_row
-from .maps import MapSpec
+from .ladder import BranchLadder, integral_tail_factor, pullback_row
+from .maps import MapSpec, tail_sequence
 
 __all__ = [
     "GradedMesh",
@@ -106,14 +106,16 @@ class MeshObservable:
         return cums[idx] + v[idx] * dx + 0.5 * slope[idx] * dx * dx
 
 
+_ESCAPE_TOL = 1e-9
+
+
 def full_map_transfer(spec: MapSpec, obs: MeshObservable,
-                      allow_escape: bool = False,
-                      escape_tol: float = 1e-9) -> MeshObservable:
+                      allow_escape: bool = False) -> MeshObservable:
     """One transfer step: sum over the two inverse branches with 1/|f'| weights.
 
     Mass transported below the mesh floor is accounted in ``escaped_mass``
     of the result.  Unless ``allow_escape`` is set, a step that sheds more
-    than ``escape_tol`` of the observable's mass raises with the escape
+    than 1e-9 of the observable's mass raises with the escape
     report: the mesh cannot follow the support toward the fixed point, and
     the caller has not declared that the lost mass is irrelevant.
     """
@@ -134,18 +136,18 @@ def full_map_transfer(spec: MapSpec, obs: MeshObservable,
         inside[-1] = True
     if np.any(inside):
         targets = np.minimum(nodes[inside], sup * (1 - 1e-14))
-        y = _pullback_row(spec, targets, targets)
+        y = pullback_row(spec, targets, targets)
         out[inside] += obs(y) / spec.left_and_deriv_np(y)[1]
     floor = nodes[0]
     # mass landing in (0, floor): right-branch preimage is [1/2, (1+floor)/2];
-    # the left-branch preimage interval is below left_inverse(floor)
+    # the left-branch preimage interval is below the pullback of the floor
     cums = obs.cumulative_at(np.array([0.5, 0.5 * (1.0 + floor)]))
     escaped = float(cums[1] - cums[0])
-    y_floor = _pullback_row(spec, np.array([min(floor, sup * (1 - 1e-14))]),
-                            np.array([min(floor, sup * (1 - 1e-14))]))[0]
+    floor_target = np.array([min(floor, sup * (1 - 1e-14))])
+    y_floor = pullback_row(spec, floor_target, floor_target)[0]
     escaped += float(obs.cumulative_at(np.array([y_floor]))[0])
     scale = max(abs(obs.integral()), float(np.max(np.abs(obs.values))), 1e-300)
-    if not allow_escape and escaped > escape_tol * scale:
+    if not allow_escape and escaped > _ESCAPE_TOL * scale:
         raise NumericalError(
             f"transfer sheds {escaped:.3e} of mass below the mesh floor "
             f"{floor:.3e}; raise the floor's depth or allow the escape"
@@ -161,12 +163,10 @@ def iterate_full_map(spec: MapSpec, obs: MeshObservable, n: int) -> MeshObservab
     result to Y is unaffected by the truncation; the floor condition is
     checked up front.
     """
-    from .maps import tail_sequence
-
     if n < 0:
         raise DomainError("n must be >= 0")
     if n > 0:
-        x_deep = tail_sequence(spec, n + 1).x[-1]
+        x_deep = tail_sequence(spec, n + 1).x_n(n + 1)
         if obs.mesh.floor > x_deep:
             raise DomainError(
                 f"mesh floor {obs.mesh.floor:.3e} above the depth-{n + 1} "
@@ -250,17 +250,13 @@ def extended_density(op, mesh: GradedMesh, tol: float = 1e-9,
         term = acc
         last_it = 0
         for it in range(1, max_terms + 1):
-            xi = _pullback_row(spec, xi, xi)
+            xi = pullback_row(spec, xi, xi)
             weight = weight / spec.left_and_deriv_np(xi)[1]
             term = weight * h_at(0.5 * (xi + 1.0))
             acc = acc + term
             last_it = it
             if float(np.max(term)) < tol * max(1e-300, float(np.max(acc))):
                 break
-        if spec.family == "lsv":
-            tail_factor = last_it / spec.beta
-        else:
-            tail_factor = last_it * float(np.log(max(last_it, 2)))
-        acc = acc + term * tail_factor
+        acc = acc + term * integral_tail_factor(spec, last_it)
         total[below] = acc
     return MeshObservable(mesh, total)

@@ -30,22 +30,25 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DomainError, NumericalError
 from .maps import MapSpec
 
-__all__ = ["BranchLadder"]
+__all__ = ["BranchLadder", "pullback_row", "integral_tail_factor"]
 
 _TOL = 1e-15
 _MAX_ITER = 60
 
 
-def _pullback_row(spec: MapSpec, targets: np.ndarray, w0: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def pullback_row(spec: MapSpec, targets: np.ndarray, w0: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Solve left(w) = target elementwise by monotone Newton from above.
 
-    Requires left(w0) >= target; convexity of the left branch keeps the
-    iterates above the root and decreasing.  The iterates live in ``out``
-    (a new array by default), which must not overlap ``targets``.
+    This is the package's one left-branch inverse.  Requires
+    0 < target < ``spec.left_image_sup`` (callers clamp targets at or above
+    the sup to ``sup * (1 - 1e-14)``) and left(w0) >= target, which
+    w0 = target meets; convexity of the left branch keeps the iterates above
+    the root and decreasing.  The iterates live in ``out`` (a new array by
+    default), which must not overlap ``targets``.
     """
     if out is None:
         w = w0.copy()
@@ -65,13 +68,26 @@ def _pullback_row(spec: MapSpec, targets: np.ndarray, w0: np.ndarray,
     return w
 
 
+def integral_tail_factor(spec: MapSpec, k: int) -> float:
+    """Factor F with sum_{j>k} t_j ~ t_k * F for terms decaying like the tail.
+
+    The terms decay like j**-(beta+1) (power family, F = k / beta) or like
+    1/(j log^2 j) (log family, F = k log k); the estimate is the integral
+    of that decay from k on.
+    """
+    if spec.family == "lsv":
+        return k / spec.beta
+    return k * float(np.log(max(k, 2)))
+
+
 @dataclass
 class BranchLadder:
     """Left-branch pullback ladder over a fixed edge array.
 
     ``x_tail[k]`` is the scalar backward orbit (x_1 = 1/2 at index 0) and is
     tabulated to ``n_rungs + 1`` entries so branch domains [y_n, y_{n-1}]
-    are available for every swept branch.
+    are available for every swept branch.  A ladder over the single edge
+    1/2 is just that orbit (``maps.tail_sequence``).
     """
 
     spec: MapSpec
@@ -117,9 +133,9 @@ class BranchLadder:
             if k0 == k:
                 rows[0] = prev
             else:
-                _pullback_row(self.spec, prev, prev, out=rows[0])
+                pullback_row(self.spec, prev, prev, out=rows[0])
             for i in range(1, k1 - k0):
-                _pullback_row(self.spec, rows[i - 1], rows[i - 1], out=rows[i])
+                pullback_row(self.spec, rows[i - 1], rows[i - 1], out=rows[i])
             # the 1/2-edge column is the scalar backward orbit
             self._x[k0:k1] = rows[:, 0]
             if k0 % stride == 0:
@@ -143,6 +159,8 @@ class BranchLadder:
 
     def x_n(self, n: int) -> float:
         """n-th element of the backward orbit, x_1 = 1/2."""
+        if not 1 <= n <= self.n_rungs + 1:
+            raise DomainError(f"n={n} outside the tabulated orbit 1..{self.n_rungs + 1}")
         return float(self.x_tail[n - 1])
 
     def y_n(self, n: int) -> float:
@@ -175,16 +193,10 @@ class BranchLadder:
         """Cumulative geometry of all branches beyond the ladder.
 
         Returns (per-edge cumulative sum_{j>n_rungs+1} (g_j(e) - y_j), total
-        read-region width x_{n_rungs+1}/2).  The per-branch terms decay like
-        j**-(beta+1) (power family) or 1/(j log^2 j) (log family); the sum is
-        estimated from the last tabulated rung by the corresponding integral
-        tail factor.
+        read-region width x_{n_rungs+1}/2).  The sum is estimated from the
+        last tabulated rung by ``integral_tail_factor``.
         """
         x_last = self.x_tail[-1]  # completes the ladder: the frontier is the last rung
         K = self.n_rungs + 1  # last branch with tabulated geometry
         t_last = 0.5 * (self._full_width(self._row) - x_last)
-        if self.spec.family == "lsv":
-            factor = K / self.spec.beta
-        else:
-            factor = K * np.log(K)
-        return t_last * factor, 0.5 * float(x_last)
+        return t_last * integral_tail_factor(self.spec, K), 0.5 * float(x_last)

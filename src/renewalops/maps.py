@@ -11,36 +11,34 @@ branch 2x - 1 on (1/2, 1):
 
 The backward orbit x_1 = 1/2, f(x_{n+1}) = x_n of the left branch encodes
 the return-time level sets: the return time equals n exactly on
-[y_n, y_{n-1}] with y_n = (x_n + 1)/2.  Inverse-branch evaluation is a
-monotone Newton iteration, safe because both left branches are increasing
-and convex on (0, 1/2).
+[y_n, y_{n-1}] with y_n = (x_n + 1)/2.  The orbit is the one-edge
+pullback ladder of ``ladder.BranchLadder``, whose monotone Newton iteration
+is safe because both left branches are increasing and convex on (0, 1/2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .grid import GridObservable
 from .specfun import SlowlyVarying
 
+if TYPE_CHECKING:
+    from .ladder import BranchLadder
+
 __all__ = [
     "MapSpec",
-    "TailSequence",
     "TailModel",
     "apply_map",
-    "left_inverse",
     "tail_sequence",
     "entry_level_sets",
     "return_time_tail",
 ]
-
-_NEWTON_TOL = 1e-15
-_NEWTON_MAX_ITER = 80
 
 
 @dataclass(frozen=True)
@@ -67,11 +65,6 @@ class MapSpec:
             return x * (1.0 + (2.0 * x) ** self.alpha)
         return x * (1.0 + x * math.exp(-1.0 / x))
 
-    def left_deriv(self, x: float) -> float:
-        if self.family == "lsv":
-            return 1.0 + (self.alpha + 1.0) * (2.0 * x) ** self.alpha
-        return 1.0 + (2.0 * x + 1.0) * math.exp(-1.0 / x)
-
     def left_and_deriv_np(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Left branch and its derivative on an array, sharing one power or exp."""
         if self.family == "lsv":
@@ -95,106 +88,47 @@ def apply_map(spec: MapSpec, x: float) -> float:
     return spec.left(x) if x < 0.5 else 2.0 * x - 1.0
 
 
-def left_inverse(spec: MapSpec, x: float, x0: float | None = None) -> float:
-    """Unique y in (0, 1/2) with left-branch value x.
+def tail_sequence(spec: MapSpec, n: int) -> BranchLadder:
+    """Tabulate x_1..x_n, the backward orbit of 1/2 along the left branch.
 
-    Newton from above: both left branches are increasing and convex, so an
-    iterate started at a point with branch value >= x decreases monotonically
-    to the root and never leaves the bracket.
+    Returns the one-edge ``BranchLadder`` over [1/2] with n - 1 rungs, its
+    orbit already pulled back: ``x_tail`` is the orbit and ``x_n``/``y_n``
+    read single points.
     """
-    sup = spec.left_image_sup
-    if not 0.0 < x < sup:
-        raise DomainError(f"x={x} outside the left-branch image (0, {sup})")
-    w = 0.5 - 1e-16 if x0 is None else x0
-    fw = spec.left(w)
-    if fw < x:  # caller's warm start undershoots; restart from the right end
-        w = 0.5 - 1e-16
-        fw = spec.left(w)
-    for _ in range(_NEWTON_MAX_ITER):
-        err = fw - x
-        if abs(err) <= _NEWTON_TOL:
-            return w
-        step = err / spec.left_deriv(w)
-        w_new = w - step
-        if w_new <= 0.0 or w_new == w:
-            break
-        w = w_new
-        fw = spec.left(w)
-    if abs(fw - x) > 1e-12:
-        raise NumericalError(
-            f"left-branch inversion stalled at residual {fw - x:.3e} for x={x}"
-        )
-    return w
+    from .ladder import BranchLadder  # ladder imports this module
 
-
-@dataclass(frozen=True)
-class TailSequence:
-    """Backward left-branch orbit x_1 = 1/2 > x_2 > ... and y_n = (x_n + 1)/2."""
-
-    spec: MapSpec
-    x: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return len(self.x)
-
-    @property
-    def y(self) -> np.ndarray:
-        return 0.5 * (self.x + 1.0)
-
-    def x_n(self, n: int) -> float:
-        if not 1 <= n <= self.n_max:
-            raise DomainError(f"n={n} beyond tabulated length {self.n_max}")
-        return float(self.x[n - 1])
-
-    def y_n(self, n: int) -> float:
-        if n == 0:
-            return 1.0
-        return 0.5 * (self.x_n(n) + 1.0)
-
-
-def tail_sequence(spec: MapSpec, n: int) -> TailSequence:
-    """Tabulate x_1..x_n by backward Newton along the left branch."""
     if n < 1:
         raise DomainError("need n >= 1")
-    xs = np.empty(n)
-    xs[0] = 0.5
-    w = 0.5
-    for k in range(1, n):
-        w = left_inverse(spec, xs[k - 1], x0=w)
-        xs[k] = w
-    return TailSequence(spec, xs)
+    tail = BranchLadder(spec, np.array([0.5]), n - 1)
+    tail.x_tail  # pulls the orbit back here, not on the caller's first read
+    return tail
 
 
-def entry_level_sets(tail: TailSequence, k: int) -> list[tuple[float, float]]:
+def entry_level_sets(tail: BranchLadder, k: int) -> list[tuple[float, float]]:
     """Intervals on which the first entry time to Y equals 0, 1, ..., k.
 
     Level 0 is Y itself; level j >= 1 is (x_{j+1}, x_j] on the left-branch
-    ladder.  Requires the tail sequence tabulated to length k + 1.
+    ladder.  ``tail`` is a ``tail_sequence`` of length at least k + 1.
     """
     if k < 0:
         raise DomainError("k must be >= 0")
-    if k >= 1 and tail.n_max < k + 1:
-        raise DomainError(f"tail sequence of length >= {k + 1} required")
     out = [(0.5, 1.0)]
     for j in range(1, k + 1):
         out.append((tail.x_n(j + 1), tail.x_n(j)))
     return out
 
 
-def return_time_tail(tail: TailSequence, density: GridObservable, n: int) -> float:
+def return_time_tail(tail: BranchLadder, density: GridObservable, n: int) -> float:
     """Measure of {return time > n} in Y, via the density on [1/2, 1].
 
     The set {return time > n} is [1/2, y_n], so the value is the cumulative
-    integral of the density up to y_n; n = 0 returns the full mass 1 (up to
-    the density's own normalization).
+    integral of the density up to y_n from the ``tail_sequence`` ``tail``;
+    n = 0 returns the full mass 1 (up to the density's own normalization).
     """
     if n < 0:
         raise DomainError("n must be >= 0")
     if n == 0:
         return float(density.integral())
-    if n > tail.n_max:
-        raise DomainError(f"n={n} beyond tabulated tail length {tail.n_max}")
     return float(density.cumulative_at(tail.y_n(n))[0])
 
 
@@ -244,19 +178,3 @@ class TailModel:
         else:
             out[pos] = self.c * (n[pos] ** (-self.beta) + self.H(n[pos]))
         return out
-
-    def monotone_summable_split(self) -> dict:
-        """Empirical check of the H = b + (summable) split used when beta <= 1/2.
-
-        Fits the monotone envelope of the tabulated H and reports the size
-        of the non-monotone residue and a summability estimate for it.
-        """
-        if self.h_table is None or len(self.h_table) < 4:
-            return {"monotone_violation": 0.0, "residue_l1": 0.0}
-        h = self.h_table
-        b = np.minimum.accumulate(h) if h[0] >= h[-1] else np.maximum.accumulate(h)
-        resid = h - b
-        return {
-            "monotone_violation": float(np.max(np.abs(resid))),
-            "residue_l1": float(np.sum(np.abs(resid))),
-        }

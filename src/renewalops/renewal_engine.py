@@ -121,7 +121,6 @@ def _fast_steps(
     read_cells: np.ndarray,
     s0: np.ndarray,
     n_max: int,
-    cache_spectra: bool,
 ):
     """Generator of s_n via stacked window + blocked FFT convolutions."""
     m = s0.shape[0]
@@ -160,14 +159,12 @@ def _fast_steps(
                 m0 = next_m0[gi]
                 c = g.span
                 f = g.fft_len
-                spectra = g.spectra() if cache_spectra else None
                 acc = None
-                for i, kern in g.kernels.items():
+                for i, k_hat in g.spectra().items():
                     a_chunk = a_hist[m0: m0 + c, cell_slot[i]]
                     if not np.any(a_chunk):
                         continue
                     a_hat = np.fft.rfft(a_chunk, n=f)
-                    k_hat = spectra[i] if spectra is not None else np.fft.rfft(kern, n=f, axis=1)
                     contrib = k_hat * a_hat
                     acc = contrib if acc is None else acc + contrib
                 next_m0[gi] += c
@@ -188,7 +185,6 @@ def renewal_action(
     snapshot_ns: list[int] | None = None,
     path: str = "auto",
     keep_history: bool = False,
-    cache_spectra: bool = True,
 ) -> RenewalAccumulator:
     """Run the renewal recursion on the measure-normalized observable v.
 
@@ -218,7 +214,7 @@ def renewal_action(
         steps = _exact_steps(op.branch_matrices(), s0, n_max)
     elif path == "fast":
         steps = _fast_steps(
-            op.stacked, op.j_direct, op.groups, op.read_cells, s0, n_max, cache_spectra
+            op.stacked, op.j_direct, op.groups, op.read_cells, s0, n_max
         )
     else:
         raise DomainError(f"unknown path {path!r}")

@@ -4,15 +4,15 @@ The asymptotics of renewal partial sums with tail index ``beta`` are
 normalized by ``Gamma(1-beta) * Gamma(1+beta)`` and by a slowly varying
 factor ``m(n)`` (the tail's slowly varying part for ``beta < 1``, its
 harmonic partial sum at ``beta = 1``).  This module provides those
-constants, a small closed family of slowly varying models, and empirical
-checks of slow variation and of de Haan-type increment bounds.
+constants, a small closed family of slowly varying models, and the pairing
+of a slowly varying function with a de Haan-type increment bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -123,49 +123,17 @@ class SlowlyVarying:
                             np.asarray(self.knots_val, float))
         return out if out.ndim else float(out)
 
-    def slow_variation_report(
-        self,
-        lambdas: Sequence[float] = (0.5, 2.0, 4.0),
-        xs: Sequence[float] = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7),
-    ) -> dict:
-        """Sampled check that ell(lam*x)/ell(x) -> 1 as x grows.
-
-        Returns the per-lambda ratio deviations at the largest x and the
-        worst deviation over the whole sample grid.
-        """
-        xs = np.asarray(xs, dtype=float)
-        worst = 0.0
-        at_largest = {}
-        for lam in lambdas:
-            ratios = np.asarray(self(lam * xs)) / np.asarray(self(xs))
-            worst = max(worst, float(np.max(np.abs(ratios - 1.0))))
-            at_largest[lam] = float(abs(ratios[-1] - 1.0))
-        return {"worst_deviation": worst, "deviation_at_largest_x": at_largest}
-
 
 @dataclass(frozen=True)
 class DeHaanPair:
     """A slowly varying ``ell`` with auxiliary ``ell_hat`` dominating its increments.
 
-    Membership in the increment class is checked empirically: the report
-    carries the smallest C with ``|ell(a*x) - ell(x)| <= C * ell_hat(x)``
-    over the sampled (a, x) grid.
+    Membership in the increment class means some C bounds
+    ``|ell(a*x) - ell(x)| <= C * ell_hat(x)`` for a in compacts of (0, inf).
     """
 
     ell: SlowlyVarying
     ell_hat: SlowlyVarying
-
-    def increment_report(
-        self,
-        alphas: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
-        xs: Sequence[float] = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7),
-    ) -> dict:
-        xs = np.asarray(xs, dtype=float)
-        c_fit = 0.0
-        for a in alphas:
-            incr = np.abs(np.asarray(self.ell(a * xs)) - np.asarray(self.ell(xs)))
-            c_fit = max(c_fit, float(np.max(incr / np.asarray(self.ell_hat(xs)))))
-        return {"C": c_fit, "alphas": tuple(alphas), "x_range": (float(xs[0]), float(xs[-1]))}
 
 
 @dataclass(frozen=True)

