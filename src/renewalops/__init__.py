@@ -9,7 +9,6 @@ special-function, polynomial-approximation and contour-integral machinery.
 from .errors import DomainError, NumericalError
 from .grid import Grid, GridObservable
 from .specfun import (
-    DeHaanPair,
     Norming,
     SlowlyVarying,
     expansion_order,
@@ -80,7 +79,6 @@ __all__ = [
     "Grid",
     "GridObservable",
     "SlowlyVarying",
-    "DeHaanPair",
     "Norming",
     "gamma",
     "karamata_constant",

@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 _BINCOUNT_BATCH = 1 << 22
+# cap on grid rows held by the exact renewal path: K blocks of m rows
+# materialized plus a history ring of 2K rows of m cells
+_MATERIALIZE_LIMIT = 1 << 24
 
 
 def _branch_entries(edges: np.ndarray, G: np.ndarray, m: int, delta: float):
@@ -175,7 +178,7 @@ class InducedOperator:
     ladder: BranchLadder | None = None
     _density: np.ndarray | None = None
     _density_residual: float | None = None
-    _branch_cache: list[sp.csr_matrix] | None = None
+    _branch_cache: list[sp.csr_matrix] = field(default_factory=list)
     _series_cache: dict = field(default_factory=dict)
 
     # -- density ---------------------------------------------------------
@@ -222,19 +225,31 @@ class InducedOperator:
         m = self.grid.m
         return _block_csr(_branch_entries(self.grid.edges, G, m, self.grid.width), 1, m)[0]
 
-    def branch_matrices(self) -> list[sp.csr_matrix]:
-        """All blocks as sparse matrices (reference path; small runs only)."""
-        if self._branch_cache is not None:
-            return self._branch_cache
-        if self.n_trunc * self.grid.m > 1 << 24:
-            raise NumericalError("branch family too large to materialize; use the fast path")
+    def leading_branches(self, k: int) -> list[sp.csr_matrix]:
+        """Blocks R_1..R_k as sparse matrices, for 0 <= k <= n_trunc.
+
+        The longest prefix built so far is cached, so a shorter request is a
+        slice of it and a longer one sweeps only the missing branches.
+        Raises before building anything when the k·m rows of the blocks
+        plus a 2k·m history exceed ``_MATERIALIZE_LIMIT``.
+        """
+        if not 0 <= k <= self.n_trunc:
+            raise DomainError(f"branch count {k} outside 0..{self.n_trunc}")
         m = self.grid.m
-        mats = []
-        for _, G in self.ladder.sweep(1, self.n_trunc + 1):
-            entries = _branch_entries(self.grid.edges, G, m, self.grid.width)
-            mats += _block_csr(entries, G.shape[0], m)
-        self._branch_cache = mats
-        return mats
+        if 3 * k * m > _MATERIALIZE_LIMIT:
+            raise NumericalError(
+                f"{k} branches on {m} cells too large to materialize; use path='fast'"
+            )
+        mats = self._branch_cache
+        if len(mats) < k:
+            for _, G in self.ladder.sweep(len(mats) + 1, k + 1):
+                entries = _branch_entries(self.grid.edges, G, m, self.grid.width)
+                mats += _block_csr(entries, G.shape[0], m)
+        return mats[:k]
+
+    def branch_matrices(self) -> list[sp.csr_matrix]:
+        """All n_trunc blocks as sparse matrices: ``leading_branches(n_trunc)``."""
+        return self.leading_branches(self.n_trunc)
 
     def mu_form(self, mat: np.ndarray) -> np.ndarray:
         """Conjugate a Lebesgue-form matrix into measure-normalized form."""

@@ -4,9 +4,13 @@ With R_j the transfer-operator block of the branch with return time j, the
 renewal family satisfies T_0 = I and T_n = sum_{j=1}^{n} R_j T_{n-j}.  The
 engine computes the actions s_n = T_n s_0 for all n up to ``n_max``:
 
-* exact path: the recursion applied literally with per-branch sparse
-  matrices, O(n_max^2) block applications; reference for tests and small
-  runs.
+* exact path: the recursion with R_1..R_K (K = min(n_max, n_trunc)) laid
+  out as one block-diagonal sparse matrix.  Step n is one product of its
+  leading k = min(n, K) blocks with the contiguous history [s_{n-1}, ...,
+  s_{n-k}], and the k block products are summed in branch order.  Each
+  product row is formed exactly as a per-branch product forms it, so s_n
+  is bit-identical to the literal sum_j R_j s_{n-j}; O(n_max^2) block
+  applications, the reference for tests and small runs.
 * fast path: branches with small return time are stacked into a single
   sparse matrix applied against a rolling history window; branches with
   large return time enter through per-source-cell kernels convolved with
@@ -102,15 +106,49 @@ class RenewalAccumulator:
         return float(self.tn_integral[: n + 1].sum())
 
 
+def _block_diagonal(branches: list[sp.csr_matrix], m: int) -> sp.csr_matrix:
+    """diag(R_1, ..., R_K) with each block's rows stored exactly as in R_j.
+
+    Joined directly rather than through ``sp.block_diag``, whose COO round
+    trip may reorder a row's entries and with them the rounding.
+    """
+    nnz = np.cumsum([0] + [b.nnz for b in branches])
+    data = np.concatenate([b.data for b in branches])
+    indices = np.concatenate([b.indices + k * m for k, b in enumerate(branches)])
+    indptr = np.concatenate([[0]] + [b.indptr[1:] + nnz[k] for k, b in enumerate(branches)])
+    km = len(branches) * m
+    return sp.csr_matrix((data, indices, indptr), shape=(km, km))
+
+
 def _exact_steps(branches: list[sp.csr_matrix], s0: np.ndarray, n_max: int):
-    """Generator of s_n by the literal recursion (reference path)."""
-    hist = [s0]
+    """Generator of s_n = sum_{j<=min(n, K)} R_j s_{n-j}, K = len(branches).
+
+    History lives in a doubled ring of 2K rows, newest first, so [s_{n-1},
+    ..., s_{n-k}] is one contiguous slice.  Step n multiplies it by the
+    leading k = min(n, K) blocks of diag(R_1, ..., R_K) in one product and
+    sums the k block products along axis 0, from 0.0 and in branch order.
+    Product rows start from 0 and add their entries in stored order, as a
+    product with R_j alone does, so every s_n is bit-identical to the
+    literal ``s = 0; s += R_j @ s_{n-j}`` for j = 1..k.
+    """
     yield 0, s0
+    if n_max == 0:
+        return
+    m = s0.shape[0]
+    K = len(branches)
+    diag = _block_diagonal(branches, m)
+    data, indices, indptr = diag.data, diag.indices, diag.indptr
+    ring = np.zeros((2 * K, m))
+    ring[0] = ring[K] = s0
     for n in range(1, n_max + 1):
-        s = np.zeros_like(s0)
-        for j in range(1, min(n, len(branches)) + 1):
-            s += branches[j - 1] @ hist[n - j]
-        hist.append(s)
+        k = min(n, K)
+        p = -(n - 1) % K  # ring row of s_{n-1}
+        end = indptr[k * m]
+        lead = sp.csr_matrix((data[:end], indices[:end], indptr[: k * m + 1]),
+                             shape=(k * m, k * m))
+        s = (lead @ ring[p: p + k].ravel()).reshape(k, m).sum(axis=0, initial=0.0)
+        p = -n % K
+        ring[p] = ring[p + K] = s
         yield n, s
 
 
@@ -211,7 +249,7 @@ def renewal_action(
     s_all = np.zeros((n_max + 1, grid.m)) if keep_history else None
 
     if path == "exact":
-        steps = _exact_steps(op.branch_matrices(), s0, n_max)
+        steps = _exact_steps(op.leading_branches(min(n_max, op.n_trunc)), s0, n_max)
     elif path == "fast":
         steps = _fast_steps(
             op.stacked, op.j_direct, op.groups, op.read_cells, s0, n_max

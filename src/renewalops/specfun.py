@@ -4,8 +4,7 @@ The asymptotics of renewal partial sums with tail index ``beta`` are
 normalized by ``Gamma(1-beta) * Gamma(1+beta)`` and by a slowly varying
 factor ``m(n)`` (the tail's slowly varying part for ``beta < 1``, its
 harmonic partial sum at ``beta = 1``).  This module provides those
-constants, a small closed family of slowly varying models, and the pairing
-of a slowly varying function with a de Haan-type increment bound.
+constants and a small closed family of slowly varying models.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "harmonic_sum",
     "expansion_order",
     "SlowlyVarying",
-    "DeHaanPair",
     "Norming",
 ]
 
@@ -122,18 +120,6 @@ class SlowlyVarying:
             out = np.interp(np.log(x), np.log(np.asarray(self.knots_x, float)),
                             np.asarray(self.knots_val, float))
         return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class DeHaanPair:
-    """A slowly varying ``ell`` with auxiliary ``ell_hat`` dominating its increments.
-
-    Membership in the increment class means some C bounds
-    ``|ell(a*x) - ell(x)| <= C * ell_hat(x)`` for a in compacts of (0, inf).
-    """
-
-    ell: SlowlyVarying
-    ell_hat: SlowlyVarying
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ before it took whole blocks of rungs.  The blocked code must agree bit for
 bit.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -232,10 +234,14 @@ def test_branch_matrices_match_per_row_reference(assembled):
     edges, m, delta = op.grid.edges, op.grid.m, op.grid.width
     mats = op.branch_matrices()
     assert len(mats) == N_TRUNC
+    # a prefix ending inside a sweep block, then grown from branch 201
+    grown = dataclasses.replace(op, _branch_cache=[])
+    assert len(grown.leading_branches(200)) == 200
+    grown_mats = grown.branch_matrices()
     for j in range(1, N_TRUNC + 1):
         rows, cols, w = reference_branch_entries(edges, reference_g_row(edges, ref, j), m, delta)
         want = sp.csr_matrix((w, (rows, cols)), shape=(m, m))
-        for got in (mats[j - 1], op.branch_matrix(j)):
+        for got in (mats[j - 1], grown_mats[j - 1], op.branch_matrix(j)):
             for attr in ("data", "indices", "indptr"):
                 a, b = getattr(got, attr), getattr(want, attr)
                 assert a.dtype == b.dtype and np.array_equal(a, b), (j, attr)

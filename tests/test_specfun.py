@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,6 +24,18 @@ def slow_variation_report(ell, lambdas=(0.5, 2.0, 4.0),
         worst = max(worst, float(np.max(np.abs(ratios - 1.0))))
         at_largest[lam] = float(abs(ratios[-1] - 1.0))
     return {"worst_deviation": worst, "deviation_at_largest_x": at_largest}
+
+
+@dataclass(frozen=True)
+class DeHaanPair:
+    """A slowly varying ``ell`` with auxiliary ``ell_hat`` dominating its increments.
+
+    Membership in the increment class means some C bounds
+    ``|ell(a*x) - ell(x)| <= C * ell_hat(x)`` for a in compacts of (0, inf).
+    """
+
+    ell: ro.SlowlyVarying
+    ell_hat: ro.SlowlyVarying
 
 
 def increment_report(pair, alphas=(0.5, 1.0, 2.0, 4.0),
@@ -128,8 +141,8 @@ class TestSlowlyVarying:
         assert max(rep["deviation_at_largest_x"].values()) < 0.25
 
     def test_de_haan_pair_log(self):
-        pair = ro.DeHaanPair(ro.SlowlyVarying("log_power", c=1.0, p=1.0),
-                             ro.SlowlyVarying("constant", c=1.0))
+        pair = DeHaanPair(ro.SlowlyVarying("log_power", c=1.0, p=1.0),
+                          ro.SlowlyVarying("constant", c=1.0))
         rep = increment_report(pair)
         # |log(a x) - log x| = |log a| <= log 4
         assert rep["C"] <= math.log(4.0) + 1e-9
