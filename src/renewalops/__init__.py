@@ -38,7 +38,6 @@ from .scalar import (
     ReturnDistribution,
     ScalarRenewal,
     SecondOrderConstant,
-    karamata_first_order,
     renewal_sequence,
     residual_diagnostics,
     second_order_constant,
@@ -102,7 +101,6 @@ __all__ = [
     "ReturnDistribution",
     "ScalarRenewal",
     "SecondOrderConstant",
-    "karamata_first_order",
     "renewal_sequence",
     "residual_diagnostics",
     "second_order_constant",

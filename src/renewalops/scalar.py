@@ -16,9 +16,14 @@ of a single second-order constant:
     d_j = c_H**j / Gamma((j+1)beta - (j-1)),
 
 where c_H = -Gamma(1-beta)**-1 * integral of [x]**-beta - x**-beta + H([x])
-over (0, infinity).  This module computes the sequences (quadratic
-reference recursion plus an FFT divide-and-conquer path), the constant
-c_H, the expansion, and residual diagnostics for both.
+over (0, infinity).  This module computes the sequences, the constant
+c_H, the expansion, and residual diagnostics for it.  The first-order law
+itself is ``Norming.return_sequence`` in ``specfun``.
+
+Two paths compute the sequence: the quadratic reference recursion, and a
+divide and conquer whose levels are FFT products against f and whose
+leaves are one Toeplitz product each with the renewal sequence of a
+leaf's length (see ``_renewal_fft``).
 """
 
 from __future__ import annotations
@@ -31,14 +36,13 @@ import numpy as np
 
 from .diagnostics import SlopeFit, slope_fit
 from .errors import DomainError, NumericalError
-from .specfun import Norming, expansion_order, gamma
+from .specfun import expansion_order, gamma
 
 __all__ = [
     "ReturnDistribution",
     "ScalarRenewal",
     "AsymptoticExpansion",
     "renewal_sequence",
-    "karamata_first_order",
     "second_order_constant",
     "SecondOrderConstant",
     "residual_diagnostics",
@@ -151,29 +155,41 @@ def _renewal_direct(f: np.ndarray, n_max: int) -> np.ndarray:
 
 
 def _renewal_fft(f: np.ndarray, n_max: int) -> np.ndarray:
-    """Divide and conquer: past blocks convolved by FFT, O(n log^2 n)."""
+    """Divide and conquer over [0, n_max]: relaxed online convolution.
+
+    Each node [lo, hi) solves its left half, adds that half's contribution
+    to the right half with one FFT product against f, then solves the
+    right half, for O(n log^2 n) in all (van der Hoeven's relaxed
+    multiplication).  Each rfft of a prefix of f is taken once per call.
+
+    A leaf of at most ``_FFT_BASE`` steps holds b, the contributions of
+    all earlier steps, and must solve (I - T_f) u = b with T_f the strictly
+    lower triangular Toeplitz matrix of f.  Its inverse is the lower
+    triangular Toeplitz matrix of g, the renewal sequence itself over one
+    leaf's length, so the leaf is the product u = g * b.  That product is
+    an ``np.convolve`` (direct sums), not an FFT: the first leaf has
+    b = e_0 and then reproduces ``_renewal_direct`` bit for bit, so exact
+    zeros such as u_1 for lattice f stay exactly zero.
+    """
     u = np.zeros(n_max + 1)
     u[0] = 1.0
     f = np.asarray(f, dtype=float)
     jmax = len(f) - 1
-
-    def base(lo: int, hi: int):
-        for n in range(max(lo, 1), hi):
-            j0 = min(n - lo, jmax)
-            if j0 >= 1:
-                u[n] += np.dot(f[1: j0 + 1], u[n - j0: n][::-1])
+    g = _renewal_direct(f, min(_FFT_BASE, n_max))
+    spectra: dict[tuple[int, int], np.ndarray] = {}
 
     def solve(lo: int, hi: int):
         if hi - lo <= _FFT_BASE:
-            base(lo, hi)
+            u[lo:hi] = np.convolve(g[: hi - lo], u[lo:hi])[: hi - lo]
             return
         mid = (lo + hi) // 2
         solve(lo, mid)
         lf = min(hi - lo, jmax + 1)
         size = 1 << int(np.ceil(np.log2(max(lf + (mid - lo), hi - lo))))
-        fa = np.fft.rfft(f[:lf], size)
+        if (lf, size) not in spectra:
+            spectra[lf, size] = np.fft.rfft(f[:lf], size)
         ua = np.fft.rfft(u[lo:mid], size)
-        conv = np.fft.irfft(fa * ua, size)
+        conv = np.fft.irfft(spectra[lf, size] * ua, size)
         u[mid:hi] += conv[mid - lo: hi - lo]
         solve(mid, hi)
 
@@ -211,12 +227,6 @@ def renewal_sequence(
         if err > _PATH_AGREEMENT:
             raise NumericalError(f"renewal paths disagree by {err:.3e}")
     return ScalarRenewal(u)
-
-
-def karamata_first_order(norming: Norming, n) -> np.ndarray:
-    """First-order partial-sum law n**beta / (constant * m(n))."""
-    n = np.atleast_1d(np.asarray(n, dtype=float))
-    return np.array([norming.return_sequence(x) for x in n])
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ __all__ = [
 
 _X_BREAK = math.exp(-1.0)
 _MAX_PANELS = 1 << 20
+_QUAD_BATCH = 1 << 14
 
 # ---------------------------------------------------------------------------
 # quadrature: composite Gauss-Legendre with oscillation-resolving panels
@@ -63,13 +64,23 @@ _MAX_PANELS = 1 << 20
 
 
 def _panel_quad(f, a: float, b: float, n_panels: int, order: int = 12) -> complex:
+    """Composite Gauss-Legendre of ``order`` nodes on n_panels equal panels.
+
+    The integrand is evaluated ``_QUAD_BATCH`` panels at a time and the
+    batch totals are added in panel order, so the transient node arrays
+    stay at a fixed size (about 3 MB each) however many panels there are.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    vals = np.asarray(f(x), dtype=complex).reshape(n_panels, order)
-    return complex(np.sum(vals * weights[None, :] * half[:, None]))
+    total = 0j
+    for start in range(0, n_panels, _QUAD_BATCH):
+        batch = edges[start: start + _QUAD_BATCH + 1]
+        mid = 0.5 * (batch[:-1] + batch[1:])
+        half = 0.5 * np.diff(batch)
+        x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+        vals = np.asarray(f(x), dtype=complex).reshape(len(mid), order)
+        total += complex(np.sum(vals * weights[None, :] * half[:, None]))
+    return total
 
 
 def adaptive_oscillatory_quad(

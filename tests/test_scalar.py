@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import renewalops as ro
 from renewalops.errors import DomainError
+from renewalops.scalar import _FFT_BASE, _renewal_fft
 
 
 def dp_renewal_oracle(f, n_max):
@@ -23,6 +24,78 @@ def dp_renewal_oracle(f, n_max):
         u += p
     u[0] = 1.0
     return u
+
+
+def renewal_direct(f, n_max):
+    """Quadratic reference recursion u_n = sum_{1 <= j <= min(n, len(f) - 1)} f_j u_{n-j}."""
+    u = np.zeros(n_max + 1)
+    u[0] = 1.0
+    jmax = len(f) - 1
+    for n in range(1, n_max + 1):
+        j = min(n, jmax)
+        u[n] = np.dot(f[1: j + 1], u[n - 1:: -1][:j])
+    return u
+
+
+def first_leaf_end(n_max):
+    """End of the divide and conquer's first leaf [0, hi) over [0, n_max]."""
+    hi = n_max + 1
+    while hi > _FFT_BASE:
+        hi //= 2
+    return hi
+
+
+def karamata_first_order(norming, n):
+    """First-order partial-sum law n**beta / (constant * m(n))."""
+    n = np.atleast_1d(np.asarray(n, dtype=float))
+    return np.array([norming.return_sequence(x) for x in n])
+
+
+@st.composite
+def lifetime_laws(draw):
+    """Nonnegative f (f_0 = 0) with total mass at most 1, from random weights."""
+    jmax = draw(st.integers(1, 3 * _FFT_BASE))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        f = rng.random(jmax + 1)
+        f[0] = 0.0
+    else:  # heavy tail f_j ~ j^(-1-beta)
+        j = np.arange(1, jmax + 1, dtype=float)
+        f = np.concatenate([[0.0], j ** -(1.0 + draw(st.floats(0.3, 0.9)))])
+    if draw(st.booleans()):
+        f[1] = 0.0
+    if draw(st.booleans()):  # lattice: odd lifetimes impossible
+        f[1::2] = 0.0
+    mass = draw(st.sampled_from([1.0, 0.999, 0.5]))
+    if f.sum() > 0:
+        f *= mass / f.sum()
+    return f
+
+
+class TestFftPath:
+    @settings(max_examples=40, deadline=None)
+    @given(f=lifetime_laws(),
+           n_max=st.sampled_from([_FFT_BASE - 1, _FFT_BASE, _FFT_BASE + 1,
+                                  2 * _FFT_BASE + 1, 4 * _FFT_BASE + 3]))
+    def test_matches_direct_recursion(self, f, n_max):
+        u = _renewal_fft(f, n_max)
+        ref = renewal_direct(f, n_max)
+        assert np.max(np.abs(u - ref)) <= 1e-12
+        leaf = first_leaf_end(n_max)
+        # the first leaf is the leaf's own renewal sequence, bit for bit
+        assert np.array_equal(u[:leaf], ref[:leaf])
+
+    def test_lattice_zero_survives(self):
+        f = np.zeros(2 * _FFT_BASE + 1)
+        f[2::2] = 1.0 / _FFT_BASE
+        u = _renewal_fft(f, 4 * _FFT_BASE + 3)
+        assert u[1] == 0.0 and np.all(u[1:first_leaf_end(4 * _FFT_BASE + 3):2] == 0.0)
+
+    def test_checked_multilevel_run(self):
+        dist = ro.ReturnDistribution.from_power_tail(0.6, 20_000)
+        seq = ro.renewal_sequence(dist, 20_000, method="fft", check=True)
+        assert first_leaf_end(20_000) < 20_000 // 8
+        assert np.max(np.abs(seq.u - renewal_direct(dist.f, 20_000))) <= 1e-12
 
 
 class TestRenewalSequence:
@@ -68,17 +141,17 @@ class TestRenewalSequence:
 class TestFirstOrderLaw:
     def test_log_model(self):
         nm = ro.Norming(beta=0.0, ell=ro.SlowlyVarying("log_power", c=1.0, p=-1.0))
-        out = ro.karamata_first_order(nm, np.array([100.0]))
+        out = karamata_first_order(nm, np.array([100.0]))
         assert out[0] == pytest.approx(math.log(100.0))
 
     def test_beta_one_harmonic(self):
         nm = ro.Norming(beta=1.0, ell=ro.SlowlyVarying("constant", c=1.0))
-        val = ro.karamata_first_order(nm, np.array([10**4]))[0]
+        val = karamata_first_order(nm, np.array([10**4]))[0]
         assert val == pytest.approx(10**4 / np.log(10**4), rel=0.07)
 
     def test_half(self):
         nm = ro.Norming(beta=0.5, ell=ro.SlowlyVarying("constant", c=1.0))
-        assert ro.karamata_first_order(nm, np.array([10**4]))[0] == pytest.approx(
+        assert karamata_first_order(nm, np.array([10**4]))[0] == pytest.approx(
             200.0 / math.pi, rel=1e-12)
 
     def test_partial_sum_convergence_trend(self):

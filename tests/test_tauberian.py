@@ -32,6 +32,45 @@ def window_weight_ratio(n, gamma_exp, n_samples=512):
     return float(np.max(np.abs(a_t)) / a_n)
 
 
+def one_shot_panel_quad(f, a, b, n_panels, order=12):
+    """Composite Gauss-Legendre with every node of every panel in one call."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    vals = np.asarray(f(x), dtype=complex).reshape(n_panels, order)
+    return complex(np.sum(vals * weights[None, :] * half[:, None]))
+
+
+class TestPanelQuad:
+    B = tb._QUAD_BATCH
+    PANELS = (B - 1, B, B + 1, 3 * B + 5)
+
+    @pytest.mark.parametrize("n_panels", PANELS)
+    def test_batches_match_one_shot_on_line_integrand(self, n_panels):
+        def f(s):  # contour check B2 at beta = 1/2
+            return (1.0 - 1j * s) ** -1.5 * np.exp(-1j * s)
+
+        got = tb._panel_quad(f, -1e5, 1e5, n_panels)
+        ref = one_shot_panel_quad(f, -1e5, 1e5, n_panels)
+        assert abs(got - ref) <= 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("n_panels", PANELS)
+    def test_batches_match_one_shot_on_polynomial(self, n_panels):
+        def f(x):
+            return 3.0 * x**5 - 2.0 * x**2 + 1.0
+
+        def antiderivative(x):
+            return 0.5 * x**6 - 2.0 / 3.0 * x**3 + x
+
+        exact = antiderivative(2.1) - antiderivative(-1.3)
+        got = tb._panel_quad(f, -1.3, 2.1, n_panels)
+        ref = one_shot_panel_quad(f, -1.3, 2.1, n_panels)
+        assert abs(got - ref) <= 1e-15 * abs(ref)
+        assert got == pytest.approx(exact, rel=1e-13)
+
+
 class TestFixedQuadratics:
     def test_majorant_quadratic(self):
         q = tb.OneSidedPoly("upper", 2, gap=0.0, b=np.array([0.0, 8.0, -7.0]))
