@@ -118,7 +118,6 @@ def dual_ergodic_report(
     op: InducedOperator,
     v: np.ndarray,
     ns: list[int],
-    path: str = "auto",
     with_expansion: bool = True,
 ) -> DualErgodicReport:
     """sup over the grid of |a_n**-1 S_n - integral(v)| at the requested times.
@@ -133,7 +132,7 @@ def dual_ergodic_report(
         raise DomainError("report times must be >= 1")
     tm = tail_model_from_operator(op)
     norming = norming_from_tail(tm)
-    acc = renewal_action(op, v, n_max=max(ns), snapshot_ns=ns, path=path)
+    acc = renewal_action(op, v, n_max=max(ns), snapshot_ns=ns)
     h = op.density_values
     delta = op.grid.width
     int_v = float(np.dot(v, h) * delta)

@@ -213,7 +213,7 @@ def ladder_pushforward(
         if k == 0:
             # level 0 is the plain restriction to Y (cell averages)
             vals = np.diff(obs.cumulative_at(grid.edges)) / delta
-        out.append(GridObservable(grid, vals, regularity="BV", support="Y"))
+        out.append(GridObservable(grid, vals))
     return out
 
 

@@ -48,35 +48,19 @@ class Grid:
 
 @dataclass
 class GridObservable:
-    """Cell-averaged values on a :class:`Grid`.
-
-    The regularity tag records the function class the values stand in for
-    (bounded variation or Hoelder); the variation proxy is the sum of
-    absolute cell differences.
-    """
+    """Cell-averaged values on a :class:`Grid`."""
 
     grid: Grid
     values: np.ndarray
-    regularity: str = "BV"
-    support: str = "Y"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.m,):
             raise DomainError("observable shape does not match grid")
-        if self.regularity not in ("BV", "Holder"):
-            raise DomainError(f"unknown regularity tag {self.regularity!r}")
 
     def integral(self) -> float:
         """Lebesgue integral of the piecewise-constant representative."""
         return float(self.values.sum() * self.grid.width)
-
-    def integral_weighted(self, weight: np.ndarray) -> float:
-        """Integral against a cell-averaged weight (e.g. a density)."""
-        return float(np.dot(self.values, weight) * self.grid.width)
-
-    def variation_proxy(self) -> float:
-        return float(np.abs(np.diff(self.values)).sum())
 
     def cumulative_at(self, x) -> np.ndarray:
         """Exact cumulative integral of the piecewise-constant function at x."""

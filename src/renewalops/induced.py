@@ -20,9 +20,11 @@ near z = 1.
 
 Every consumer walks the ladder a block of up to 128 branches at a time:
 one vectorized pass extracts the block's Ulam entries in branch order, and
-assembly splits them between the dense block sum, the stacked window and
-the kernel groups.  Dense sums close their batches at branch boundaries,
-so they round exactly as a branch-by-branch pass would.
+assembly hands them to the dense block sum and to the renewal engine's
+``FastLayout``, which owns the window order, the kernel group plan and
+the spectra; this module does not know that layout.  Dense sums close
+their batches at branch boundaries, so they round exactly as a
+branch-by-branch pass would.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import DomainError, NumericalError
 from .grid import Grid, GridObservable
 from .ladder import BranchLadder
 from .maps import MapSpec
-from .renewal_engine import KernelGroup, plan_groups
+from .renewal_engine import FastLayout, KernelGroup
 
 __all__ = [
     "InducedOperator",
@@ -96,24 +98,6 @@ def _block_csr(entries, n_rows: int, m: int) -> list[sp.csr_matrix]:
     ]
 
 
-def _fill_kernels(g: KernelGroup, j: np.ndarray, rows, cols, w):
-    """Scatter entries of branches j (ascending) into g's per-source-cell kernels.
-
-    New kernels are created in order of first branch, then source cell, as a
-    branch-by-branch pass would; the engine sums their products in that order.
-    """
-    order = cols.argsort(kind="stable")
-    j, rows, cols, w = j[order], rows[order], cols[order], w[order]
-    starts = np.flatnonzero(np.diff(cols, prepend=-1))
-    ends = np.append(starts[1:], cols.size)
-    for k in np.lexsort((cols[starts], j[starts])):
-        lo, hi, i = starts[k], ends[k], int(cols[starts[k]])
-        kern = g.kernels.get(i)
-        if kern is None:
-            kern = g.kernels[i] = np.zeros((g.row_hi, g.span))
-        kern[rows[lo:hi], j[lo:hi] - g.glo] += w[lo:hi]
-
-
 class _DenseAccumulator:
     """Batched scatter-add of COO entries into a dense matrix."""
 
@@ -161,10 +145,11 @@ class InducedOperator:
 
     ``stacked`` applies all blocks with return time < ``j_direct`` against a
     rolling history window; ``groups`` hold the longer return times as
-    convolution kernels; ``r1`` is the dense Ulam matrix of the full block
-    sum (completed beyond the truncation), whose fixed point is the
-    invariant density.  ``mass_deficit`` is the invariant mass of return
-    times beyond ``n_trunc``.
+    convolution kernels (both as ``FastLayout`` lays them out); ``r1`` is
+    the dense Ulam matrix of the full block sum (completed beyond the
+    truncation), whose fixed point is the invariant density.
+    ``mass_deficit`` is the invariant mass of return times beyond
+    ``n_trunc``.
     """
 
     spec: MapSpec | None
@@ -173,7 +158,6 @@ class InducedOperator:
     j_direct: int
     stacked: sp.csr_matrix | None
     groups: list[KernelGroup]
-    read_cells: np.ndarray
     r1: np.ndarray
     ladder: BranchLadder | None = None
     _density: np.ndarray | None = None
@@ -203,7 +187,7 @@ class InducedOperator:
         return float(h.cumulative_at(self.ladder.y_n(self.n_trunc))[0])
 
     def density_observable(self) -> GridObservable:
-        return GridObservable(self.grid, self.density_values, regularity="BV")
+        return GridObservable(self.grid, self.density_values)
 
     def branch_mass(self) -> np.ndarray:
         """Invariant measure of {return time = j}, j = 1..n_trunc."""
@@ -215,15 +199,6 @@ class InducedOperator:
         return cums[:-1] - cums[1:]
 
     # -- branch access ----------------------------------------------------
-
-    def branch_matrix(self, j: int) -> sp.csr_matrix:
-        if self.ladder is None:
-            return self._branch_cache[j - 1]
-        if not 1 <= j <= self.n_trunc:
-            raise DomainError(f"branch {j} outside 1..{self.n_trunc}")
-        _, G = next(self.ladder.sweep(j, j + 1))
-        m = self.grid.m
-        return _block_csr(_branch_entries(self.grid.edges, G, m, self.grid.width), 1, m)[0]
 
     def leading_branches(self, k: int) -> list[sp.csr_matrix]:
         """Blocks R_1..R_k as sparse matrices, for 0 <= k <= n_trunc.
@@ -260,19 +235,19 @@ class InducedOperator:
     def synthetic(cls, grid: Grid, branch_mats: Sequence[sp.spmatrix]) -> "InducedOperator":
         """Operator from explicitly given branch blocks (test fixtures)."""
         mats = [sp.csr_matrix(b) for b in branch_mats]
-        n = len(mats)
-        m = grid.m
-        jd = n + 1
-        blocks = [mats[jd - 1 - k - 1] if 1 <= jd - 1 - k <= n else None for k in range(jd - 1)]
-        stacked = sp.hstack(
-            [b if b is not None else sp.csr_matrix((m, m)) for b in blocks], format="csr"
-        )
-        r1 = np.zeros((m, m))
-        for b in mats:
-            r1 += b.toarray()
+        n, m = len(mats), grid.m
+        coo = [b.tocoo() for b in mats]
+        brow = np.arange(n).repeat([c.nnz for c in coo])
+        rows, cols, w = (np.concatenate([getattr(c, a) for c in coo])
+                         for a in ("row", "col", "data"))
+        layout = FastLayout(m, n, n + 1, m)
+        layout.add(1, brow, rows, cols, w)
+        acc = _DenseAccumulator(m)
+        acc.add(brow, rows, cols, w)
+        acc.flush()
         return cls(
-            spec=None, grid=grid, n_trunc=n, j_direct=jd, stacked=stacked,
-            groups=[], read_cells=np.empty(0, np.int64), r1=r1,
+            spec=None, grid=grid, n_trunc=n, j_direct=layout.j_direct,
+            stacked=layout.stacked(), groups=layout.groups, r1=acc.mat,
             ladder=None, _branch_cache=mats,
         )
 
@@ -283,7 +258,6 @@ def assemble_operator(
     n_trunc: int,
     j_direct: int | None = None,
     k_ladder: int | None = None,
-    span_cap: int = 1024,
     deficit_bound: float | None = None,
 ) -> InducedOperator:
     """Assemble the branch family of the first-return operator on Y.
@@ -304,9 +278,6 @@ def assemble_operator(
         raise DomainError("induced operator lives on the grid over [1/2, 1]")
     if n_trunc < 1:
         raise DomainError("n_trunc must be >= 1")
-    if j_direct is None:
-        j_direct = min(n_trunc + 1, 512)
-    j_direct = max(2, min(j_direct, n_trunc + 1))
     if k_ladder is None:
         k_ladder = 2 * n_trunc if spec.family == "lsv" else 10 * n_trunc
     k_ladder = max(k_ladder, n_trunc)
@@ -317,37 +288,12 @@ def assemble_operator(
 
     sup = min(spec.left_image_sup, 1.0)
     row_hi = min(m, grid.cell_of(sup * (1 - 1e-12)) + 2)
-    groups = [KernelGroup(glo, ghi, row_hi=row_hi) for glo, ghi in
-              plan_groups(j_direct, n_trunc, span_cap)]
-
-    st_rows: list[np.ndarray] = []
-    st_cols: list[np.ndarray] = []
-    st_w: list[np.ndarray] = []
+    layout = FastLayout(m, n_trunc, j_direct, row_hi)
     acc = _DenseAccumulator(m)
-    jd = j_direct - 1
-    gi = 0
-
     for j0, G in ladder.sweep(1, k_ladder + 2):
-        brow, rows, cols, w = _branch_entries(edges, G, m, delta)
-        acc.add(brow, rows, cols, w)
-        if j0 > n_trunc:
-            continue
-        # entries of branches j < j_direct go to the stacked window, the
-        # rest up to n_trunc to the kernel groups
-        n_direct, n_kept = brow.searchsorted([j_direct - j0, n_trunc + 1 - j0])
-        if n_direct:
-            st_rows.append(rows[:n_direct])
-            st_cols.append((jd - j0 - brow[:n_direct]) * m + cols[:n_direct])
-            st_w.append(w[:n_direct])
-        lo = n_direct
-        while lo < n_kept:
-            while j0 + brow[lo] >= groups[gi].ghi:
-                gi += 1
-            g = groups[gi]
-            hi = brow.searchsorted(g.ghi - j0)
-            _fill_kernels(g, j0 + brow[lo:hi], rows[lo:hi], cols[lo:hi], w[lo:hi])
-            lo = hi
-
+        entries = _branch_entries(edges, G, m, delta)
+        acc.add(*entries)
+        layout.add(j0, *entries)
     acc.flush()
     r1 = acc.mat
 
@@ -355,18 +301,9 @@ def assemble_operator(
     if tail is not None:
         r1 += tail
 
-    if st_rows:
-        stacked = sp.csr_matrix(
-            (np.concatenate(st_w), (np.concatenate(st_rows), np.concatenate(st_cols))),
-            shape=(m, jd * m),
-        )
-    else:
-        stacked = None
-    read_cells = np.array(sorted({i for g in groups for i in g.kernels}), dtype=np.int64)
-
     op = InducedOperator(
-        spec=spec, grid=grid, n_trunc=n_trunc, j_direct=j_direct,
-        stacked=stacked, groups=groups, read_cells=read_cells, r1=r1, ladder=ladder,
+        spec=spec, grid=grid, n_trunc=n_trunc, j_direct=layout.j_direct,
+        stacked=layout.stacked(), groups=layout.groups, r1=r1, ladder=ladder,
     )
     deficit = op.mass_deficit
     if deficit > deficit_bound:

@@ -19,6 +19,12 @@ engine computes the actions s_n = T_n s_0 for all n up to ``n_max``:
   paths compute the same convolution; they differ only in floating-point
   ordering.
 
+This module alone owns the fast path's layout.  ``FastLayout`` takes the
+Ulam entries of the branches in order and decides the ``j_direct`` split,
+the window's column order and the kernel group plan; ``_fast_steps``
+derives the source cells it reads and takes the kernel spectra for one
+run only.  Operator assembly just feeds it entries.
+
 Everything here acts in Lebesgue form (fixed point of the block sum is the
 invariant density).  Conversion to the measure-normalized form used in the
 dual ergodic statements is a diagonal conjugation by the density, applied
@@ -34,7 +40,11 @@ import scipy.sparse as sp
 
 from .errors import DomainError
 
-__all__ = ["KernelGroup", "RenewalAccumulator", "renewal_action"]
+__all__ = ["FastLayout", "KernelGroup", "RenewalAccumulator", "renewal_action"]
+
+
+# cap on a kernel group's branch span, so a block's FFT stays short
+_SPAN_CAP = 1024
 
 
 def _next_pow2(n: int) -> int:
@@ -63,27 +73,87 @@ class KernelGroup:
     def fft_len(self) -> int:
         return _next_pow2(2 * self.span)
 
-    def spectra(self) -> dict[int, np.ndarray]:
-        if not hasattr(self, "_spectra"):
-            self._spectra = {
-                i: np.fft.rfft(k, n=self.fft_len, axis=1) for i, k in self.kernels.items()
-            }
-        return self._spectra
 
-    def drop_spectra(self):
-        if hasattr(self, "_spectra"):
-            del self._spectra
+class FastLayout:
+    """Lays out the fast path's operands from Ulam entries, in branch order.
 
+    Branches j < ``j_direct`` go to the stacked window, the rest up to
+    ``n_trunc`` to the kernel groups; later branches are ignored.  The
+    default ``j_direct`` is min(n_trunc + 1, 512), and any value is clamped
+    to [2, n_trunc + 1].  Groups are dyadic branch ranges starting at
+    ``j_direct``, each at most ``_SPAN_CAP`` branches and never longer than
+    its first branch, so a block's inputs are complete before its first
+    output is needed.  Rows at or above ``row_hi`` must be zero in every
+    grouped branch.
+    """
 
-def plan_groups(j_direct: int, n_trunc: int, span_cap: int = 1024) -> list[tuple[int, int]]:
-    """Dyadic branch ranges, span capped so chunks precede their outputs."""
-    out = []
-    glo = j_direct
-    while glo <= n_trunc:
-        span = min(glo, span_cap, n_trunc - glo + 1)
-        out.append((glo, glo + span))
-        glo += span
-    return out
+    def __init__(self, m: int, n_trunc: int, j_direct: int | None, row_hi: int):
+        if j_direct is None:
+            j_direct = min(n_trunc + 1, 512)
+        self.m = m
+        self.n_trunc = n_trunc
+        self.j_direct = max(2, min(j_direct, n_trunc + 1))
+        self.groups: list[KernelGroup] = []
+        glo = self.j_direct
+        while glo <= n_trunc:
+            span = min(glo, _SPAN_CAP, n_trunc - glo + 1)
+            self.groups.append(KernelGroup(glo, glo + span, row_hi))
+            glo += span
+        self._gi = 0
+        self._rows: list[np.ndarray] = []
+        self._cols: list[np.ndarray] = []
+        self._w: list[np.ndarray] = []
+
+    def add(self, j0: int, brow, rows, cols, w):
+        """Take the entries (branch j0 + brow, target row, source col, weight).
+
+        ``brow`` is ascending, and successive calls continue in branch order.
+        """
+        n_direct, n_kept = brow.searchsorted([self.j_direct - j0, self.n_trunc + 1 - j0])
+        if n_direct:
+            # window column block jd - j holds lag j, matching the history
+            # ring of ``_fast_steps``, which reads s_{n-jd}, ..., s_{n-1}
+            jd = self.j_direct - 1
+            self._rows.append(rows[:n_direct])
+            self._cols.append((jd - j0 - brow[:n_direct]) * self.m + cols[:n_direct])
+            self._w.append(w[:n_direct])
+        lo = n_direct
+        while lo < n_kept:
+            while j0 + brow[lo] >= self.groups[self._gi].ghi:
+                self._gi += 1
+            g = self.groups[self._gi]
+            hi = brow.searchsorted(g.ghi - j0)
+            self._fill(g, j0 + brow[lo:hi], rows[lo:hi], cols[lo:hi], w[lo:hi])
+            lo = hi
+
+    @staticmethod
+    def _fill(g: KernelGroup, j: np.ndarray, rows, cols, w):
+        """Scatter entries of branches j (ascending) into g's per-source-cell kernels.
+
+        New kernels are created in order of first branch, then source cell,
+        as a branch-by-branch pass would; the engine sums their products in
+        that order.
+        """
+        order = cols.argsort(kind="stable")
+        j, rows, cols, w = j[order], rows[order], cols[order], w[order]
+        starts = np.flatnonzero(np.diff(cols, prepend=-1))
+        ends = np.append(starts[1:], cols.size)
+        for k in np.lexsort((cols[starts], j[starts])):
+            lo, hi, i = starts[k], ends[k], int(cols[starts[k]])
+            kern = g.kernels.get(i)
+            if kern is None:
+                kern = g.kernels[i] = np.zeros((g.row_hi, g.span))
+            kern[rows[lo:hi], j[lo:hi] - g.glo] += w[lo:hi]
+
+    def stacked(self) -> sp.csr_matrix | None:
+        """The window [R_{jd}, ..., R_1] (jd = j_direct - 1), or None if empty."""
+        if not self._w:
+            return None
+        m = self.m
+        return sp.csr_matrix(
+            (np.concatenate(self._w), (np.concatenate(self._rows), np.concatenate(self._cols))),
+            shape=(m, (self.j_direct - 1) * m),
+        )
 
 
 @dataclass
@@ -156,21 +226,27 @@ def _fast_steps(
     stacked: sp.csr_matrix | None,
     j_direct: int,
     groups: list[KernelGroup],
-    read_cells: np.ndarray,
     s0: np.ndarray,
     n_max: int,
 ):
-    """Generator of s_n via stacked window + blocked FFT convolutions."""
+    """Generator of s_n via stacked window + blocked FFT convolutions.
+
+    The window's column block jd - j (jd = j_direct - 1) holds R_j, as
+    ``FastLayout`` lays it out.  Kernel spectra are taken at a group's
+    first block and live as long as the generator.
+    """
     m = s0.shape[0]
-    jd = max(j_direct - 1, 1)
+    jd = j_direct - 1
     hist2 = np.zeros((2 * jd, m))
     max_f = max((g.fft_len for g in groups), default=2)
     ring_len = _next_pow2(max_f + 2)
     ring = np.zeros((ring_len, m))
+    read_cells = np.array(sorted({i for g in groups for i in g.kernels}), dtype=np.int64)
     n_cells = len(read_cells)
     a_hist = np.zeros((n_max + 1, n_cells))
     cell_slot = {c: k for k, c in enumerate(read_cells)}
     next_m0 = [0] * len(groups)
+    spectra: list[dict[int, np.ndarray] | None] = [None] * len(groups)
 
     for n in range(0, n_max + 1):
         if n == 0:
@@ -180,7 +256,7 @@ def _fast_steps(
             s = ring[slot].copy()
             ring[slot] = 0.0
             if stacked is not None:
-                lo = n % jd if n >= 1 else 0
+                lo = n % jd
                 window = hist2[lo: lo + jd]
                 s += stacked @ window.ravel()
         # record history for the stacked window and the kernel traces
@@ -198,7 +274,9 @@ def _fast_steps(
                 c = g.span
                 f = g.fft_len
                 acc = None
-                for i, k_hat in g.spectra().items():
+                if spectra[gi] is None:
+                    spectra[gi] = {i: np.fft.rfft(k, n=f, axis=1) for i, k in g.kernels.items()}
+                for i, k_hat in spectra[gi].items():
                     a_chunk = a_hist[m0: m0 + c, cell_slot[i]]
                     if not np.any(a_chunk):
                         continue
@@ -251,9 +329,7 @@ def renewal_action(
     if path == "exact":
         steps = _exact_steps(op.leading_branches(min(n_max, op.n_trunc)), s0, n_max)
     elif path == "fast":
-        steps = _fast_steps(
-            op.stacked, op.j_direct, op.groups, op.read_cells, s0, n_max
-        )
+        steps = _fast_steps(op.stacked, op.j_direct, op.groups, s0, n_max)
     else:
         raise DomainError(f"unknown path {path!r}")
 
@@ -265,6 +341,4 @@ def renewal_action(
             s_all[n] = s
         if n in snap_set:
             snaps[n] = s_sum / h  # back to measure-normalized form
-    for g in op.groups:
-        g.drop_spectra()
     return RenewalAccumulator(n_max=n_max, path=path, tn_integral=tn, snapshots=snaps, s_all=s_all)

@@ -20,22 +20,21 @@ over (0, infinity).  This module computes the sequences, the constant
 c_H, the expansion, and residual diagnostics for it.  The first-order law
 itself is ``Norming.return_sequence`` in ``specfun``.
 
-Two paths compute the sequence: the quadratic reference recursion, and a
-divide and conquer whose levels are FFT products against f and whose
-leaves are one Toeplitz product each with the renewal sequence of a
-leaf's length (see ``_renewal_fft``).
+The sequence comes from a divide and conquer whose levels are FFT
+products against f and whose leaves are one Toeplitz product each with
+the renewal sequence of a leaf's length, which the quadratic recursion
+builds (see ``_renewal_fft``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .diagnostics import SlopeFit, slope_fit
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .specfun import expansion_order, gamma
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
 ]
 
 _FFT_BASE = 1024
-_PATH_AGREEMENT = 1e-10
 
 
 @dataclass
@@ -110,15 +108,6 @@ class ReturnDistribution:
         f = np.zeros(n_max + 1)
         f[1:] = tails[:-1] - tails[1:]
         return cls(f, tail=lambda m: c * np.asarray(m, dtype=float) ** (-beta))
-
-    @classmethod
-    def from_log_tail(cls, n_max: int, offset: float = math.e**2) -> "ReturnDistribution":
-        """Slowly varying tails 1/log(n + offset), the beta = 0 regime."""
-        n = np.arange(0, n_max + 1, dtype=float)
-        tails = np.minimum(1.0, 1.0 / np.log(n + offset))
-        f = np.zeros(n_max + 1)
-        f[1:] = tails[:-1] - tails[1:]
-        return cls(f, tail=lambda m: 1.0 / np.log(np.asarray(m, dtype=float) + offset))
 
 
 @dataclass
@@ -185,7 +174,9 @@ def _renewal_fft(f: np.ndarray, n_max: int) -> np.ndarray:
         mid = (lo + hi) // 2
         solve(lo, mid)
         lf = min(hi - lo, jmax + 1)
-        size = 1 << int(np.ceil(np.log2(max(lf + (mid - lo), hi - lo))))
+        # size >= hi - lo: the cyclic product wraps only terms at index
+        # >= size, which land below mid - lo and are never read
+        size = 1 << (hi - lo - 1).bit_length()
         if (lf, size) not in spectra:
             spectra[lf, size] = np.fft.rfft(f[:lf], size)
         ua = np.fft.rfft(u[lo:mid], size)
@@ -197,36 +188,15 @@ def _renewal_fft(f: np.ndarray, n_max: int) -> np.ndarray:
     return u
 
 
-def renewal_sequence(
-    dist: ReturnDistribution, n_max: int, method: str = "auto", check: bool = False
-) -> ScalarRenewal:
-    """Renewal sequence to n_max.
-
-    ``method`` is "direct" (quadratic reference), "fft" (divide and
-    conquer), or "auto".  With ``check`` both paths run and must agree to
-    1e-10.
-    """
+def renewal_sequence(dist: ReturnDistribution, n_max: int) -> ScalarRenewal:
+    """Renewal sequence to n_max (``_renewal_fft``)."""
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
     if n_max > dist.n_stored and dist.tail_mass() > 1e-12:
         raise DomainError(
             f"probabilities stored to {dist.n_stored} but n_max={n_max} needs more"
         )
-    f = dist.f
-    if method == "auto":
-        method = "fft" if n_max > 4 * _FFT_BASE else "direct"
-    if method == "direct":
-        u = _renewal_direct(f, n_max)
-    elif method == "fft":
-        u = _renewal_fft(f, n_max)
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    if check:
-        other = _renewal_direct(f, n_max) if method == "fft" else _renewal_fft(f, n_max)
-        err = float(np.max(np.abs(u - other)))
-        if err > _PATH_AGREEMENT:
-            raise NumericalError(f"renewal paths disagree by {err:.3e}")
-    return ScalarRenewal(u)
+    return ScalarRenewal(_renewal_fft(dist.f, n_max))
 
 
 @dataclass(frozen=True)

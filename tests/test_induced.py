@@ -25,7 +25,7 @@ def power_iteration_oracle(mat, iters=600):
 class TestAssembly:
     def test_branch_positivity(self, lsv2_small):
         for j in (1, 2, 5, 50, 150):
-            mat = lsv2_small.branch_matrix(j)
+            mat = lsv2_small.branch_matrices()[j - 1]
             assert mat.data.min() >= 0.0
 
     def test_branch_mass_conservation(self, lsv2_small):
@@ -40,7 +40,7 @@ class TestAssembly:
         delta = lsv2_small.grid.width
         c = 3.7
         total = sum(
-            float(np.sum(lsv2_small.branch_matrix(j) @ (h * c)) * delta)
+            float(np.sum(lsv2_small.branch_matrices()[j - 1] @ (h * c)) * delta)
             for j in range(1, lsv2_small.n_trunc + 1)
         )
         assert total == pytest.approx(c * (1.0 - lsv2_small.mass_deficit), rel=1e-9)
@@ -60,7 +60,7 @@ class TestAssembly:
 
     def test_doubling_first_return_only(self, doubling_op):
         assert doubling_op.n_trunc == 1
-        r1 = doubling_op.branch_matrix(1)
+        r1 = doubling_op.branch_matrices()[0]
         assert abs((r1 @ np.ones(32)) - 1.0).max() < 1e-12
 
 

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import renewalops as ro
-from renewalops import induced
+from renewalops import induced, renewal_engine
 from renewalops.errors import NumericalError
 from renewalops.renewal_engine import _exact_steps
 
@@ -41,6 +41,23 @@ def synthetic_families(draw):
     return op, rng.uniform(0.1, 2.0, m), n_max
 
 
+@st.composite
+def assembled_operators(draw):
+    """Assembled lsv (alpha in [1.5, 2.5]) or lsv0 operators, random fast layouts."""
+    if draw(st.booleans()):
+        spec = ro.MapSpec("lsv", alpha=draw(st.floats(1.5, 2.5)))
+    else:
+        spec = ro.MapSpec("lsv0")
+    n_trunc = draw(st.integers(40, 300))
+    j_direct = draw(st.integers(1, n_trunc + 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(renewal_engine, "_SPAN_CAP", draw(st.integers(8, 256)))
+        op = ro.assemble_operator(spec, ro.Grid(draw(st.integers(32, 64))), n_trunc=n_trunc,
+                                  j_direct=j_direct, deficit_bound=1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return op, rng.uniform(0.5, 1.5, op.grid.m), draw(st.integers(n_trunc // 2, n_trunc + 40))
+
+
 class TestDoublingSanity:
     def test_constant_preserved(self, doubling_op):
         acc = ro.renewal_action(doubling_op, np.ones(32), 50, path="exact")
@@ -68,6 +85,14 @@ class TestPathAgreement:
         a_e = ro.renewal_action(lsv0_small, v, 200, path="exact")
         a_f = ro.renewal_action(lsv0_small, v, 200, path="fast")
         assert np.max(np.abs(a_e.tn_integral - a_f.tn_integral)) < 1e-11
+
+    @settings(max_examples=40, deadline=None)
+    @given(assembled_operators())
+    def test_fast_matches_exact_on_assembled_operators(self, case):
+        op, v, n_max = case
+        exact = ro.renewal_action(op, v, n_max, path="exact", keep_history=True)
+        fast = ro.renewal_action(op, v, n_max, path="fast", keep_history=True)
+        assert np.max(np.abs(fast.s_all - exact.s_all)) < 1e-10
 
 
 class TestStructure:

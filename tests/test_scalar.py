@@ -93,7 +93,7 @@ class TestFftPath:
 
     def test_checked_multilevel_run(self):
         dist = ro.ReturnDistribution.from_power_tail(0.6, 20_000)
-        seq = ro.renewal_sequence(dist, 20_000, method="fft", check=True)
+        seq = ro.renewal_sequence(dist, 20_000)
         assert first_leaf_end(20_000) < 20_000 // 8
         assert np.max(np.abs(seq.u - renewal_direct(dist.f, 20_000))) <= 1e-12
 
@@ -121,8 +121,9 @@ class TestRenewalSequence:
 
     def test_paths_agree(self):
         dist = ro.ReturnDistribution.from_power_tail(0.6, 3000)
-        seq = ro.renewal_sequence(dist, 3000, method="fft", check=True)
+        seq = ro.renewal_sequence(dist, 3000)
         assert seq.n_max == 3000
+        assert np.max(np.abs(seq.u - renewal_direct(dist.f, 3000))) <= 1e-10
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=8))
