@@ -19,19 +19,10 @@ from .specfun import (
 from .maps import (
     MapSpec,
     TailModel,
-    apply_map,
-    entry_level_sets,
     return_time_tail,
     tail_sequence,
 )
-from .induced import (
-    InducedOperator,
-    SpectralData,
-    assemble_operator,
-    block_series,
-    invariant_density,
-    spectral_data,
-)
+from .induced import InducedOperator, assemble_operator, invariant_density
 from .renewal_engine import RenewalAccumulator, renewal_action
 from .scalar import (
     AsymptoticExpansion,
@@ -52,16 +43,7 @@ from .tauberian import (
     one_sided_fit,
     phi_from_sequence,
     rotated_gamma_integral,
-    taub_theorem_check,
     window_power_integral,
-)
-from .fullmap import (
-    GradedMesh,
-    MeshObservable,
-    extended_density,
-    full_map_transfer,
-    iterate_full_map,
-    ladder_pushforward,
 )
 from .dual_ergodic import (
     DualErgodicReport,
@@ -85,16 +67,11 @@ __all__ = [
     "expansion_order",
     "MapSpec",
     "TailModel",
-    "apply_map",
     "tail_sequence",
-    "entry_level_sets",
     "return_time_tail",
     "InducedOperator",
     "assemble_operator",
     "invariant_density",
-    "block_series",
-    "SpectralData",
-    "spectral_data",
     "RenewalAccumulator",
     "renewal_action",
     "AsymptoticExpansion",
@@ -113,14 +90,7 @@ __all__ = [
     "one_sided_fit",
     "phi_from_sequence",
     "rotated_gamma_integral",
-    "taub_theorem_check",
     "window_power_integral",
-    "GradedMesh",
-    "MeshObservable",
-    "extended_density",
-    "full_map_transfer",
-    "iterate_full_map",
-    "ladder_pushforward",
     "DualErgodicReport",
     "dual_ergodic_report",
     "norming_from_tail",

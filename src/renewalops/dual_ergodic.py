@@ -20,7 +20,7 @@ from .induced import InducedOperator
 from .maps import TailModel
 from .renewal_engine import renewal_action
 from .scalar import AsymptoticExpansion, ReturnDistribution, second_order_constant
-from .specfun import Norming, SlowlyVarying, karamata_constant
+from .specfun import Norming, SlowlyVarying
 
 __all__ = [
     "tail_model_from_operator",

@@ -12,11 +12,9 @@ edges, i.e. from the pullback ladder.
 The block sum over all return times is completed beyond the tabulated
 ladder by an integral-tail estimate, so its Ulam matrix conserves mass to
 machine precision and its fixed point is a clean invariant density.  The
-blocks feed three consumers: the renewal recursion (stacked sparse matrix
-for short return times, per-source-cell convolution kernels for long
-ones), the generating-function matrices R(z) = sum_n R_n z^n, and the
-spectral data (leading eigenvalue, eigenfunction, rank-one projection)
-near z = 1.
+blocks also feed the renewal recursion: its fast path as a stacked sparse
+matrix for short return times and per-source-cell convolution kernels for
+long ones, its exact path as one sparse matrix per branch.
 
 Every consumer walks the ladder a block of up to 128 branches at a time:
 one vectorized pass extracts the block's Ulam entries in branch order, and
@@ -45,9 +43,6 @@ __all__ = [
     "InducedOperator",
     "assemble_operator",
     "invariant_density",
-    "block_series",
-    "SpectralData",
-    "spectral_data",
 ]
 
 _BINCOUNT_BATCH = 1 << 22
@@ -163,7 +158,6 @@ class InducedOperator:
     _density: np.ndarray | None = None
     _density_residual: float | None = None
     _branch_cache: list[sp.csr_matrix] = field(default_factory=list)
-    _series_cache: dict = field(default_factory=dict)
 
     # -- density ---------------------------------------------------------
 
@@ -225,11 +219,6 @@ class InducedOperator:
     def branch_matrices(self) -> list[sp.csr_matrix]:
         """All n_trunc blocks as sparse matrices: ``leading_branches(n_trunc)``."""
         return self.leading_branches(self.n_trunc)
-
-    def mu_form(self, mat: np.ndarray) -> np.ndarray:
-        """Conjugate a Lebesgue-form matrix into measure-normalized form."""
-        h = self.density_values
-        return (mat * h[None, :]) / h[:, None]
 
     @classmethod
     def synthetic(cls, grid: Grid, branch_mats: Sequence[sp.spmatrix]) -> "InducedOperator":
@@ -355,143 +344,3 @@ def _power_density(r1: np.ndarray, delta: float, tol: float = 1e-12, max_iter: i
 def invariant_density(op: InducedOperator) -> GridObservable:
     """Invariant density of the first-return map, unit mass on Y."""
     return op.density_observable()
-
-
-def block_series(op: InducedOperator, z: complex, extended: bool = False) -> np.ndarray:
-    """Dense matrix of sum_n R_n z**n (Lebesgue form).
-
-    The truncated sum runs to ``n_trunc``; with ``extended`` the ladder
-    continuation and the integral-tail completion are included (used by the
-    spectral routines near z = 1, where the truncated series would shed
-    visible mass).
-    """
-    if op.ladder is None:
-        raise DomainError("synthetic operator has no ladder to resweep")
-    key = (complex(z), extended)
-    if key in op._series_cache:
-        return op._series_cache[key]
-    m, delta = op.grid.m, op.grid.width
-    edges = op.grid.edges
-    j_hi = (op.ladder.n_rungs + 2) if extended else (op.n_trunc + 1)
-    az = abs(z)
-    out_r = _DenseAccumulator(m)
-    out_i = _DenseAccumulator(m)
-    for j0, G in op.ladder.sweep(1, j_hi):
-        zjs = [z ** j for j in range(j0, j0 + G.shape[0])]
-        # the series stops at the first negligible power
-        stop = next((i for i, zj in enumerate(zjs) if az < 1.0 and abs(zj) < 1e-20), None)
-        if stop is not None:
-            G, zjs = G[:stop], zjs[:stop]
-        brow, rows, cols, w = _branch_entries(edges, G, m, delta)
-        out_r.add(brow, rows, cols, w * np.array([zj.real for zj in zjs])[brow])
-        out_i.add(brow, rows, cols, w * np.array([zj.imag for zj in zjs])[brow])
-        if stop is not None:
-            break
-    out_r.flush()
-    out_i.flush()
-    mat = out_r.mat + 1j * out_i.mat
-    if extended:
-        tail = _tail_completion(op.ladder, edges, delta)
-        if tail is not None:
-            mat += (z ** (op.ladder.n_rungs + 2)) * tail
-    # cache a handful of matrices, fewer when the grid is large
-    cache_cap = max(2, (1 << 26) // (m * m))
-    if len(op._series_cache) >= cache_cap:
-        op._series_cache.clear()
-    op._series_cache[key] = mat
-    return mat
-
-
-@dataclass
-class SpectralData:
-    """Leading eigendata of R(z) in measure-normalized form.
-
-    ``v`` is the right eigenfunction with unit measure integral, ``psi``
-    the left functional with psi . v = 1; the spectral projection acts as
-    w -> v * (psi . w).
-    """
-
-    z: complex
-    lam: complex
-    gap: float
-    v: np.ndarray
-    psi: np.ndarray
-    residual: float
-
-    def project(self, w: np.ndarray) -> np.ndarray:
-        return self.v * np.dot(self.psi, w)
-
-    def projection_matrix(self) -> np.ndarray:
-        return np.outer(self.v, self.psi)
-
-
-def _dominant_pair(mat: np.ndarray, v0: np.ndarray, tol: float = 1e-13,
-                   max_iter: int = 5000) -> tuple[complex, np.ndarray]:
-    """Dominant eigenpair by power iteration with a Rayleigh-quotient read-off.
-
-    Plain and deterministic; preferred over general-purpose dense solvers,
-    whose eigenvector back-substitution degrades badly on these strongly
-    non-normal block-convolution matrices.
-    """
-    v = v0.astype(complex)
-    v /= np.linalg.norm(v)
-    lam = 0.0 + 0.0j
-    for _ in range(max_iter):
-        w = mat @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0 + 0.0j, v
-        w /= nw
-        lam = np.vdot(w, mat @ w) / np.vdot(w, w)
-        resid = np.linalg.norm(mat @ w - lam * w)
-        v = w
-        if resid <= tol * max(1.0, abs(lam)):
-            return complex(lam), v
-    raise NumericalError(
-        f"power iteration stalled at residual {resid:.3e}; "
-        "spectral separation too weak at this z"
-    )
-
-
-def spectral_data(op: InducedOperator, z: complex, gap_min: float = 0.02) -> SpectralData:
-    """Leading eigenvalue, eigenfunction and projection of R(z) near z = 1.
-
-    Raises when the spectral gap estimate falls below ``gap_min`` (the
-    rank-one splitting is then outside its perturbative regime).
-    """
-    a_mu = op.mu_form(block_series(op, z, extended=True))
-    m = op.grid.m
-    h = op.density_values
-    delta = op.grid.width
-    lam, v = _dominant_pair(a_mu, np.ones(m))
-    lam_l, psi = _dominant_pair(a_mu.T, h.astype(complex))
-    if abs(lam - lam_l) > 1e-8 * max(1.0, abs(lam)):
-        raise NumericalError("left/right dominant eigenvalues disagree")
-    # deflate and estimate the modulus of the subdominant eigenvalue (a
-    # growth-rate read-off, robust to equal-modulus conjugate pairs)
-    denom = complex(np.dot(psi, v))
-    if abs(denom) < 1e-14:
-        raise NumericalError("dominant left/right eigenvectors nearly orthogonal")
-    deflated = a_mu - np.outer(v, psi) * (lam / denom)
-    w2 = np.cos(np.arange(m)).astype(complex)
-    w2 /= np.linalg.norm(w2)
-    rate = 0.0
-    for _ in range(300):
-        w_new = deflated @ w2
-        rate = float(np.linalg.norm(w_new))
-        if rate == 0.0:
-            break
-        w2 = w_new / rate
-    gap = float(abs(lam) - rate)
-    if gap < gap_min:
-        raise NumericalError(f"spectral gap {gap:.3g} below {gap_min}; z too far from 1")
-    # normalize: unit measure integral for v, psi . v = 1
-    scale = np.dot(v, h) * delta
-    if abs(scale) < 1e-14:
-        raise NumericalError("leading eigenfunction nearly orthogonal to the measure")
-    v = v / scale
-    psi = psi / np.dot(psi, v)
-    if abs(lam.imag) < 1e-13 and abs(v.imag).max() < 1e-10:
-        v = v.real.astype(complex)
-    residual = float(np.max(np.abs(a_mu @ v - lam * v)))
-    return SpectralData(z=complex(z), lam=complex(lam), gap=gap, v=v, psi=psi, residual=residual)

@@ -9,16 +9,16 @@ array of grid edges: rung k of the ladder holds the k-fold pullback of
 every edge, and branch n's geometry is rung n-1 mapped through
 (w + 1) / 2.
 
-Each rung is pulled back once.  The ladder advances a frontier on demand:
-the first sweep past it computes the new rungs, recording the scalar orbit
-and a checkpoint row every ``checkpoint_stride`` rungs in one preallocated
-array, and later sweeps restart from the nearest checkpoint.  Edges at or
-above the left-branch image sup share one clamped value, so only the
-distinct columns are pulled back (71 of 1025 for lsv0 at grid 1024); the
-swept rows stop at the shared column, and ``rung`` pads back to full width.
+The ladder advances a frontier on demand: the first sweep past it computes
+the new rungs and records the scalar orbit in one preallocated array, and
+a sweep that starts below the frontier pulls back again from rung 0.
+Edges at or above the left-branch image sup share one clamped value, so
+only the distinct columns are pulled back (71 of 1025 for lsv0 at grid
+1024); the swept rows stop at the shared column, and ``rung`` pads back to
+full width.
 
-Sweeps hand out branches in blocks of up to ``checkpoint_stride`` rows
-that end where a checkpoint rung begins.  Newton writes the rungs straight
+Sweeps hand out branches in blocks of up to ``sweep_block`` rows that end
+at multiples of ``sweep_block`` rungs.  Newton writes the rungs straight
 into a block buffer and each block is lifted in one operation, so the
 consumers in ``induced`` extract a whole block's Ulam entries at once.
 """
@@ -93,7 +93,7 @@ class BranchLadder:
     spec: MapSpec
     edges: np.ndarray
     n_rungs: int
-    checkpoint_stride: ClassVar[int] = 128  # rungs per checkpoint and per swept block
+    sweep_block: ClassVar[int] = 128  # rungs per swept block
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=float)
@@ -103,28 +103,23 @@ class BranchLadder:
         # branches n >= 2 carry no mass there and their pullbacks plateau.
         cap = self.spec.left_image_sup * (1.0 - 1e-14)
         n_live = int(np.searchsorted(self.edges, cap, side="left"))
-        row = np.minimum(self.edges[: n_live + 1], cap)
-        self._checkpoints = np.empty((self.n_rungs // self.checkpoint_stride + 1, row.size))
-        self._checkpoints[0] = row
+        self._row0 = np.minimum(self.edges[: n_live + 1], cap)
         self._x = np.empty(self.n_rungs + 1)
         self._x[0] = 0.5
         self._frontier = 0  # highest rung computed so far
-        self._row = row  # the frontier rung
+        self._row = self._row0  # the frontier rung
 
     def _rungs(self, k_lo: int, k_hi: int):
         """Yield (k0, rows): rows[i] is distinct-column rung k0 + i.
 
-        The blocks cover [k_lo, k_hi) and end at multiples of the checkpoint
-        stride; ``rows`` is a view of a buffer that the next block reuses.
+        The blocks cover [k_lo, k_hi) and end at multiples of
+        ``sweep_block``; ``rows`` is a view of a buffer that the next block
+        reuses.  Below the frontier the pullbacks restart from rung 0.
         """
         if k_lo >= k_hi:
             return
-        stride = self.checkpoint_stride
-        if k_lo >= self._frontier:
-            k, prev = self._frontier, self._row
-        else:
-            base = k_lo // stride
-            k, prev = base * stride, self._checkpoints[base]
+        stride = self.sweep_block
+        k, prev = (self._frontier, self._row) if k_lo >= self._frontier else (0, self._row0)
         buf = np.empty((min(stride, k_hi - k), prev.size))
         k0 = k  # the first block starts on the known rung k, later ones after it
         while k0 < k_hi:
@@ -138,8 +133,6 @@ class BranchLadder:
                 pullback_row(self.spec, rows[i - 1], rows[i - 1], out=rows[i])
             # the 1/2-edge column is the scalar backward orbit
             self._x[k0:k1] = rows[:, 0]
-            if k0 % stride == 0:
-                self._checkpoints[k0 // stride] = rows[0]
             prev = rows[-1].copy()
             if k1 - 1 > self._frontier:
                 self._frontier, self._row = k1 - 1, prev
@@ -180,7 +173,7 @@ class BranchLadder:
         the right-branch inverse of the raw edges, is a full-width block of
         its own; for j >= 2 the rows are ladder rungs j - 1 lifted, over the
         distinct columns only (the edges beyond them share the last
-        column's value), up to ``checkpoint_stride`` rows per block.
+        column's value), up to ``sweep_block`` rows per block.
         """
         if j_lo < 1 or j_hi > self.n_rungs + 2:
             raise NumericalError("branch range outside tabulated ladder")

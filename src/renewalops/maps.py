@@ -34,9 +34,7 @@ if TYPE_CHECKING:
 __all__ = [
     "MapSpec",
     "TailModel",
-    "apply_map",
     "tail_sequence",
-    "entry_level_sets",
     "return_time_tail",
 ]
 
@@ -79,15 +77,6 @@ class MapSpec:
         return self.left(0.5)
 
 
-def apply_map(spec: MapSpec, x: float) -> float:
-    """Evaluate the map; x must lie in (0, 1) away from the branch point 1/2."""
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"x={x} outside (0, 1)")
-    if x == 0.5:
-        raise DomainError("x=1/2 is the branch point")
-    return spec.left(x) if x < 0.5 else 2.0 * x - 1.0
-
-
 def tail_sequence(spec: MapSpec, n: int) -> BranchLadder:
     """Tabulate x_1..x_n, the backward orbit of 1/2 along the left branch.
 
@@ -102,20 +91,6 @@ def tail_sequence(spec: MapSpec, n: int) -> BranchLadder:
     tail = BranchLadder(spec, np.array([0.5]), n - 1)
     tail.x_tail  # pulls the orbit back here, not on the caller's first read
     return tail
-
-
-def entry_level_sets(tail: BranchLadder, k: int) -> list[tuple[float, float]]:
-    """Intervals on which the first entry time to Y equals 0, 1, ..., k.
-
-    Level 0 is Y itself; level j >= 1 is (x_{j+1}, x_j] on the left-branch
-    ladder.  ``tail`` is a ``tail_sequence`` of length at least k + 1.
-    """
-    if k < 0:
-        raise DomainError("k must be >= 0")
-    out = [(0.5, 1.0)]
-    for j in range(1, k + 1):
-        out.append((tail.x_n(j + 1), tail.x_n(j)))
-    return out
 
 
 def return_time_tail(tail: BranchLadder, density: GridObservable, n: int) -> float:

@@ -171,10 +171,6 @@ class RenewalAccumulator:
     snapshots: dict[int, np.ndarray]
     s_all: np.ndarray | None = None
 
-    def partial_integral(self, n: int) -> float:
-        """Integral of S_n over Y against the invariant measure."""
-        return float(self.tn_integral[: n + 1].sum())
-
 
 def _block_diagonal(branches: list[sp.csr_matrix], m: int) -> sp.csr_matrix:
     """diag(R_1, ..., R_K) with each block's rows stored exactly as in R_j.

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import SlopeFit, slope_fit
+from .diagnostics import slope_fit
 from .errors import DomainError
 from .specfun import expansion_order, gamma
 
@@ -82,20 +82,6 @@ class ReturnDistribution:
         if self.tail is None:
             return 0.0
         return float(np.atleast_1d(self.tail(np.array([self.n_stored])))[0])
-
-    def tail_values(self, n) -> np.ndarray:
-        """sum_{j>n} f_j from the stored probabilities and the analytic tail."""
-        n = np.atleast_1d(np.asarray(n, dtype=int))
-        stored = np.concatenate([[self.f.sum()], self.f.sum() - np.cumsum(self.f[1:])])
-        out = np.empty(len(n), dtype=float)
-        inside = n <= self.n_stored
-        out[inside] = stored[n[inside]] + self.tail_mass()
-        if np.any(~inside):
-            if self.tail is None:
-                out[~inside] = 0.0
-            else:
-                out[~inside] = self.tail(n[~inside])
-        return out
 
     @classmethod
     def from_power_tail(cls, beta: float, n_max: int, c: float = 1.0) -> "ReturnDistribution":
@@ -279,10 +265,6 @@ class AsymptoticExpansion:
         self.coefficients = np.array(
             [self.c_h**jj / gamma((jj + 1) * self.beta - (jj - 1)) for jj in j]
         )
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
 
     def eval_raw(self, n, n_terms: int | None = None) -> np.ndarray:
         """sum_j d_j n**((j+1)beta - j) over the first ``n_terms`` terms."""

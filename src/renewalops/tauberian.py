@@ -27,15 +27,14 @@ kernel along a vertical line, and its finite-window rescaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.fft
 from numpy.polynomial import chebyshev as ncheb
 from scipy.optimize import linprog
 
-from .diagnostics import slope_fit
 from .errors import DomainError, NumericalError
 from .specfun import gamma
 
@@ -48,7 +47,6 @@ __all__ = [
     "kernel_extract",
     "phi_from_sequence",
     "kernel_defect_bound",
-    "taub_theorem_check",
     "rotated_gamma_integral",
     "line_power_integral",
     "window_power_integral",
@@ -432,11 +430,6 @@ class KernelExtract:
     params: KernelParams
 
     @property
-    def n_terms(self) -> int:
-        """The estimate targets sum_{j=0}^{n-2p} u_j."""
-        return self.params.n - 2 * self.params.p + 1
-
-    @property
     def error_bar(self) -> float:
         return self.quad_error + self.defect_bound + abs(self.imag_part)
 
@@ -504,50 +497,6 @@ def kernel_extract(
         defect_bound=kernel_defect_bound(params, seq_bound),
         params=params,
     )
-
-
-def taub_theorem_check(
-    u: np.ndarray,
-    amplitudes: Sequence[float],
-    exponents: Sequence[float],
-    n_grid: Sequence[int],
-) -> dict:
-    """Two-sided check of a power-series Tauberian statement.
-
-    Hypothesis side: the residual Phi(z) - sum_r A_r (u - i theta)^{-g_r}
-    is sampled along z = exp(-u + i theta), theta = u, as u walks down
-    1e-1, 1e-2, 1e-3 (it should stay bounded).  Conclusion side:
-    sum_{j<n} u_j - sum_r A_r n^{g_r} / Gamma(1 + g_r) over ``n_grid``,
-    with a log-log slope fit.
-    """
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    exponents = np.asarray(exponents, dtype=float)
-    if len(amplitudes) != len(exponents):
-        raise DomainError("amplitude/exponent length mismatch")
-    if len(exponents) and not (
-        np.all(np.diff(exponents) < 0) and exponents[0] < 1.0 and exponents[-1] > 0.0
-    ):
-        raise DomainError("exponents must decrease strictly inside (0, 1)")
-    u = np.asarray(u, dtype=float)
-    phi = phi_from_sequence(u)
-    hyp_resid = []
-    for uu in (1e-1, 1e-2, 1e-3):
-        z = np.exp(-uu + 1j * uu)
-        w = uu - 1j * uu
-        pred = np.sum(amplitudes * w ** (-exponents)) if len(amplitudes) else 0.0
-        tail = abs(z) ** len(u) / max(1e-300, 1.0 - abs(z))
-        hyp_resid.append({"u": uu, "residual": complex(phi(np.array([z]))[0] - pred),
-                          "series_tail_bound": float(tail)})
-    ns = np.asarray(sorted(n_grid), dtype=int)
-    csum = np.concatenate([[0.0], np.cumsum(u)])
-    concl = csum[ns] - np.array(
-        [np.sum(amplitudes * n ** exponents / np.array([gamma(1 + g) for g in exponents]))
-         if len(amplitudes) else 0.0 for n in ns]
-    )
-    out = {"hypothesis": hyp_resid, "n": ns, "conclusion_residual": concl}
-    if len(ns) >= 3 and np.any(concl != 0):
-        out["fit"] = slope_fit(ns, concl)
-    return out
 
 
 # ---------------------------------------------------------------------------

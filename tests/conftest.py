@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 import renewalops as ro
+from renewalops.errors import DomainError
+from renewalops.induced import _branch_entries, _DenseAccumulator, _tail_completion
 
 SESSION_T0 = time.time()
 
@@ -37,6 +39,42 @@ def doubling_branch_matrix(m: int) -> sp.csr_matrix:
                     cols.append(k)
                     w.append(ov / g.width)
     return sp.csr_matrix((w, (rows, cols)), shape=(m, m))
+
+
+def block_series(op, z: complex, extended: bool = False) -> np.ndarray:
+    """Dense matrix of sum_n R_n z**n (Lebesgue form), one ladder sweep.
+
+    The truncated sum runs to ``n_trunc``; with ``extended`` the ladder
+    continuation and the integral-tail completion are included (the
+    spectral oracles near z = 1 need them, where the truncated series would
+    shed visible mass).  The series stops at the first power below 1e-20.
+    """
+    if op.ladder is None:
+        raise DomainError("synthetic operator has no ladder to resweep")
+    m, delta = op.grid.m, op.grid.width
+    edges = op.grid.edges
+    j_hi = (op.ladder.n_rungs + 2) if extended else (op.n_trunc + 1)
+    az = abs(z)
+    out_r = _DenseAccumulator(m)
+    out_i = _DenseAccumulator(m)
+    for j0, G in op.ladder.sweep(1, j_hi):
+        zjs = [z ** j for j in range(j0, j0 + G.shape[0])]
+        stop = next((i for i, zj in enumerate(zjs) if az < 1.0 and abs(zj) < 1e-20), None)
+        if stop is not None:
+            G, zjs = G[:stop], zjs[:stop]
+        brow, rows, cols, w = _branch_entries(edges, G, m, delta)
+        out_r.add(brow, rows, cols, w * np.array([zj.real for zj in zjs])[brow])
+        out_i.add(brow, rows, cols, w * np.array([zj.imag for zj in zjs])[brow])
+        if stop is not None:
+            break
+    out_r.flush()
+    out_i.flush()
+    mat = out_r.mat + 1j * out_i.mat
+    if extended:
+        tail = _tail_completion(op.ladder, edges, delta)
+        if tail is not None:
+            mat += (z ** (op.ladder.n_rungs + 2)) * tail
+    return mat
 
 
 @pytest.fixture(scope="session")

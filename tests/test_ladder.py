@@ -15,8 +15,10 @@ import scipy.sparse as sp
 
 import renewalops as ro
 from renewalops import induced, renewal_engine
-from renewalops.induced import _tail_completion, block_series
+from renewalops.induced import _tail_completion
 from renewalops.ladder import BranchLadder, pullback_row
+
+from conftest import block_series
 
 N_RUNGS = 500  # also the assembly's k_ladder, which must reach n_trunc
 STRIDE = 128
@@ -109,7 +111,7 @@ def assert_sweep_matches(ladder, ref, j_lo, j_hi):
     js = []
     for j0, G in ladder.sweep(j_lo, j_hi):
         j1 = j0 + G.shape[0]
-        # branch 1 alone, then blocks of at most a stride ending on a checkpoint rung
+        # branch 1 alone, then blocks of at most a stride ending on a multiple of it
         assert j0 > 1 or j1 == 2, (j0, j1)
         if j0 > 1:
             assert G.shape[0] <= STRIDE and ((j1 - 1) % STRIDE == 0 or j1 == j_hi), (j0, j1)
@@ -123,7 +125,7 @@ class TestOnePassLadder:
     def test_first_sweep_builds_bit_identical_rungs(self, case):
         spec, edges, ref = case
         ladder = BranchLadder(spec, edges, n_rungs=N_RUNGS)
-        assert ladder.checkpoint_stride == STRIDE
+        assert ladder.sweep_block == STRIDE
         assert_sweep_matches(ladder, ref, 1, N_RUNGS + 2)
         assert np.array_equal(ladder.x_tail, [r[0] for r in ref])
         tt_cum, width = ladder.top_tail_cumulative()
@@ -270,7 +272,6 @@ def test_block_series_matches_per_row_reference(assembled, z, extended):
     want = out_r.mat + 1j * out_i.mat
     if extended:
         want += (z ** (N_RUNGS + 2)) * _tail_completion(op.ladder, edges, delta)
-    op._series_cache.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(induced, "_BINCOUNT_BATCH", BATCH)
         got = block_series(op, z, extended=extended)

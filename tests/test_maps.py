@@ -17,24 +17,15 @@ def left_inverse(spec, x):
     return float(pullback_row(spec, target, target)[0])
 
 
-class TestApplyMap:
+class TestMapSpec:
     def test_left_branch_value(self):
         spec = ro.MapSpec("lsv", alpha=2.0)
-        assert ro.apply_map(spec, 0.25) == pytest.approx(0.3125, abs=1e-15)
-
-    def test_right_branch(self):
-        for fam, a in (("lsv", 2.0), ("lsv", 1.0), ("lsv0", 2.0)):
-            assert ro.apply_map(ro.MapSpec(fam, alpha=a), 0.75) == pytest.approx(0.5)
+        assert spec.left(0.25) == pytest.approx(0.3125, abs=1e-15)
 
     def test_log_family_near_half(self):
         spec = ro.MapSpec("lsv0")
         expect = 0.5 * (1 + 0.5 * math.exp(-2.0))
-        assert ro.apply_map(spec, 0.5 - 1e-12) == pytest.approx(expect, rel=1e-9)
-
-    @pytest.mark.parametrize("x", [-0.1, 0.0, 0.5, 1.0, 1.3])
-    def test_domain_errors(self, x):
-        with pytest.raises(DomainError):
-            ro.apply_map(ro.MapSpec("lsv", alpha=2.0), x)
+        assert spec.left(0.5 - 1e-12) == pytest.approx(expect, rel=1e-9)
 
     def test_alpha_below_one_rejected(self):
         with pytest.raises(DomainError):
@@ -118,27 +109,6 @@ class TestTailSequence:
         n = np.arange(10**2, 10**5 + 1)
         dev = np.abs(np.exp(1.0 / ts.x_tail[n - 1]) - n) / np.log(n)
         assert dev.max() < 1.5  # bounded, measured headroom ~2x
-
-
-class TestEntryLevelSets:
-    def test_level_zero(self):
-        ts = ro.tail_sequence(ro.MapSpec("lsv", alpha=2.0), 3)
-        assert ro.entry_level_sets(ts, 0) == [(0.5, 1.0)]
-
-    def test_level_one(self):
-        spec = ro.MapSpec("lsv", alpha=2.0)
-        ts = ro.tail_sequence(spec, 3)
-        sets = ro.entry_level_sets(ts, 1)
-        assert sets[1][1] == 0.5
-        assert sets[1][0] == pytest.approx(bisect_left_branch(spec, 0.5), abs=1e-12)
-
-    def test_partition_property(self):
-        ts = ro.tail_sequence(ro.MapSpec("lsv", alpha=2.0), 12)
-        sets = ro.entry_level_sets(ts, 10)
-        # consecutive level sets abut and are disjoint
-        for (lo1, hi1), (lo2, hi2) in zip(sets[1:], sets[2:]):
-            assert hi2 == lo1
-        assert sets[0][0] == sets[1][1]
 
 
 class TestReturnTimeTail:

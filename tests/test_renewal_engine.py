@@ -118,7 +118,7 @@ class TestStructure:
         h = lsv2_small.density_values
         delta = lsv2_small.grid.width
         lhs = float(np.dot(acc.snapshots[80], h) * delta)
-        assert lhs == pytest.approx(acc.partial_integral(80), rel=1e-10)
+        assert lhs == pytest.approx(acc.tn_integral[:81].sum(), rel=1e-10)
 
     def test_snapshot_keys(self, lsv2_small):
         acc = ro.renewal_action(lsv2_small, np.ones(lsv2_small.grid.m), 40,

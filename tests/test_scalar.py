@@ -204,7 +204,7 @@ class TestSecondOrderConstant:
 class TestExpansion:
     def test_single_term_at_half(self):
         exp = ro.AsymptoticExpansion(beta=0.5, c=1.0, c_h=0.0)
-        assert exp.order == 0
+        assert len(exp.coefficients) == 1
         assert exp.coefficients[0] == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-12)
 
     def test_exponents_three_quarters(self):
