@@ -18,11 +18,11 @@ long ones, its exact path as one sparse matrix per branch.
 
 Every consumer walks the ladder a block of up to 128 branches at a time:
 one vectorized pass extracts the block's Ulam entries in branch order, and
-assembly hands them to the dense block sum and to the renewal engine's
-``FastLayout``, which owns the window order, the kernel group plan and
-the spectra; this module does not know that layout.  Dense sums close
-their batches at branch boundaries, so they round exactly as a
-branch-by-branch pass would.
+assembly scatters them straight into the dense block sum and hands them
+to the renewal engine's ``FastLayout``, which owns the window order, the
+kernel group plan and the spectra; this module does not know that layout.
+The scatter adds the entries one by one in branch order, so the sum
+rounds exactly as a branch-by-branch pass would.
 """
 
 from __future__ import annotations
@@ -45,10 +45,22 @@ __all__ = [
     "invariant_density",
 ]
 
-_BINCOUNT_BATCH = 1 << 22
 # cap on grid rows held by the exact renewal path: K blocks of m rows
 # materialized plus a history ring of 2K rows of m cells
 _MATERIALIZE_LIMIT = 1 << 24
+
+
+def _edge_index(edges: np.ndarray, x: np.ndarray, delta: float, strict: bool) -> np.ndarray:
+    """Largest i with edges[i] <= x (edges[i] < x if ``strict``); -1 if none.
+
+    Equals ``edges.searchsorted(x, side="left" if strict else "right") - 1``
+    on the uniform ``edges``: the cell guessed from the grid spacing is off
+    by at most one, and one comparison with each of its edges corrects it.
+    """
+    k = np.clip((x - edges[0]) / delta, 0, edges.size - 2).astype(np.intp)
+    if strict:
+        return k - (edges[k] >= x) + (edges[k + 1] < x)
+    return k - (edges[k] > x) + (edges[k + 1] <= x)
 
 
 def _branch_entries(edges: np.ndarray, G: np.ndarray, m: int, delta: float):
@@ -65,8 +77,8 @@ def _branch_entries(edges: np.ndarray, G: np.ndarray, m: int, delta: float):
     r_idx, t_idx = live.nonzero()
     a = a[live]
     b = b[live]
-    k0 = np.minimum(np.maximum(edges.searchsorted(a, side="right") - 1, 0), m - 1)
-    k1 = np.maximum(k0, np.minimum(edges.searchsorted(b, side="left") - 1, m - 1))
+    k0 = np.minimum(np.maximum(_edge_index(edges, a, delta, strict=False), 0), m - 1)
+    k1 = np.maximum(k0, np.minimum(_edge_index(edges, b, delta, strict=True), m - 1))
     counts = k1 - k0 + 1
     total = int(counts.sum())
     brow = r_idx.repeat(counts)
@@ -91,47 +103,6 @@ def _block_csr(entries, n_rows: int, m: int) -> list[sp.csr_matrix]:
         sp.csr_matrix((w[lo:hi], cols[lo:hi], indptr[r]), shape=(m, m))
         for r, (lo, hi) in enumerate(zip(starts[:-1], starts[1:]))
     ]
-
-
-class _DenseAccumulator:
-    """Batched scatter-add of COO entries into a dense matrix."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.mat = np.zeros((m, m))
-        self._idx: list[np.ndarray] = []
-        self._w: list[np.ndarray] = []
-        self._count = 0
-
-    def add(self, brow, rows, cols, w):
-        """Queue a block's entries (``brow`` ascending: the branch of each).
-
-        A batch closes at the first branch boundary where it holds
-        ``_BINCOUNT_BATCH`` entries, wherever the blocks begin, so the sums
-        round the same whatever the block size.
-        """
-        lo = 0
-        while self._count + w.size - lo >= _BINCOUNT_BATCH:
-            last = brow[lo + _BINCOUNT_BATCH - self._count - 1]
-            hi = int(brow.searchsorted(last, side="right"))
-            self._queue(rows[lo:hi], cols[lo:hi], w[lo:hi])
-            self.flush()
-            lo = hi
-        if lo < w.size:
-            self._queue(rows[lo:], cols[lo:], w[lo:])
-
-    def _queue(self, rows, cols, w):
-        self._idx.append(rows * self.m + cols)
-        self._w.append(w)
-        self._count += w.size
-
-    def flush(self):
-        if not self._idx:
-            return
-        idx = np.concatenate(self._idx)
-        w = np.concatenate(self._w)
-        self.mat.ravel()[:] += np.bincount(idx, weights=w, minlength=self.m * self.m)
-        self._idx, self._w, self._count = [], [], 0
 
 
 @dataclass
@@ -231,12 +202,11 @@ class InducedOperator:
                          for a in ("row", "col", "data"))
         layout = FastLayout(m, n, n + 1, m)
         layout.add(1, brow, rows, cols, w)
-        acc = _DenseAccumulator(m)
-        acc.add(brow, rows, cols, w)
-        acc.flush()
+        r1 = np.zeros((m, m))
+        np.add.at(r1.ravel(), rows * m + cols, w)
         return cls(
             spec=None, grid=grid, n_trunc=n, j_direct=layout.j_direct,
-            stacked=layout.stacked(), groups=layout.groups, r1=acc.mat,
+            stacked=layout.stacked(), groups=layout.groups, r1=r1,
             ladder=None, _branch_cache=mats,
         )
 
@@ -278,13 +248,11 @@ def assemble_operator(
     sup = min(spec.left_image_sup, 1.0)
     row_hi = min(m, grid.cell_of(sup * (1 - 1e-12)) + 2)
     layout = FastLayout(m, n_trunc, j_direct, row_hi)
-    acc = _DenseAccumulator(m)
+    r1 = np.zeros((m, m))
     for j0, G in ladder.sweep(1, k_ladder + 2):
-        entries = _branch_entries(edges, G, m, delta)
-        acc.add(*entries)
-        layout.add(j0, *entries)
-    acc.flush()
-    r1 = acc.mat
+        brow, rows, cols, w = _branch_entries(edges, G, m, delta)
+        np.add.at(r1.ravel(), rows * m + cols, w)
+        layout.add(j0, brow, rows, cols, w)
 
     tail = _tail_completion(ladder, edges, delta)
     if tail is not None:

@@ -229,14 +229,17 @@ def _fast_steps(
 
     The window's column block jd - j (jd = j_direct - 1) holds R_j, as
     ``FastLayout`` lays it out.  Kernel spectra are taken at a group's
-    first block and live as long as the generator.
+    first block and live as long as the generator.  A block launched after
+    step n writes outputs n + 1 .. n + fft_len, only in the rows below
+    ``row_hi``, so the pending outputs fit a ring of max fft_len + 1 times
+    by ``row_hi`` cells.
     """
     m = s0.shape[0]
     jd = j_direct - 1
     hist2 = np.zeros((2 * jd, m))
-    max_f = max((g.fft_len for g in groups), default=2)
-    ring_len = _next_pow2(max_f + 2)
-    ring = np.zeros((ring_len, m))
+    ring_len = max((g.fft_len for g in groups), default=0) + 1
+    row_hi = max((g.row_hi for g in groups), default=0)
+    ring = np.zeros((ring_len, row_hi))
     read_cells = np.array(sorted({i for g in groups for i in g.kernels}), dtype=np.int64)
     n_cells = len(read_cells)
     a_hist = np.zeros((n_max + 1, n_cells))
@@ -249,7 +252,8 @@ def _fast_steps(
             s = s0.copy()
         else:
             slot = n % ring_len
-            s = ring[slot].copy()
+            s = np.zeros(m)
+            s[:row_hi] = ring[slot]
             ring[slot] = 0.0
             if stacked is not None:
                 lo = n % jd
@@ -277,8 +281,10 @@ def _fast_steps(
                     if not np.any(a_chunk):
                         continue
                     a_hat = np.fft.rfft(a_chunk, n=f)
-                    contrib = k_hat * a_hat
-                    acc = contrib if acc is None else acc + contrib
+                    if acc is None:
+                        acc = k_hat * a_hat
+                    else:
+                        acc += k_hat * a_hat
                 next_m0[gi] += c
                 if acc is None:
                     continue

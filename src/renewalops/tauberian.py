@@ -539,10 +539,14 @@ def rotated_gamma_integral(beta: float, u: float, theta: float, r_hi: float,
 
 
 def _finite_line_integral(nu: float, s_hi: float, tol: float = 1e-9) -> tuple[complex, float]:
-    """integral_{-S}^{S} (1 - i s)^{-nu} e^{-i s} ds by oscillatory panels."""
+    """integral_{-S}^{S} (1 - i s)^{-nu} e^{-i s} ds by oscillatory panels.
+
+    The integrand is evaluated in polar form, (1 + s^2)^{-nu/2}
+    e^{i(nu atan s - s)}, which avoids the complex power.
+    """
 
     def f(s):
-        return (1.0 - 1j * s) ** (-nu) * np.exp(-1j * s)
+        return (1.0 + s * s) ** (-0.5 * nu) * np.exp(1j * (nu * np.arctan(s) - s))
 
     return adaptive_oscillatory_quad(f, -s_hi, s_hi, freq=1.0, tol=tol)
 

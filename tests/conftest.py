@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import renewalops as ro
 from renewalops.errors import DomainError
-from renewalops.induced import _branch_entries, _DenseAccumulator, _tail_completion
+from renewalops.induced import _branch_entries, _tail_completion
 
 SESSION_T0 = time.time()
 
@@ -55,21 +55,20 @@ def block_series(op, z: complex, extended: bool = False) -> np.ndarray:
     edges = op.grid.edges
     j_hi = (op.ladder.n_rungs + 2) if extended else (op.n_trunc + 1)
     az = abs(z)
-    out_r = _DenseAccumulator(m)
-    out_i = _DenseAccumulator(m)
+    out_r = np.zeros((m, m))
+    out_i = np.zeros((m, m))
     for j0, G in op.ladder.sweep(1, j_hi):
         zjs = [z ** j for j in range(j0, j0 + G.shape[0])]
         stop = next((i for i, zj in enumerate(zjs) if az < 1.0 and abs(zj) < 1e-20), None)
         if stop is not None:
             G, zjs = G[:stop], zjs[:stop]
         brow, rows, cols, w = _branch_entries(edges, G, m, delta)
-        out_r.add(brow, rows, cols, w * np.array([zj.real for zj in zjs])[brow])
-        out_i.add(brow, rows, cols, w * np.array([zj.imag for zj in zjs])[brow])
+        idx = rows * m + cols
+        np.add.at(out_r.ravel(), idx, w * np.array([zj.real for zj in zjs])[brow])
+        np.add.at(out_i.ravel(), idx, w * np.array([zj.imag for zj in zjs])[brow])
         if stop is not None:
             break
-    out_r.flush()
-    out_i.flush()
-    mat = out_r.mat + 1j * out_i.mat
+    mat = out_r + 1j * out_i
     if extended:
         tail = _tail_completion(op.ladder, edges, delta)
         if tail is not None:

@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 import renewalops as ro
-from renewalops import induced, renewal_engine
+from renewalops import renewal_engine
 from renewalops.induced import _tail_completion
 from renewalops.ladder import BranchLadder, pullback_row
 
@@ -74,25 +74,14 @@ def reference_branch_entries(edges, g_row, m, delta):
 
 
 class RowAccumulator:
-    """Scatter-add one branch at a time, flushing once a batch is full."""
+    """Scatter-add one branch at a time, entry by entry."""
 
-    def __init__(self, m, batch):
-        self.m, self.batch = m, batch
+    def __init__(self, m):
+        self.m = m
         self.mat = np.zeros((m, m))
-        self._idx, self._w, self._count = [], [], 0
 
     def add(self, rows, cols, w, scale=1.0):
-        self._idx.append(rows * self.m + cols)
-        self._w.append(w * scale if scale != 1.0 else w)
-        self._count += len(w)
-        if self._count >= self.batch:
-            self.flush()
-
-    def flush(self):
-        if self._idx:
-            idx, w = np.concatenate(self._idx), np.concatenate(self._w)
-            self.mat.ravel()[:] += np.bincount(idx, weights=w, minlength=self.m * self.m)
-        self._idx, self._w, self._count = [], [], 0
+        np.add.at(self.mat.ravel(), rows * self.m + cols, w * scale if scale != 1.0 else w)
 
 
 def padded(row, width):
@@ -168,7 +157,6 @@ class TestOnePassLadder:
 # [354, 385)) and at n_trunc = 384; one block also straddles j_direct and
 # another the group edge at 354.
 N_TRUNC, J_DIRECT, SPAN_CAP = 384, 160, 97
-BATCH = 1000  # small enough that dense batches close inside blocks
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +164,6 @@ def assembled(case):
     spec, edges, ref = case
     grid = ro.Grid(128)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(induced, "_BINCOUNT_BATCH", BATCH)
         mp.setattr(renewal_engine, "_SPAN_CAP", SPAN_CAP)
         op = ro.assemble_operator(spec, grid, n_trunc=N_TRUNC, j_direct=J_DIRECT,
                                   k_ladder=N_RUNGS)
@@ -187,7 +174,7 @@ def reference_assembly(op, ref):
     """r1, stacked window and kernel groups built one branch at a time."""
     grid, edges = op.grid, op.grid.edges
     m, delta, jd = grid.m, grid.width, op.j_direct - 1
-    acc = RowAccumulator(m, BATCH)
+    acc = RowAccumulator(m)
     st_rows, st_cols, st_w = [], [], []
     groups = [dict() for _ in op.groups]
     for j in range(1, N_RUNGS + 2):
@@ -209,7 +196,6 @@ def reference_assembly(op, ref):
         ):
             kern = groups[gi].setdefault(int(blk_cols[0]), np.zeros((g.row_hi, g.span)))
             kern[blk_rows, j - g.glo] += blk_w
-    acc.flush()
     r1 = acc.mat + _tail_completion(op.ladder, edges, delta)
     stacked = sp.csr_matrix(
         (np.concatenate(st_w), (np.concatenate(st_rows), np.concatenate(st_cols))),
@@ -259,7 +245,7 @@ def test_branch_matrices_match_per_row_reference(assembled):
 def test_block_series_matches_per_row_reference(assembled, z, extended):
     op, ref = assembled
     edges, m, delta = op.grid.edges, op.grid.m, op.grid.width
-    out_r, out_i = RowAccumulator(m, BATCH), RowAccumulator(m, BATCH)
+    out_r, out_i = RowAccumulator(m), RowAccumulator(m)
     for j in range(1, (N_RUNGS + 2 if extended else N_TRUNC + 1)):
         zj = z ** j
         if abs(z) < 1.0 and abs(zj) < 1e-20:
@@ -267,12 +253,8 @@ def test_block_series_matches_per_row_reference(assembled, z, extended):
         rows, cols, w = reference_branch_entries(edges, reference_g_row(edges, ref, j), m, delta)
         out_r.add(rows, cols, w, scale=zj.real)
         out_i.add(rows, cols, w, scale=zj.imag)
-    out_r.flush()
-    out_i.flush()
     want = out_r.mat + 1j * out_i.mat
     if extended:
         want += (z ** (N_RUNGS + 2)) * _tail_completion(op.ladder, edges, delta)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(induced, "_BINCOUNT_BATCH", BATCH)
-        got = block_series(op, z, extended=extended)
+    got = block_series(op, z, extended=extended)
     assert np.array_equal(got, want)
