@@ -31,7 +31,7 @@ from . import __version__
 from .errors import DomainError, NumericalError
 from .grid import Grid
 from .induced import assemble_operator, invariant_density
-from .maps import MapSpec, tail_sequence
+from .maps import MapSpec, tail_sequence, return_time_tail
 from .scalar import (
     AsymptoticExpansion,
     ReturnDistribution,
@@ -193,17 +193,14 @@ def _cmd_tails(cfg: ExperimentConfig, outdir: Path) -> dict:
     tm = tail_model_from_operator(op)
     beta = spec.beta
     deficit = op.mass_deficit
-    # {return time > k} = [1/2, y_k]: one cumulative integral over the orbit
-    x = tail.x_tail[:n]
-    y = 0.5 * (x + 1.0)
-    probs = h.cumulative_at(y)
+    probs = return_time_tail(tail, h, np.arange(1, n + 1))
     rows = []
-    for k, x_k, y_k, p in zip(range(1, n + 1), x.tolist(), y.tolist(), probs.tolist()):
+    for k, p in zip(range(1, n + 1), probs.tolist()):
         if cfg.family == "lsv":
             asym = tm.c * k ** (-beta)
         else:
             asym = tm.c / np.log(k + 1.0)
-        rows.append([k, x_k, y_k, p, p / asym, deficit])
+        rows.append([k, tail.x_n(k), tail.y_n(k), p, p / asym, deficit])
     _write_csv(outdir / "tails.csv",
                ["n", "x_n", "y_n", "tail_prob", "asymptote_ratio", "error_bar"], rows)
     _write_plot_script(outdir / "plot_tails.py", "tails.csv", "n", ["tail_prob"])

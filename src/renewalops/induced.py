@@ -50,19 +50,6 @@ __all__ = [
 _MATERIALIZE_LIMIT = 1 << 24
 
 
-def _edge_index(edges: np.ndarray, x: np.ndarray, delta: float, strict: bool) -> np.ndarray:
-    """Largest i with edges[i] <= x (edges[i] < x if ``strict``); -1 if none.
-
-    Equals ``edges.searchsorted(x, side="left" if strict else "right") - 1``
-    on the uniform ``edges``: the cell guessed from the grid spacing is off
-    by at most one, and one comparison with each of its edges corrects it.
-    """
-    k = np.clip((x - edges[0]) / delta, 0, edges.size - 2).astype(np.intp)
-    if strict:
-        return k - (edges[k] >= x) + (edges[k + 1] < x)
-    return k - (edges[k] > x) + (edges[k + 1] <= x)
-
-
 def _branch_entries(edges: np.ndarray, G: np.ndarray, m: int, delta: float):
     """COO entries (block row, target cell, source cell, weight) of a block.
 
@@ -77,8 +64,8 @@ def _branch_entries(edges: np.ndarray, G: np.ndarray, m: int, delta: float):
     r_idx, t_idx = live.nonzero()
     a = a[live]
     b = b[live]
-    k0 = np.minimum(np.maximum(_edge_index(edges, a, delta, strict=False), 0), m - 1)
-    k1 = np.maximum(k0, np.minimum(_edge_index(edges, b, delta, strict=True), m - 1))
+    k0 = np.minimum(np.maximum(edges.searchsorted(a, side="right") - 1, 0), m - 1)
+    k1 = np.maximum(k0, np.minimum(edges.searchsorted(b, side="left") - 1, m - 1))
     counts = k1 - k0 + 1
     total = int(counts.sum())
     brow = r_idx.repeat(counts)

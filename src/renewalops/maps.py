@@ -93,18 +93,21 @@ def tail_sequence(spec: MapSpec, n: int) -> BranchLadder:
     return tail
 
 
-def return_time_tail(tail: BranchLadder, density: GridObservable, n: int) -> float:
+def return_time_tail(tail: BranchLadder, density: GridObservable, n):
     """Measure of {return time > n} in Y, via the density on [1/2, 1].
 
     The set {return time > n} is [1/2, y_n], so the value is the cumulative
     integral of the density up to y_n from the ``tail_sequence`` ``tail``;
     n = 0 returns the full mass 1 (up to the density's own normalization).
+    ``n`` may be an array of times: the result has its shape and comes
+    from one ``cumulative_at`` over the orbit.
     """
-    if n < 0:
+    n = np.asarray(n)
+    if (n < 0).any():
         raise DomainError("n must be >= 0")
-    if n == 0:
-        return float(density.integral())
-    return float(density.cumulative_at(tail.y_n(n))[0])
+    y = np.array([tail.y_n(int(k)) for k in n.ravel()])
+    out = np.where(n == 0, density.integral(), density.cumulative_at(y).reshape(n.shape))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass

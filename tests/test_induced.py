@@ -3,11 +3,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 import renewalops as ro
 from renewalops.errors import NumericalError
-from renewalops.induced import _edge_index
 
 from conftest import block_series
 
@@ -162,20 +160,6 @@ class TestAssembly:
         assert doubling_op.n_trunc == 1
         r1 = doubling_op.branch_matrices()[0]
         assert abs((r1 @ np.ones(32)) - 1.0).max() < 1e-12
-
-
-@given(m=st.integers(1, 4096), picks=st.lists(st.integers(0, 4096), min_size=1, max_size=32),
-       ulps=st.lists(st.sampled_from([-1, 0, 1]), min_size=32, max_size=32))
-def test_edge_index_matches_searchsorted(m, picks, ulps):
-    """Grid arithmetic finds the same cells as a binary search, at edges and 1 ulp off."""
-    grid = ro.Grid(m)
-    edges = grid.edges
-    x = edges[np.minimum(picks, m)]
-    x = np.where(np.array(ulps[: x.size]) < 0, np.nextafter(x, -np.inf), x)
-    x = np.where(np.array(ulps[: x.size]) > 0, np.nextafter(x, np.inf), x)
-    for side, strict in (("right", False), ("left", True)):
-        want = edges.searchsorted(x, side=side) - 1
-        assert np.array_equal(_edge_index(edges, x, grid.width, strict), want), side
 
 
 class TestInvariantDensity:

@@ -141,6 +141,14 @@ class TestReturnTimeTail:
         val = ro.return_time_tail(ts, h, 1000)
         assert val == pytest.approx(tm.c * 1000**-0.5, rel=0.05)
 
+    def test_array_matches_scalars(self, lsv2_small):
+        h = ro.invariant_density(lsv2_small)
+        ts = ro.tail_sequence(lsv2_small.spec, 150)
+        ns = np.arange(0, 151)
+        vals = ro.return_time_tail(ts, h, ns)
+        assert vals.shape == ns.shape
+        assert vals.tolist() == [ro.return_time_tail(ts, h, int(k)) for k in ns]
+
     def test_beyond_table_raises(self, lsv2_small):
         h = ro.invariant_density(lsv2_small)
         ts = ro.tail_sequence(lsv2_small.spec, 10)

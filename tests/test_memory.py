@@ -1,12 +1,8 @@
-"""Memory guards: assembly transients and the fast engine's narrowed ring."""
+"""Memory guard: the assembly transient per Ulam entry."""
 
 import tracemalloc
 
-import numpy as np
-import pytest
-
 import renewalops as ro
-from renewalops import renewal_engine
 from renewalops.induced import _branch_entries
 
 
@@ -26,19 +22,3 @@ def test_assembly_transient_per_ulam_entry():
     assert n_entries > 80_000
     assert (peak - retained) / n_entries < 12.0
 
-
-def test_fast_matches_exact_across_ring_wraps():
-    """Groups of fft_len 16 and 32 share a 33-row ring that wraps many times."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(renewal_engine, "_SPAN_CAP", 16)
-        op = ro.assemble_operator(ro.MapSpec("lsv", alpha=2.0), ro.Grid(32), n_trunc=120,
-                                  j_direct=8, deficit_bound=1.0)
-    fft_lens = [g.fft_len for g in op.groups]
-    assert len(set(fft_lens)) >= 2
-    n_max = 240
-    assert n_max >= 3 * (max(fft_lens) + 1)
-    v = np.linspace(0.5, 1.5, op.grid.m)
-    fast = ro.renewal_action(op, v, n_max, path="fast", keep_history=True)
-    exact = ro.renewal_action(op, v, n_max, path="exact", keep_history=True)
-    assert np.max(np.abs(fast.s_all - exact.s_all)) < 1e-10
-    assert np.max(np.abs(fast.tn_integral - exact.tn_integral)) < 1e-10
