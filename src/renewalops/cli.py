@@ -88,10 +88,6 @@ class ExperimentConfig:
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
 
-    def to_file(self, path: Path):
-        lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     @classmethod
     def from_file(cls, path: Path) -> dict:
         out = {}

@@ -34,11 +34,6 @@ class Grid:
     def width(self) -> float:
         return (self.hi - self.lo) / self.m
 
-    @cached_property
-    def centers(self) -> np.ndarray:
-        e = self.edges
-        return 0.5 * (e[:-1] + e[1:])
-
     def cell_of(self, x: float) -> int:
         """Index of the cell containing x (right-closed at hi)."""
         if not self.lo <= x <= self.hi:

@@ -19,8 +19,8 @@ long ones, its exact path as one sparse matrix per branch.
 Every consumer walks the ladder a block of up to 128 branches at a time:
 one vectorized pass extracts the block's Ulam entries in branch order, and
 assembly scatters them straight into the dense block sum and hands them
-to the renewal engine's ``FastLayout``, which owns the window order, the
-kernel group plan and the spectra; this module does not know that layout.
+to the renewal engine's ``FastLayout``, which owns the window's columns,
+the kernel bands and their pieces; this module does not know that layout.
 The scatter adds the entries one by one in branch order, so the sum
 rounds exactly as a branch-by-branch pass would.
 """
@@ -96,9 +96,10 @@ def _block_csr(entries, n_rows: int, m: int) -> list[sp.csr_matrix]:
 class InducedOperator:
     """Assembled branch blocks of the first-return transfer operator.
 
-    ``stacked`` applies all blocks with return time < ``j_direct`` against a
-    rolling history window; ``groups`` hold the longer return times as
-    convolution kernels (both as ``FastLayout`` lays them out); ``r1`` is
+    ``stacked`` applies all blocks with return time < ``j_direct`` to the
+    columns ``window`` of a rolling history window; ``groups`` hold the
+    longer return times as per-source-cell band pieces of convolution
+    kernels (all as ``FastLayout`` lays them out); ``r1`` is
     the dense Ulam matrix of the full block sum (completed beyond the
     truncation), whose fixed point is the invariant density.
     ``mass_deficit`` is the invariant mass of return times beyond
@@ -110,6 +111,7 @@ class InducedOperator:
     n_trunc: int
     j_direct: int
     stacked: sp.csr_matrix | None
+    window: np.ndarray | None
     groups: list[KernelGroup]
     r1: np.ndarray
     ladder: BranchLadder | None = None
@@ -191,9 +193,10 @@ class InducedOperator:
         layout.add(1, brow, rows, cols, w)
         r1 = np.zeros((m, m))
         np.add.at(r1.ravel(), rows * m + cols, w)
+        stacked, window = layout.stacked()
         return cls(
             spec=None, grid=grid, n_trunc=n, j_direct=layout.j_direct,
-            stacked=layout.stacked(), groups=layout.groups, r1=r1,
+            stacked=stacked, window=window, groups=layout.groups(), r1=r1,
             ladder=None, _branch_cache=mats,
         )
 
@@ -245,9 +248,10 @@ def assemble_operator(
     if tail is not None:
         r1 += tail
 
+    stacked, window = layout.stacked()
     op = InducedOperator(
         spec=spec, grid=grid, n_trunc=n_trunc, j_direct=layout.j_direct,
-        stacked=layout.stacked(), groups=layout.groups, r1=r1, ladder=ladder,
+        stacked=stacked, window=window, groups=layout.groups(), r1=r1, ladder=ladder,
     )
     deficit = op.mass_deficit
     if deficit > deficit_bound:

@@ -14,8 +14,7 @@ the new rungs and records the scalar orbit in one preallocated array, and
 a sweep that starts below the frontier pulls back again from rung 0.
 Edges at or above the left-branch image sup share one clamped value, so
 only the distinct columns are pulled back (71 of 1025 for lsv0 at grid
-1024); the swept rows stop at the shared column, and ``rung`` pads back to
-full width.
+1024); the swept rows stop at the shared column.
 
 Sweeps hand out branches in blocks of up to ``sweep_block`` rows that end
 at multiples of ``sweep_block`` rungs.  Newton writes the rungs straight
@@ -160,11 +159,6 @@ class BranchLadder:
         if n == 0:
             return 1.0
         return 0.5 * (self.x_n(n) + 1.0)
-
-    def rung(self, k: int) -> np.ndarray:
-        """Pullback row W^(k) at every edge (k = 0 is the clamped edge array)."""
-        _, rows = next(self._rungs(k, k + 1))
-        return self._full_width(rows[0])
 
     def sweep(self, j_lo: int, j_hi: int):
         """Yield blocks (j0, G) covering branches j in [j_lo, j_hi).

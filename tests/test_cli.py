@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,12 +15,18 @@ def read(path: Path) -> str:
     return path.read_text(encoding="utf-8")
 
 
+def write_config(cfg: ExperimentConfig, path: Path):
+    """One ``name = value`` line per field, the format ``--config`` reads."""
+    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(cfg)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 class TestConfig:
     def test_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(family="lsv0", alpha=3.0, grid=128, ntrunc=500,
                                nmax=250, beta=0.7, out=str(tmp_path))
         f = tmp_path / "exp.cfg"
-        cfg.to_file(f)
+        write_config(cfg, f)
         back = ExperimentConfig.from_file(f)
         from renewalops.cli import _coerce
 
@@ -32,7 +39,7 @@ class TestConfig:
 
     def test_flags_override_file(self, tmp_path):
         f = tmp_path / "exp.cfg"
-        ExperimentConfig(beta=0.3, out=str(tmp_path)).to_file(f)
+        write_config(ExperimentConfig(beta=0.3, out=str(tmp_path)), f)
         rc = main(["contour", "--config", str(f), "--check", "B2", "--beta", "0.5",
                    "--out", str(tmp_path)])
         assert rc == 0

@@ -206,10 +206,11 @@ class TestRenewalCrossCheck:
         grid = ro.Grid(1024)
         op = ro.assemble_operator(spec, grid, n_trunc=64, j_direct=65)
         h = op.density_values
-        w = 1.0 + 0.5 * np.cos(2 * np.pi * grid.centers)
+        centers = 0.5 * (grid.edges[:-1] + grid.edges[1:])
+        w = 1.0 + 0.5 * np.cos(2 * np.pi * centers)
         acc = ro.renewal_action(op, w / h, 20, path="exact", keep_history=True)
         mesh = GradedMesh(floor=1e-4, points_per_decade=3000)
-        obs = y_supported(mesh, lambda x: np.interp(x, grid.centers, w,
+        obs = y_supported(mesh, lambda x: np.interp(x, centers, w,
                                                     left=w[0], right=w[-1]))
         cur = obs
         for n in range(1, 21):

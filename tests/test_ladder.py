@@ -84,6 +84,12 @@ class RowAccumulator:
         np.add.at(self.mat.ravel(), rows * self.m + cols, w * scale if scale != 1.0 else w)
 
 
+def rung(ladder, k):
+    """Pullback row W^(k) at every edge (k = 0 is the clamped edge array)."""
+    _, rows = next(ladder._rungs(k, k + 1))
+    return ladder._full_width(rows[0])
+
+
 def padded(row, width):
     return np.concatenate([row, np.full(width - row.size, row[-1])])
 
@@ -121,7 +127,7 @@ class TestOnePassLadder:
         tt_ref, width_ref = reference_top_tail(spec, ref)
         assert np.array_equal(tt_cum, tt_ref) and width == width_ref
         for k in (0, STRIDE - 1, STRIDE, STRIDE + 1, N_RUNGS):
-            assert np.array_equal(ladder.rung(k), ref[k]), k
+            assert np.array_equal(rung(ladder, k), ref[k]), k
 
     def test_resweeps_after_completion(self, case):
         spec, edges, ref = case
@@ -135,7 +141,7 @@ class TestOnePassLadder:
     def test_reads_past_the_frontier_complete_the_ladder(self, case):
         spec, edges, ref = case
         ladder = BranchLadder(spec, edges, n_rungs=N_RUNGS)
-        assert np.array_equal(ladder.rung(STRIDE + 1), ref[STRIDE + 1])
+        assert np.array_equal(rung(ladder, STRIDE + 1), ref[STRIDE + 1])
         assert_sweep_matches(ladder, ref, 2, 6)  # restarts below the frontier
         assert np.array_equal(ladder.x_tail, [r[0] for r in ref])
         assert_sweep_matches(ladder, ref, STRIDE + 2, N_RUNGS + 2)
@@ -152,10 +158,9 @@ class TestOnePassLadder:
             assert widths == {edges.size}
 
 
-# Block edges (after j = 1, 128, 256 and 384) fall inside the stacked range
-# (j_direct = 160), on a group edge (groups [160, 257), [257, 354) and
-# [354, 385)) and at n_trunc = 384; one block also straddles j_direct and
-# another the group edge at 354.
+# Sweep block edges (after j = 1, 128, 256 and 384) fall inside the stacked
+# range (j_direct = 160), inside band pieces and at n_trunc = 384; one block
+# straddles j_direct, and the 97-lag cap splits the longest bands in two.
 N_TRUNC, J_DIRECT, SPAN_CAP = 384, 160, 97
 
 
@@ -170,13 +175,33 @@ def assembled(case):
     return op, ref
 
 
+def reference_pieces(bands, row_hi):
+    """Per-source-cell bands cut into dyadic pieces, grouped by block length.
+
+    A piece at lag p spans at most min(p rounded down to a power of two,
+    SPAN_CAP) lags; its block is its span rounded up to a power of two, at
+    least ``_BLOCK_MIN`` where p allows.  Cells come in order of first lag,
+    then cell.
+    """
+    groups = {}
+    for i, (j_first, band) in sorted(bands.items(), key=lambda kv: (kv[1][0], kv[0])):
+        p, j_end = j_first, j_first + band.shape[1]
+        while p < j_end:
+            floor = 1 << (p.bit_length() - 1)
+            span = min(floor, SPAN_CAP, j_end - p)
+            block = min(max(1 << (span - 1).bit_length(), renewal_engine._BLOCK_MIN), floor)
+            groups.setdefault(block, {})[i, p] = band[:row_hi, p - j_first: p - j_first + span]
+            p += span
+    return dict(sorted(groups.items()))
+
+
 def reference_assembly(op, ref):
-    """r1, stacked window and kernel groups built one branch at a time."""
+    """r1, compact stacked window and kernel band pieces built one branch at a time."""
     grid, edges = op.grid, op.grid.edges
     m, delta, jd = grid.m, grid.width, op.j_direct - 1
     acc = RowAccumulator(m)
     st_rows, st_cols, st_w = [], [], []
-    groups = [dict() for _ in op.groups]
+    bands = {}  # source cell -> (first lag, dense (m, lags) band)
     for j in range(1, N_RUNGS + 2):
         rows, cols, w = reference_branch_entries(edges, reference_g_row(edges, ref, j), m, delta)
         acc.add(rows, cols, w)
@@ -187,35 +212,36 @@ def reference_assembly(op, ref):
             st_cols.append((jd - j) * m + cols)
             st_w.append(w)
             continue
-        gi, g = next((gi, g) for gi, g in enumerate(op.groups) if g.glo <= j < g.ghi)
-        order = np.argsort(cols, kind="stable")
-        srows, scols, sw = rows[order], cols[order], w[order]
-        cuts = np.nonzero(np.diff(scols))[0] + 1
-        for blk_rows, blk_cols, blk_w in zip(
-            np.split(srows, cuts), np.split(scols, cuts), np.split(sw, cuts)
-        ):
-            kern = groups[gi].setdefault(int(blk_cols[0]), np.zeros((g.row_hi, g.span)))
-            kern[blk_rows, j - g.glo] += blk_w
+        for i in np.unique(cols):
+            j_first, band = bands.get(i, (j, np.zeros((m, 0))))
+            band = np.pad(band, ((0, 0), (0, j - j_first + 1 - band.shape[1])))
+            sel = cols == i
+            band[rows[sel], j - j_first] += w[sel]
+            bands[int(i)] = (j_first, band)
     r1 = acc.mat + _tail_completion(op.ladder, edges, delta)
+    window, compact = np.unique(np.concatenate(st_cols), return_inverse=True)
     stacked = sp.csr_matrix(
-        (np.concatenate(st_w), (np.concatenate(st_rows), np.concatenate(st_cols))),
-        shape=(m, jd * m),
+        (np.concatenate(st_w), (np.concatenate(st_rows), compact)), shape=(m, window.size),
     )
-    return r1, stacked, groups
+    row_hi = op.groups[0].row_hi
+    assert all(not band[row_hi:].any() for _, band in bands.values())
+    return r1, stacked, window, reference_pieces(bands, row_hi)
 
 
 def test_assembled_operator_matches_full_width_reference(assembled):
     op, ref = assembled
-    r1, stacked, groups = reference_assembly(op, ref)
-    assert [(g.glo, g.ghi) for g in op.groups] == [(160, 257), (257, 354), (354, 385)]
+    r1, stacked, window, groups = reference_assembly(op, ref)
     assert np.array_equal(op.r1, r1)
+    assert np.array_equal(op.window, window)
     for attr in ("data", "indices", "indptr"):
         got, want = getattr(op.stacked, attr), getattr(stacked, attr)
         assert got.dtype == want.dtype and np.array_equal(got, want), attr
-    for g, kernels in zip(op.groups, groups):
+    assert [g.block for g in op.groups] == list(groups)
+    for g, kernels in zip(op.groups, groups.values()):
         assert list(g.kernels) == list(kernels)  # the engine sums in this order
-        for i, kern in kernels.items():
-            assert np.array_equal(g.kernels[i], kern), (g.glo, i)
+        for key, kern in kernels.items():
+            assert np.array_equal(g.kernels[key], kern), (g.block, key)
+    assert window.size < (op.j_direct - 1) * op.grid.m // 10  # distinct columns only
 
 
 def test_branch_matrices_match_per_row_reference(assembled):

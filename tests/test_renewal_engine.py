@@ -94,8 +94,11 @@ class TestPathAgreement:
 
     @settings(max_examples=40, deadline=None)
     @given(assembled_cases())
-    # groups of fft_len 16 and 32 share a 33-row output ring that wraps 7 times
+    # groups of blocks 8 and 16 share a 32-row output ring that wraps 7 times
     @example(dict(alpha=2.0, n_trunc=120, j_direct=8, span_cap=16, m=32, seed=0, n_max=240))
+    # on two cells, one band runs over lags 2..100: pieces of 2, 4 and 8
+    # lags open it, and the 8-lag cap splits the rest
+    @example(dict(alpha=2.0, n_trunc=100, j_direct=2, span_cap=8, m=2, seed=1, n_max=140))
     def test_fast_matches_exact_on_assembled_operators(self, case):
         op, v, n_max = assemble_case(**case)
         exact = ro.renewal_action(op, v, n_max, path="exact", keep_history=True)
@@ -164,3 +167,21 @@ class TestExactPath:
         assert len(op._branch_cache) == 20
         with pytest.raises(NumericalError, match="path='fast'"):
             op.branch_matrices()
+
+
+class TestFastPath:
+    def test_size_guard_raises_before_any_spectrum(self, monkeypatch):
+        op = ro.assemble_operator(ro.MapSpec("lsv", alpha=2.0), ro.Grid(32), n_trunc=200,
+                                  j_direct=16)
+        v, n_max = np.ones(32), 150
+        need = renewal_engine._fast_bytes(op.j_direct, op.groups, 32, n_max)
+        monkeypatch.setattr(renewal_engine, "_FAST_LIMIT", need - 1)
+        transforms = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: transforms.append(1) or rfft(*a, **k))
+        with pytest.raises(NumericalError, match="lower nmax"):
+            ro.renewal_action(op, v, n_max, path="fast")
+        assert transforms == []
+        monkeypatch.setattr(renewal_engine, "_FAST_LIMIT", need)
+        ro.renewal_action(op, v, n_max, path="fast")
+        assert transforms
