@@ -249,8 +249,9 @@ def _cmd_dual_ergodic(cfg: ExperimentConfig, outdir: Path) -> dict:
     spec = MapSpec(cfg.family, alpha=cfg.alpha)
     grid = Grid(cfg.grid)
     op = assemble_operator(spec, grid, n_trunc=cfg.ntrunc)
-    ns = sorted(set(np.unique(
-        np.round(np.logspace(1, np.log10(cfg.nmax), 25)).astype(int)).tolist()) | {cfg.nmax})
+    # the log-spaced report times start at 10: keep those within nmax
+    ns = np.round(np.logspace(1, np.log10(cfg.nmax), 25)).astype(int).tolist()
+    ns = sorted({n for n in ns if n <= cfg.nmax} | {cfg.nmax})
     report = dual_ergodic_report(op, np.ones(grid.m), ns)
     rows = []
     for row in report.rows():

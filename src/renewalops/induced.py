@@ -12,9 +12,8 @@ edges, i.e. from the pullback ladder.
 The block sum over all return times is completed beyond the tabulated
 ladder by an integral-tail estimate, so its Ulam matrix conserves mass to
 machine precision and its fixed point is a clean invariant density.  The
-blocks also feed the renewal recursion: its fast path as a stacked sparse
-matrix for short return times and per-source-cell convolution kernels for
-long ones, its exact path as one sparse matrix per branch.
+blocks also feed the renewal recursion as a stacked sparse matrix for
+short return times and per-source-cell convolution kernels for long ones.
 
 Every consumer walks the ladder a block of up to 128 branches at a time:
 one vectorized pass extracts the block's Ulam entries in branch order, and
@@ -27,8 +26,7 @@ rounds exactly as a branch-by-branch pass would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,10 +42,6 @@ __all__ = [
     "assemble_operator",
     "invariant_density",
 ]
-
-# cap on grid rows held by the exact renewal path: K blocks of m rows
-# materialized plus a history ring of 2K rows of m cells
-_MATERIALIZE_LIMIT = 1 << 24
 
 
 def _branch_entries(edges: np.ndarray, G: np.ndarray, m: int, delta: float):
@@ -117,7 +111,6 @@ class InducedOperator:
     ladder: BranchLadder | None = None
     _density: np.ndarray | None = None
     _density_residual: float | None = None
-    _branch_cache: list[sp.csr_matrix] = field(default_factory=list)
 
     # -- density ---------------------------------------------------------
 
@@ -154,51 +147,21 @@ class InducedOperator:
 
     # -- branch access ----------------------------------------------------
 
-    def leading_branches(self, k: int) -> list[sp.csr_matrix]:
-        """Blocks R_1..R_k as sparse matrices, for 0 <= k <= n_trunc.
-
-        The longest prefix built so far is cached, so a shorter request is a
-        slice of it and a longer one sweeps only the missing branches.
-        Raises before building anything when the k·m rows of the blocks
-        plus a 2k·m history exceed ``_MATERIALIZE_LIMIT``.
-        """
-        if not 0 <= k <= self.n_trunc:
-            raise DomainError(f"branch count {k} outside 0..{self.n_trunc}")
-        m = self.grid.m
-        if 3 * k * m > _MATERIALIZE_LIMIT:
-            raise NumericalError(
-                f"{k} branches on {m} cells too large to materialize; use path='fast'"
-            )
-        mats = self._branch_cache
-        if len(mats) < k:
-            for _, G in self.ladder.sweep(len(mats) + 1, k + 1):
-                entries = _branch_entries(self.grid.edges, G, m, self.grid.width)
-                mats += _block_csr(entries, G.shape[0], m)
-        return mats[:k]
-
     def branch_matrices(self) -> list[sp.csr_matrix]:
-        """All n_trunc blocks as sparse matrices: ``leading_branches(n_trunc)``."""
-        return self.leading_branches(self.n_trunc)
+        """R_1..R_{n_trunc} as sparse matrices, built anew by one ladder sweep.
 
-    @classmethod
-    def synthetic(cls, grid: Grid, branch_mats: Sequence[sp.spmatrix]) -> "InducedOperator":
-        """Operator from explicitly given branch blocks (test fixtures)."""
-        mats = [sp.csr_matrix(b) for b in branch_mats]
-        n, m = len(mats), grid.m
-        coo = [b.tocoo() for b in mats]
-        brow = np.arange(n).repeat([c.nnz for c in coo])
-        rows, cols, w = (np.concatenate([getattr(c, a) for c in coo])
-                         for a in ("row", "col", "data"))
-        layout = FastLayout(m, n, n + 1, m)
-        layout.add(1, brow, rows, cols, w)
-        r1 = np.zeros((m, m))
-        np.add.at(r1.ravel(), rows * m + cols, w)
-        stacked, window = layout.stacked()
-        return cls(
-            spec=None, grid=grid, n_trunc=n, j_direct=layout.j_direct,
-            stacked=stacked, window=window, groups=layout.groups(), r1=r1,
-            ladder=None, _branch_cache=mats,
-        )
+        The renewal recursion never reads them: they are the input of the
+        tests' exact reference recursion, and the benchmark's tracer
+        (``bench/spans.py``) wraps this method to count their products.
+        """
+        if self.ladder is None:
+            raise DomainError("synthetic operator carries no branch geometry")
+        m = self.grid.m
+        mats = []
+        for _, G in self.ladder.sweep(1, self.n_trunc + 1):
+            entries = _branch_entries(self.grid.edges, G, m, self.grid.width)
+            mats += _block_csr(entries, G.shape[0], m)
+        return mats
 
 
 def assemble_operator(

@@ -2,26 +2,17 @@
 
 With R_j the transfer-operator block of the branch with return time j, the
 renewal family satisfies T_0 = I and T_n = sum_{j=1}^{n} R_j T_{n-j}.  The
-engine computes the actions s_n = T_n s_0 for all n up to ``n_max``:
-
-* exact path: the recursion with R_1..R_K (K = min(n_max, n_trunc)) laid
-  out as one block-diagonal sparse matrix.  Step n is one product of its
-  leading k = min(n, K) blocks with the contiguous history [s_{n-1}, ...,
-  s_{n-k}], and the k block products are summed in branch order.  Each
-  product row is formed exactly as a per-branch product forms it, so s_n
-  is bit-identical to the literal sum_j R_j s_{n-j}; O(n_max^2) block
-  applications, the reference for tests and small runs.
-* fast path: branches with small return time are stacked into a single
-  sparse matrix over the distinct columns it reads of a rolling history
-  window; branches with large return time enter through per-source-cell
-  kernels convolved with the scalar traces s_m[cell] by blocked FFT
-  (overlap-add, scheduled so a block's inputs are complete before its
-  first output is needed).  Each cell's kernel is stored only over its
-  band of lags, cut into dyadic pieces whose transforms are sized to the
-  piece; pieces of equal block length share their launches and one
-  inverse transform per launch (the relaxed multiplication of van der
-  Hoeven, *Relax, but don't be too lazy*, 2002).  Both paths compute the
-  same convolution; they differ only in floating-point ordering.
+engine computes the actions s_n = T_n s_0 for all n up to ``n_max``.
+Branches with small return time are stacked into a single sparse matrix
+over the distinct columns it reads of a rolling history window; branches
+with large return time enter through per-source-cell kernels convolved
+with the scalar traces s_m[cell] by blocked FFT (overlap-add, scheduled so
+a block's inputs are complete before its first output is needed).  Each
+cell's kernel is stored only over its band of lags, cut into dyadic pieces
+whose transforms are sized to the piece; pieces of equal block length
+share their launches and one inverse transform per launch (the relaxed
+multiplication of van der Hoeven, *Relax, but don't be too lazy*, 2002).
+The result is the literal sum_j R_j s_{n-j} up to floating-point ordering.
 
 This module alone owns the fast path's layout.  ``FastLayout`` takes the
 Ulam entries of the branches in order and decides the ``j_direct`` split,
@@ -208,56 +199,9 @@ class RenewalAccumulator:
     """
 
     n_max: int
-    path: str
     tn_integral: np.ndarray
     snapshots: dict[int, np.ndarray]
     s_all: np.ndarray | None = None
-
-
-def _block_diagonal(branches: list[sp.csr_matrix], m: int) -> sp.csr_matrix:
-    """diag(R_1, ..., R_K) with each block's rows stored exactly as in R_j.
-
-    Joined directly rather than through ``sp.block_diag``, whose COO round
-    trip may reorder a row's entries and with them the rounding.
-    """
-    nnz = np.cumsum([0] + [b.nnz for b in branches])
-    data = np.concatenate([b.data for b in branches])
-    indices = np.concatenate([b.indices + k * m for k, b in enumerate(branches)])
-    indptr = np.concatenate([[0]] + [b.indptr[1:] + nnz[k] for k, b in enumerate(branches)])
-    km = len(branches) * m
-    return sp.csr_matrix((data, indices, indptr), shape=(km, km))
-
-
-def _exact_steps(branches: list[sp.csr_matrix], s0: np.ndarray, n_max: int):
-    """Generator of s_n = sum_{j<=min(n, K)} R_j s_{n-j}, K = len(branches).
-
-    History lives in a doubled ring of 2K rows, newest first, so [s_{n-1},
-    ..., s_{n-k}] is one contiguous slice.  Step n multiplies it by the
-    leading k = min(n, K) blocks of diag(R_1, ..., R_K) in one product and
-    sums the k block products along axis 0, from 0.0 and in branch order.
-    Product rows start from 0 and add their entries in stored order, as a
-    product with R_j alone does, so every s_n is bit-identical to the
-    literal ``s = 0; s += R_j @ s_{n-j}`` for j = 1..k.
-    """
-    yield 0, s0
-    if n_max == 0:
-        return
-    m = s0.shape[0]
-    K = len(branches)
-    diag = _block_diagonal(branches, m)
-    data, indices, indptr = diag.data, diag.indices, diag.indptr
-    ring = np.zeros((2 * K, m))
-    ring[0] = ring[K] = s0
-    for n in range(1, n_max + 1):
-        k = min(n, K)
-        p = -(n - 1) % K  # ring row of s_{n-1}
-        end = indptr[k * m]
-        lead = sp.csr_matrix((data[:end], indices[:end], indptr[: k * m + 1]),
-                             shape=(k * m, k * m))
-        s = (lead @ ring[p: p + k].ravel()).reshape(k, m).sum(axis=0, initial=0.0)
-        p = -n % K
-        ring[p] = ring[p + K] = s
-        yield n, s
 
 
 def _live_pieces(groups: list[KernelGroup], n_max: int):
@@ -385,7 +329,6 @@ def renewal_action(
     v: np.ndarray,
     n_max: int,
     snapshot_ns: list[int] | None = None,
-    path: str = "auto",
     keep_history: bool = False,
 ) -> RenewalAccumulator:
     """Run the renewal recursion on the measure-normalized observable v.
@@ -401,8 +344,6 @@ def renewal_action(
     v = np.asarray(v, dtype=float)
     if v.shape != (grid.m,):
         raise DomainError("observable shape does not match the operator grid")
-    if path == "auto":
-        path = "fast" if (n_max + 1) * grid.m > 1 << 22 or n_max > 4 * op.j_direct else "exact"
 
     snapshot_ns = sorted(set((snapshot_ns or [])) | {n_max})
     s0 = h * v
@@ -412,25 +353,19 @@ def renewal_action(
     s_sum = np.zeros(grid.m)
     s_all = np.zeros((n_max + 1, grid.m)) if keep_history else None
 
-    if path == "exact":
-        steps = _exact_steps(op.leading_branches(min(n_max, op.n_trunc)), s0, n_max)
-    elif path == "fast":
-        need = _fast_bytes(op.j_direct, op.groups, grid.m, n_max)
-        if need > _FAST_LIMIT:
-            raise NumericalError(
-                f"fast path needs {need / 2**30:.3g} GiB for {n_max} steps on {grid.m} cells, "
-                f"above its {_FAST_LIMIT / 2**30:.3g} GiB limit; lower nmax, ntrunc or grid"
-            )
-        steps = _fast_steps(op.stacked, op.window, op.j_direct, op.groups, s0, n_max)
-    else:
-        raise DomainError(f"unknown path {path!r}")
+    need = _fast_bytes(op.j_direct, op.groups, grid.m, n_max)
+    if need > _FAST_LIMIT:
+        raise NumericalError(
+            f"fast path needs {need / 2**30:.3g} GiB for {n_max} steps on {grid.m} cells, "
+            f"above its {_FAST_LIMIT / 2**30:.3g} GiB limit; lower nmax, ntrunc or grid"
+        )
 
     snap_set = set(snapshot_ns)
-    for n, s in steps:
+    for n, s in _fast_steps(op.stacked, op.window, op.j_direct, op.groups, s0, n_max):
         tn[n] = s.sum() * delta
         s_sum += s
         if s_all is not None:
             s_all[n] = s
         if n in snap_set:
             snaps[n] = s_sum / h  # back to measure-normalized form
-    return RenewalAccumulator(n_max=n_max, path=path, tn_integral=tn, snapshots=snaps, s_all=s_all)
+    return RenewalAccumulator(n_max=n_max, tn_integral=tn, snapshots=snaps, s_all=s_all)

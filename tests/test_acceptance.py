@@ -196,7 +196,7 @@ def test_criterion_08_log_family_remainder():
     tm = tail_model_from_operator(op)
     v = np.ones(1024)
     ns = sorted(set(np.unique(np.round(np.logspace(2, 4, 17)).astype(int)).tolist()))
-    acc = ro.renewal_action(op, v, max(ns), snapshot_ns=ns, path="fast")
+    acc = ro.renewal_action(op, v, max(ns), snapshot_ns=ns)
     h = op.density_values
     int_v = float(np.dot(v, h) * op.grid.width)
     vals = np.array([tm.c * float(np.max(acc.snapshots[n])) - math.log(n) * int_v
@@ -222,7 +222,7 @@ def test_criterion_09_scalar_operator_consistency():
                               n_trunc=1200, j_direct=512)
     dist = return_distribution_from_operator(op)
     seq = ro.renewal_sequence(dist, 1000)
-    acc = ro.renewal_action(op, np.ones(512), 1000, path="fast")
+    acc = ro.renewal_action(op, np.ones(512), 1000)
     u_op = np.cumsum(acc.tn_integral)
     rel = np.abs(u_op[1:] - seq.partial_sums[1:]) / seq.partial_sums[1:]
     ok = rel.max() <= 0.01

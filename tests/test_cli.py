@@ -107,6 +107,14 @@ class TestOutputs:
         lines = read(tmp_path / "kernel.csv").splitlines()
         assert lines[0].startswith("sequence,n,extract,direct,rel_err")
 
+    def test_dual_ergodic_rows_stop_at_nmax(self, tmp_path):
+        # the log-spaced report times start at n = 10, above an nmax of 3
+        main(["dual-ergodic", "--grid", "64", "--ntrunc", "200", "--nmax", "3",
+              "--out", str(tmp_path)])
+        ns = [int(line.split(",")[0])
+              for line in read(tmp_path / "dual_ergodic.csv").splitlines()[1:]]
+        assert ns[-1] == 3 and max(ns) <= 3
+
     def test_renewal_float_format(self, tmp_path):
         main(["renewal", "--beta", "0.6", "--nmax", "2000", "--out", str(tmp_path)])
         lines = read(tmp_path / "renewal.csv").splitlines()
@@ -118,6 +126,9 @@ class TestOutputs:
 @pytest.mark.parametrize("argv, csv", [
     (["tails", "--family", "lsv0", "--n", "100", "--grid", "128"], "tails.csv"),
     (["dual-ergodic", "--alpha", "2", "--grid", "128", "--ntrunc", "400", "--nmax", "300"],
+     "dual_ergodic.csv"),
+    # j_direct is 512 here, so the FFT kernel groups for lags 512..800 launch
+    (["dual-ergodic", "--alpha", "2", "--grid", "128", "--ntrunc", "800", "--nmax", "800"],
      "dual_ergodic.csv"),
 ])
 def test_csv_bodies_do_not_depend_on_thread_count(tmp_path, argv, csv):

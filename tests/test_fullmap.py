@@ -208,7 +208,7 @@ class TestRenewalCrossCheck:
         h = op.density_values
         centers = 0.5 * (grid.edges[:-1] + grid.edges[1:])
         w = 1.0 + 0.5 * np.cos(2 * np.pi * centers)
-        acc = ro.renewal_action(op, w / h, 20, path="exact", keep_history=True)
+        acc = ro.renewal_action(op, w / h, 20, keep_history=True)
         mesh = GradedMesh(floor=1e-4, points_per_decade=3000)
         obs = y_supported(mesh, lambda x: np.interp(x, centers, w,
                                                     left=w[0], right=w[-1]))

@@ -6,20 +6,10 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 import renewalops as ro
-from renewalops import induced, renewal_engine
+from renewalops import renewal_engine
 from renewalops.errors import NumericalError
-from renewalops.renewal_engine import _exact_steps
 
-
-def literal_exact_steps(branches, s0, n_max):
-    """s_0..s_{n_max} by the recursion applied literally, one product per branch."""
-    hist = [s0]
-    for n in range(1, n_max + 1):
-        s = np.zeros_like(s0)
-        for j in range(1, min(n, len(branches)) + 1):
-            s += branches[j - 1] @ hist[n - j]
-        hist.append(s)
-    return np.array(hist)
+from conftest import exact_history, exact_steps, literal_exact_steps, synthetic_operator
 
 
 @st.composite
@@ -35,10 +25,10 @@ def synthetic_families(draw):
     scale = rng.uniform(0.5, 1.0, m) / np.maximum(col_mass, 1e-300)
     blocks = [b @ sp.diags(scale) for b in blocks]
     n_max = draw(st.sampled_from([0, 1, k - 1, k, k + 5]))
-    op = ro.InducedOperator.synthetic(ro.Grid(m), blocks)
+    op = synthetic_operator(ro.Grid(m), blocks)
     # the density solve is not under test: a fixed positive density stands in
     op = dataclasses.replace(op, _density=rng.uniform(0.5, 1.5, m), _density_residual=0.0)
-    return op, rng.uniform(0.1, 2.0, m), n_max
+    return op, blocks, rng.uniform(0.1, 2.0, m), n_max
 
 
 @st.composite
@@ -66,7 +56,7 @@ def assemble_case(alpha, n_trunc, j_direct, span_cap, m, seed, n_max):
 
 class TestDoublingSanity:
     def test_constant_preserved(self, doubling_op):
-        acc = ro.renewal_action(doubling_op, np.ones(32), 50, path="exact")
+        acc = ro.renewal_action(doubling_op, np.ones(32), 50)
         assert np.allclose(acc.tn_integral, 1.0, atol=1e-12)
 
     def test_time_zero_is_identity(self, doubling_op):
@@ -80,17 +70,19 @@ class TestPathAgreement:
         m = lsv2_small.grid.m
         rng = np.random.default_rng(7)
         v = 0.5 + rng.random(m)
-        a_e = ro.renewal_action(lsv2_small, v, 150, snapshot_ns=[50, 150], path="exact")
-        a_f = ro.renewal_action(lsv2_small, v, 150, snapshot_ns=[50, 150], path="fast")
-        assert np.max(np.abs(a_e.tn_integral - a_f.tn_integral)) < 1e-11
+        exact = exact_history(lsv2_small, v, 150)
+        acc = ro.renewal_action(lsv2_small, v, 150, snapshot_ns=[50, 150])
+        delta, h = lsv2_small.grid.width, lsv2_small.density_values
+        assert np.max(np.abs(exact.sum(axis=1) * delta - acc.tn_integral)) < 1e-11
         for n in (50, 150):
-            assert np.max(np.abs(a_e.snapshots[n] - a_f.snapshots[n])) < 1e-10
+            assert np.max(np.abs(exact[: n + 1].sum(axis=0) / h - acc.snapshots[n])) < 1e-10
 
     def test_log_family_paths(self, lsv0_small):
         v = np.ones(lsv0_small.grid.m)
-        a_e = ro.renewal_action(lsv0_small, v, 200, path="exact")
-        a_f = ro.renewal_action(lsv0_small, v, 200, path="fast")
-        assert np.max(np.abs(a_e.tn_integral - a_f.tn_integral)) < 1e-11
+        exact = exact_history(lsv0_small, v, 200)
+        acc = ro.renewal_action(lsv0_small, v, 200)
+        delta = lsv0_small.grid.width
+        assert np.max(np.abs(exact.sum(axis=1) * delta - acc.tn_integral)) < 1e-11
 
     @settings(max_examples=40, deadline=None)
     @given(assembled_cases())
@@ -101,21 +93,21 @@ class TestPathAgreement:
     @example(dict(alpha=2.0, n_trunc=100, j_direct=2, span_cap=8, m=2, seed=1, n_max=140))
     def test_fast_matches_exact_on_assembled_operators(self, case):
         op, v, n_max = assemble_case(**case)
-        exact = ro.renewal_action(op, v, n_max, path="exact", keep_history=True)
-        fast = ro.renewal_action(op, v, n_max, path="fast", keep_history=True)
-        assert np.max(np.abs(fast.s_all - exact.s_all)) < 1e-10
+        exact = exact_history(op, v, n_max)
+        fast = ro.renewal_action(op, v, n_max, keep_history=True)
+        assert np.max(np.abs(fast.s_all - exact)) < 1e-10
 
 
 class TestStructure:
     def test_positivity(self, lsv2_small):
         v = np.abs(np.sin(np.arange(lsv2_small.grid.m)))
-        acc = ro.renewal_action(lsv2_small, v, 100, path="fast", keep_history=True)
+        acc = ro.renewal_action(lsv2_small, v, 100, keep_history=True)
         assert acc.s_all.min() >= -1e-13
 
     def test_convolution_identity_literal(self, lsv2_small):
         # s_n = sum_j R_j s_{n-j} re-verified against independently built blocks
         v = np.ones(lsv2_small.grid.m)
-        acc = ro.renewal_action(lsv2_small, v, 60, path="fast", keep_history=True)
+        acc = ro.renewal_action(lsv2_small, v, 60, keep_history=True)
         mats = lsv2_small.branch_matrices()
         for n in (1, 7, 33, 60):
             expect = np.zeros(lsv2_small.grid.m)
@@ -141,32 +133,16 @@ class TestExactPath:
     @settings(max_examples=80, deadline=None)
     @given(synthetic_families())
     def test_block_diagonal_steps_match_literal_recursion(self, family):
-        op, v, n_max = family
+        op, blocks, v, n_max = family
         s0 = op.density_values * v
-        want = literal_exact_steps(op.branch_matrices(), s0, n_max).tobytes()
+        want = literal_exact_steps(blocks, s0, n_max).tobytes()
         # yielded arrays are kept without copying: a yielded view of the
         # history ring would be overwritten by later steps
         k = min(n_max, op.n_trunc)
-        yielded = [s for _, s in _exact_steps(op.leading_branches(k), s0, n_max)]
-        assert np.array(yielded).tobytes() == want
-        exact = ro.renewal_action(op, v, n_max, path="exact", keep_history=True)
-        assert exact.s_all.tobytes() == want
-        fast = ro.renewal_action(op, v, n_max, path="fast", keep_history=True)
-        assert np.max(np.abs(fast.s_all - exact.s_all)) < 1e-10
-
-    def test_size_guard_raises_before_building(self, monkeypatch):
-        op = ro.assemble_operator(ro.MapSpec("lsv", alpha=2.0), ro.Grid(32), n_trunc=40)
-        v = np.ones(32)
-        # 20 branches: 20 * 32 rows of blocks plus 2 * 20 * 32 of history
-        monkeypatch.setattr(induced, "_MATERIALIZE_LIMIT", 3 * 20 * 32 - 1)
-        with pytest.raises(NumericalError, match="path='fast'"):
-            ro.renewal_action(op, v, 20, path="exact")
-        assert op._branch_cache == []
-        monkeypatch.setattr(induced, "_MATERIALIZE_LIMIT", 3 * 20 * 32)
-        ro.renewal_action(op, v, 20, path="exact")
-        assert len(op._branch_cache) == 20
-        with pytest.raises(NumericalError, match="path='fast'"):
-            op.branch_matrices()
+        yielded = np.array([s for _, s in exact_steps(blocks[:k], s0, n_max)])
+        assert yielded.tobytes() == want
+        fast = ro.renewal_action(op, v, n_max, keep_history=True)
+        assert np.max(np.abs(fast.s_all - yielded)) < 1e-10
 
 
 class TestFastPath:
@@ -180,8 +156,8 @@ class TestFastPath:
         rfft = np.fft.rfft
         monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: transforms.append(1) or rfft(*a, **k))
         with pytest.raises(NumericalError, match="lower nmax"):
-            ro.renewal_action(op, v, n_max, path="fast")
+            ro.renewal_action(op, v, n_max)
         assert transforms == []
         monkeypatch.setattr(renewal_engine, "_FAST_LIMIT", need)
-        ro.renewal_action(op, v, n_max, path="fast")
+        ro.renewal_action(op, v, n_max)
         assert transforms
