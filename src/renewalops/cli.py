@@ -87,6 +87,18 @@ class ExperimentConfig:
             raise DomainError(f"unknown contour check {self.check!r}")
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
+        self.degree_list()
+
+    def degree_list(self) -> list[int]:
+        """``degrees`` as comma-separated integers, each at least 2."""
+        try:
+            degrees = [int(s) for s in self.degrees.split(",") if s.strip()]
+        except ValueError:
+            raise DomainError(f"degrees must be comma-separated integers, "
+                              f"got {self.degrees!r}") from None
+        if any(m < 2 for m in degrees):
+            raise DomainError("every degree must be >= 2")
+        return degrees
 
     @classmethod
     def from_file(cls, path: Path) -> dict:
@@ -152,8 +164,7 @@ def _json_default(x):
     return str(x)
 
 
-def _write_plot_script(path: Path, csv_name: str, xcol: str, ycols: list[str],
-                       logx: bool = True, logy: bool = True) -> None:
+def _write_plot_script(path: Path, csv_name: str, xcol: str, ycols: list[str]) -> None:
     body = f"""#!/usr/bin/env python3
 # Plot script emitted alongside {csv_name}; run it yourself, nothing runs it for you.
 import csv
@@ -166,8 +177,8 @@ fig, ax = plt.subplots()
 for col in {ycols!r}:
     ax.plot(x, [abs(float(r[col])) for r in rows], label=col, marker="o", ms=3)
 ax.set_xlabel({xcol!r})
-{"ax.set_xscale('log')" if logx else ""}
-{"ax.set_yscale('log')" if logy else ""}
+ax.set_xscale('log')
+ax.set_yscale('log')
 ax.legend()
 fig.savefig({csv_name!r}.replace(".csv", ".png"), dpi=150)
 """
@@ -297,8 +308,6 @@ def _cmd_kernel(cfg: ExperimentConfig, outdir: Path) -> dict:
 
 def _cmd_contour(cfg: ExperimentConfig, outdir: Path) -> dict:
     if cfg.check == "B1":
-        import math
-
         val, err = tb.rotated_gamma_integral(cfg.beta, u=1.0, theta=1.0, r_hi=float(cfg.nmax))
         closed = math.gamma(1.0 - cfg.beta)
         row = [cfg.check, cfg.beta, float(val.real), closed,
@@ -320,7 +329,7 @@ def _cmd_polys(cfg: ExperimentConfig, outdir: Path) -> dict:
     rows = []
     maj = tb.indicator_majorant(cfg.epsilon)
     rows.append(["majorant", maj.degree, maj.gap, cfg.epsilon, 1.0, True])
-    degrees = [int(s) for s in cfg.degrees.split(",") if s.strip()]
+    degrees = cfg.degree_list()
     for m in degrees:
         for side in ("upper", "lower"):
             p = tb.one_sided_fit(m, side)

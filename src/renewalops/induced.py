@@ -35,7 +35,7 @@ from .errors import DomainError, NumericalError
 from .grid import Grid, GridObservable
 from .ladder import BranchLadder
 from .maps import MapSpec
-from .renewal_engine import FastLayout, KernelGroup
+from .renewal_engine import _FAST_LIMIT, FastLayout, KernelGroup
 
 __all__ = [
     "InducedOperator",
@@ -177,12 +177,14 @@ def assemble_operator(
     ``n_trunc`` bounds the return times carried by the renewal machinery;
     ``k_ladder`` extends the pullback ladder further so the density solve
     sees an (integral-tail completed) operator with essentially no missing
-    mass.  Raises when the invariant mass beyond ``n_trunc`` exceeds
-    ``deficit_bound``, advising a larger truncation.  The default bound is
-    0.15 for the polynomial family; for the log family the deficit is
-    structurally near 1 at any desk-scale truncation (the invariant density
-    is supported on [1/2, sup of the left branch], where all short return
-    times carry no mass), so no bound is enforced by default.
+    mass.  Raises before building the ladder when the dense block sum and
+    the ladder's orbit would take more than the engine's ``_FAST_LIMIT``
+    bytes.  Raises after assembly when the invariant mass beyond ``n_trunc``
+    exceeds ``deficit_bound``, advising a larger truncation.  The default
+    bound is 0.15 for the polynomial family; for the log family the deficit
+    is structurally near 1 at any desk-scale truncation (the invariant
+    density is supported on [1/2, sup of the left branch], where all short
+    return times carry no mass), so no bound is enforced by default.
     """
     if deficit_bound is None:
         deficit_bound = 0.15 if spec.family == "lsv" else 1.0
@@ -195,6 +197,13 @@ def assemble_operator(
     k_ladder = max(k_ladder, n_trunc)
 
     m, delta = grid.m, grid.width
+    need = 8 * m * m + 8 * (k_ladder + 1)
+    if need > _FAST_LIMIT:
+        raise NumericalError(
+            f"assembly needs {need / 2**30:.3g} GiB for the dense block sum on {m} cells "
+            f"and a {k_ladder}-rung ladder, above the {_FAST_LIMIT / 2**30:.3g} GiB limit; "
+            "lower grid or ntrunc"
+        )
     edges = grid.edges
     ladder = BranchLadder(spec, edges, n_rungs=k_ladder)
 
@@ -244,18 +253,22 @@ def _tail_completion(ladder: BranchLadder, edges: np.ndarray, delta: float) -> n
     return np.outer(profile, read)
 
 
-def _power_density(r1: np.ndarray, delta: float, tol: float = 1e-12, max_iter: int = 20000):
-    """Fixed point of the completed block sum, normalized to unit mass."""
+def _power_density(r1: np.ndarray, delta: float):
+    """Fixed point of the completed block sum, normalized to unit mass.
+
+    Power iteration until successive iterates differ by less than 1e-12 in
+    L1; raises after 20000 iterations.
+    """
     m = r1.shape[0]
     v = np.ones(m)
     v /= v.sum() * delta
     res = np.inf
-    for _ in range(max_iter):
+    for _ in range(20000):
         w = r1 @ v
         w /= w.sum() * delta
         res = float(np.abs(w - v).sum() * delta)
         v = w
-        if res < tol:
+        if res < 1e-12:
             break
     else:
         raise NumericalError(f"density power iteration stalled at residual {res:.3e}")

@@ -201,7 +201,6 @@ class RenewalAccumulator:
     n_max: int
     tn_integral: np.ndarray
     snapshots: dict[int, np.ndarray]
-    s_all: np.ndarray | None = None
 
 
 def _live_pieces(groups: list[KernelGroup], n_max: int):
@@ -329,29 +328,29 @@ def renewal_action(
     v: np.ndarray,
     n_max: int,
     snapshot_ns: list[int] | None = None,
-    keep_history: bool = False,
 ) -> RenewalAccumulator:
     """Run the renewal recursion on the measure-normalized observable v.
 
     ``op`` is an assembled induced operator; v lives on its grid.  Snapshots
-    are taken of the partial sums S_n at the requested indices (n_max is
-    always included).
+    are taken of the partial sums S_n at the requested indices, which must
+    lie in [0, n_max] (n_max is always included).
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
+    snap_set = set(snapshot_ns or []) | {n_max}
+    if min(snap_set) < 0 or max(snap_set) > n_max:
+        raise DomainError(f"snapshot indices must lie in [0, {n_max}]")
     grid = op.grid
     h = op.density_values
     v = np.asarray(v, dtype=float)
     if v.shape != (grid.m,):
         raise DomainError("observable shape does not match the operator grid")
 
-    snapshot_ns = sorted(set((snapshot_ns or [])) | {n_max})
     s0 = h * v
     delta = grid.width
     tn = np.zeros(n_max + 1)
     snaps: dict[int, np.ndarray] = {}
     s_sum = np.zeros(grid.m)
-    s_all = np.zeros((n_max + 1, grid.m)) if keep_history else None
 
     need = _fast_bytes(op.j_direct, op.groups, grid.m, n_max)
     if need > _FAST_LIMIT:
@@ -360,12 +359,9 @@ def renewal_action(
             f"above its {_FAST_LIMIT / 2**30:.3g} GiB limit; lower nmax, ntrunc or grid"
         )
 
-    snap_set = set(snapshot_ns)
     for n, s in _fast_steps(op.stacked, op.window, op.j_direct, op.groups, s0, n_max):
         tn[n] = s.sum() * delta
         s_sum += s
-        if s_all is not None:
-            s_all[n] = s
         if n in snap_set:
             snaps[n] = s_sum / h  # back to measure-normalized form
-    return RenewalAccumulator(n_max=n_max, tn_integral=tn, snapshots=snaps, s_all=s_all)
+    return RenewalAccumulator(n_max=n_max, tn_integral=tn, snapshots=snaps)

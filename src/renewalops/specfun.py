@@ -87,38 +87,24 @@ class SlowlyVarying:
     kind:
         ``"constant"``  -- ell(x) = c
         ``"log_power"`` -- ell(x) = c * log(x)**p  (p = -1 gives c/log)
-        ``"tabulated"`` -- linear interpolation of (log x, value) knots,
-        extended by the boundary values.
     """
 
     kind: str = "constant"
     c: float = 1.0
     p: float = 0.0
-    knots_x: tuple = ()
-    knots_val: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("constant", "log_power", "tabulated"):
+        if self.kind not in ("constant", "log_power"):
             raise DomainError(f"unknown slowly varying kind {self.kind!r}")
-        if self.kind in ("constant", "log_power") and self.c <= 0:
+        if self.c <= 0:
             raise DomainError("scale c must be positive")
-        if self.kind == "tabulated":
-            x = np.asarray(self.knots_x, dtype=float)
-            v = np.asarray(self.knots_val, dtype=float)
-            if x.size < 2 or x.size != v.size:
-                raise DomainError("tabulated model needs matching knot arrays")
-            if np.any(np.diff(x) <= 0) or np.any(v <= 0):
-                raise DomainError("knots must be increasing with positive values")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
             out = np.full_like(x, self.c)
-        elif self.kind == "log_power":
-            out = self.c * np.log(x) ** self.p
         else:
-            out = np.interp(np.log(x), np.log(np.asarray(self.knots_x, float)),
-                            np.asarray(self.knots_val, float))
+            out = self.c * np.log(x) ** self.p
         return out if out.ndim else float(out)
 
 

@@ -55,20 +55,24 @@ __all__ = [
 _X_BREAK = math.exp(-1.0)
 _MAX_PANELS = 1 << 20
 _QUAD_BATCH = 1 << 14
+# Gauss-Legendre nodes per quadrature panel
+_GL_ORDER = 12
+# relative tolerance of the contour validators' oscillatory quadrature
+_CONTOUR_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
 # quadrature: composite Gauss-Legendre with oscillation-resolving panels
 # ---------------------------------------------------------------------------
 
 
-def _panel_quad(f, a: float, b: float, n_panels: int, order: int = 12) -> complex:
-    """Composite Gauss-Legendre of ``order`` nodes on n_panels equal panels.
+def _panel_quad(f, a: float, b: float, n_panels: int) -> complex:
+    """Composite ``_GL_ORDER``-node Gauss-Legendre on n_panels equal panels.
 
     The integrand is evaluated ``_QUAD_BATCH`` panels at a time and the
     batch totals are added in panel order, so the transient node arrays
     stay at a fixed size (about 3 MB each) however many panels there are.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
     edges = np.linspace(a, b, n_panels + 1)
     total = 0j
     for start in range(0, n_panels, _QUAD_BATCH):
@@ -76,7 +80,7 @@ def _panel_quad(f, a: float, b: float, n_panels: int, order: int = 12) -> comple
         mid = 0.5 * (batch[:-1] + batch[1:])
         half = 0.5 * np.diff(batch)
         x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        vals = np.asarray(f(x), dtype=complex).reshape(len(mid), order)
+        vals = np.asarray(f(x), dtype=complex).reshape(len(mid), _GL_ORDER)
         total += complex(np.sum(vals * weights[None, :] * half[:, None]))
     return total
 
@@ -119,19 +123,16 @@ def adaptive_oscillatory_quad(
 class OneSidedPoly:
     """Polynomial with q(0) = 0 lying on one side of the step g = 1_[1/e, 1].
 
-    Evaluation uses the numerically stable representation available:
-    ``cheb_r`` holds r with q(x) = x * r(x) (constructive majorant),
-    ``cheb_q`` holds q itself in the shifted Chebyshev basis (fits), and
-    ``b`` holds monomial coefficients (b[0] = 0), which at higher degrees
-    are exponentially large and kept for reporting their growth.  ``gap``
-    is the one-sided approximation gap in the measure the construction was
-    run against.
+    Evaluation uses the numerically stable representation given:
+    ``cheb_r`` holds r with q(x) = x * r(x) (constructive majorant), and
+    ``cheb_q`` holds q itself in the shifted Chebyshev basis (fits).
+    ``gap`` is the one-sided approximation gap in the measure the
+    construction was run against.
     """
 
     side: str
     degree: int
     gap: float
-    b: np.ndarray | None = None
     cheb_q: np.ndarray | None = None
     cheb_r: np.ndarray | None = None
 
@@ -143,14 +144,10 @@ class OneSidedPoly:
         x = np.asarray(x, dtype=float)
         if self.cheb_r is not None:
             return x * ncheb.chebval(2.0 * x - 1.0, self.cheb_r)
-        if self.cheb_q is not None:
-            return ncheb.chebval(2.0 * x - 1.0, self.cheb_q)
-        return np.polynomial.polynomial.polyval(x, self.b)
+        return ncheb.chebval(2.0 * x - 1.0, self.cheb_q)
 
     def monomial(self) -> np.ndarray:
         """Monomial coefficients of q (exponentially large at high degree)."""
-        if self.b is not None:
-            return self.b
         if self.cheb_q is not None:
             t = ncheb.Chebyshev(self.cheb_q, domain=[0.0, 1.0])
             return t.convert(kind=np.polynomial.Polynomial).coef
@@ -161,18 +158,15 @@ class OneSidedPoly:
         mono = self.monomial()
         return float(np.abs(mono[1:]).sum())
 
-    def sign_check(self, n_points: int = 10**4, margin: float | None = None) -> bool:
-        """Sampled one-sidedness against the step on a grid of [0, 1].
+    def sign_check(self) -> bool:
+        """Sampled one-sidedness against the step at 10**4 + 1 Chebyshev points.
 
-        The default margin is a roundoff allowance scaled to the size of
-        the coefficients in the representation actually evaluated.
+        The margin is a roundoff allowance scaled to the size of the
+        coefficients in the representation actually evaluated.
         """
-        if margin is None:
-            for coeffs in (self.cheb_r, self.cheb_q, self.b):
-                if coeffs is not None:
-                    margin = 1e-12 * max(1.0, float(np.abs(coeffs).sum()))
-                    break
-        x = 0.5 * (1.0 + np.cos(np.pi * np.arange(n_points + 1) / n_points))
+        coeffs = self.cheb_r if self.cheb_r is not None else self.cheb_q
+        margin = 1e-12 * max(1.0, float(np.abs(coeffs).sum()))
+        x = 0.5 * (1.0 + np.cos(np.pi * np.arange(10**4 + 1) / 10**4))
         q = self(x)
         g = (x >= _X_BREAK).astype(float)
         if self.side == "upper":
@@ -180,17 +174,18 @@ class OneSidedPoly:
         return bool(np.all(q <= g + margin))
 
 
-def _weighted_gap(poly: OneSidedPoly, weight_power: float = -1.5) -> float:
-    """integral of (q - g) x**weight_power over (0, 1] by panel quadrature.
+def _weighted_gap(poly: OneSidedPoly) -> float:
+    """integral of (q - g) x**-3/2 over (0, 1] by panel quadrature.
 
-    Runs in the variable s = sqrt(x), where the integrand is regular at 0
+    The weight is the one of ``indicator_majorant``'s closed-form gap.  Runs
+    in the variable s = sqrt(x), where the integrand is regular at 0
     because q has no constant term.
     """
 
     def f(s):
         x = s * s
         g = (x >= _X_BREAK).astype(float)
-        return 2.0 * (poly(x) - g) * s ** (2.0 * weight_power + 1.0)
+        return 2.0 * (poly(x) - g) * s ** -2.0
 
     s_break = math.sqrt(_X_BREAK)
     total = 0.0
@@ -281,19 +276,20 @@ def _dct_prepare(padded: np.ndarray) -> np.ndarray:
     return out
 
 
-def _basis_gap_moments(m: int, beta: float, n_panels: int = 500, order: int = 12) -> np.ndarray:
+def _basis_gap_moments(m: int, beta: float) -> np.ndarray:
     """integral of T_k(2 e^{-t} - 1) - T_k(-1) against d(t^beta), k = 0..m.
 
     In the variable tau = t^beta the measure is Lebesgue and the integrand
-    decays like exp(-tau^(1/beta)); panels are graded geometrically near 0
-    where the substitution leaves a mild fractional-power kink.
+    decays like exp(-tau^(1/beta)); 500 panels are graded geometrically
+    near 0, where the substitution leaves a mild fractional-power kink.
     """
+    n_panels = 500
     tau_hi = 60.0**beta
     edges = np.concatenate([
         [0.0], np.geomspace(tau_hi * 1e-8, tau_hi * 0.2, n_panels // 2),
         np.linspace(tau_hi * 0.2, tau_hi, n_panels // 2)[1:],
     ])
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     tau = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
@@ -308,22 +304,21 @@ def one_sided_fit(
     m: int,
     side: str,
     beta: float = 0.5,
-    n_grid: int | None = None,
 ) -> OneSidedPoly:
     """Minimal-gap one-sided polynomial of degree m by linear programming.
 
     The gap functional is the integral of q(e^{-t}) - g(e^{-t}) against
     d(t**beta) (closed-form moments Gamma(1+beta) k**-beta for x**k), the
     measure in which the gap of the optimal pair decays like 1/m.  The sign
-    constraint is imposed on a Chebyshev grid, re-verified on a 10x finer
+    constraint is imposed on a Chebyshev grid of max(2048, 128 m)
+    intervals, re-verified on a 10x finer
     grid, and repaired by a multiple-of-x nudge if sampling missed a dip.
     """
     if m < 2:
         raise DomainError("degree must be >= 2")
     if side not in ("upper", "lower"):
         raise DomainError("side must be 'upper' or 'lower'")
-    if n_grid is None:
-        n_grid = max(2048, 128 * m)
+    n_grid = max(2048, 128 * m)
     # moments of the shifted Chebyshev basis against d(t^beta), with the
     # value at x = 0 subtracted (the q(0) = 0 constraint makes them finite);
     # computed by quadrature in tau = t^beta, which is stable at any degree
@@ -390,7 +385,6 @@ class KernelParams:
     n: int
     p: int = 2
     gamma_exp: float = 0.25
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         if self.n < 2 * self.p + 1:
@@ -448,12 +442,11 @@ def phi_from_sequence(u: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return phi
 
 
-def kernel_defect_bound(params: KernelParams, seq_bound: float = 1.0,
-                        constant: float = 25.0) -> float:
+def kernel_defect_bound(params: KernelParams, seq_bound: float = 1.0) -> float:
     """Bound on the window-identity defect for |u_j| <= seq_bound.
 
     Sums the per-mode kernel weight alpha^{2p} / (alpha^p |j-n|^p + 1)
-    against r^j; ``constant`` absorbs the implied constants of the kernel
+    against r^j; the factor 25 absorbs the implied constants of the kernel
     estimates (empirically a few units; 25 is comfortably conservative).
     """
     n, p, r, alpha = params.n, params.p, params.r, params.alpha
@@ -461,7 +454,7 @@ def kernel_defect_bound(params: KernelParams, seq_bound: float = 1.0,
     j = np.arange(0, j_hi + 1, dtype=float)
     w = alpha ** (2 * p) / (alpha**p * np.abs(j - n) ** p + 1.0)
     total = float(np.sum(r**j * w))
-    return constant * seq_bound * total / (2.0 * math.pi * r ** (n - 2 * p) * params.window_weight)
+    return 25.0 * seq_bound * total / (2.0 * math.pi * r ** (n - 2 * p) * params.window_weight)
 
 
 def kernel_extract(
@@ -485,9 +478,7 @@ def kernel_extract(
         kern = ((eit - np.exp(1j * alpha)) ** p) * ((eit - np.exp(-1j * alpha)) ** p)
         return phi(z) / (1.0 - z) * kern * np.exp(-1j * n * t)
 
-    val, quad_err = adaptive_oscillatory_quad(
-        integrand, -alpha, alpha, freq=float(n), tol=params.quad_tol
-    )
+    val, quad_err = adaptive_oscillatory_quad(integrand, -alpha, alpha, freq=float(n))
     denom = 2.0 * math.pi * r ** (n - 2 * p) * params.window_weight
     est = val / denom
     return KernelExtract(
@@ -504,8 +495,8 @@ def kernel_extract(
 # ---------------------------------------------------------------------------
 
 
-def rotated_gamma_integral(beta: float, u: float, theta: float, r_hi: float,
-                           tol: float = 1e-9) -> tuple[complex, float]:
+def rotated_gamma_integral(beta: float, u: float, theta: float,
+                           r_hi: float) -> tuple[complex, float]:
     """integral_0^R e^{-wx} (wx)^{-beta} w dx with w = u - i theta.
 
     Converges to Gamma(1-beta) as R grows, with deviation O(R^-beta).  The
@@ -533,12 +524,12 @@ def rotated_gamma_integral(beta: float, u: float, theta: float, r_hi: float,
     tail_val, err = (0.0, 0.0)
     if x_cut < r_hi:
         tail_val, err = adaptive_oscillatory_quad(
-            f_osc, x_cut, r_hi, freq=abs(theta), tol=tol
+            f_osc, x_cut, r_hi, freq=abs(theta), tol=_CONTOUR_TOL
         )
     return head + tail_val, float(err)
 
 
-def _finite_line_integral(nu: float, s_hi: float, tol: float = 1e-9) -> tuple[complex, float]:
+def _finite_line_integral(nu: float, s_hi: float) -> tuple[complex, float]:
     """integral_{-S}^{S} (1 - i s)^{-nu} e^{-i s} ds by oscillatory panels.
 
     The integrand is evaluated in polar form, (1 + s^2)^{-nu/2}
@@ -548,15 +539,15 @@ def _finite_line_integral(nu: float, s_hi: float, tol: float = 1e-9) -> tuple[co
     def f(s):
         return (1.0 + s * s) ** (-0.5 * nu) * np.exp(1j * (nu * np.arctan(s) - s))
 
-    return adaptive_oscillatory_quad(f, -s_hi, s_hi, freq=1.0, tol=tol)
+    return adaptive_oscillatory_quad(f, -s_hi, s_hi, freq=1.0, tol=_CONTOUR_TOL)
 
 
-def _upper_tail_ibp(nu: float, s_hi: float, terms: int = 4) -> complex:
-    """integral_S^infinity (1-is)^{-nu} e^{-is} ds by integration by parts."""
+def _upper_tail_ibp(nu: float, s_hi: float) -> complex:
+    """integral_S^infinity (1-is)^{-nu} e^{-is} ds by four integrations by parts."""
     total = 0.0 + 0.0j
     coef = 1.0
     v = nu
-    for _ in range(terms):
+    for _ in range(4):
         total += coef * (-1j) * np.exp(-1j * s_hi) * (1.0 - 1j * s_hi) ** (-v)
         coef *= v
         v += 1.0
@@ -575,18 +566,19 @@ class LineIntegralResult:
         return abs(self.value - self.closed_form)
 
 
-def line_power_integral(beta: float, s_hi: float = 1e5, tol: float = 1e-9) -> LineIntegralResult:
+def line_power_integral(beta: float) -> LineIntegralResult:
     """integral over the real line of (1 - i s)^{-(beta+1)} e^{-i s} ds.
 
-    Equals 2 pi / (e Gamma(1+beta)).  The quadrature runs over |s| <= S
-    with the two tails restored by integration by parts; the reported error
-    bar carries the conservative analytic tail bound 2 S^-beta / beta plus
-    the quadrature estimate.
+    Equals 2 pi / (e Gamma(1+beta)).  The quadrature runs over |s| <= S =
+    1e5 with the two tails restored by integration by parts; the reported
+    error bar carries the conservative analytic tail bound 2 S^-beta / beta
+    plus the quadrature estimate.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
     nu = beta + 1.0
-    core, quad_err = _finite_line_integral(nu, s_hi, tol)
+    s_hi = 1e5
+    core, quad_err = _finite_line_integral(nu, s_hi)
     tail = _upper_tail_ibp(nu, s_hi)
     total = core + 2.0 * tail.real  # left tail is the conjugate of the right
     closed = 2.0 * math.pi / math.e / gamma(1.0 + beta)
@@ -605,8 +597,7 @@ class WindowIntegralResult:
     quad_error: float
 
 
-def window_power_integral(rho: float, gamma_exp: float, n: int,
-                          tol: float = 1e-9) -> WindowIntegralResult:
+def window_power_integral(rho: float, gamma_exp: float, n: int) -> WindowIntegralResult:
     """integral_{-n^-g}^{n^-g} e^{-i n t} (1/n - i t)^{-(rho+1)} dt.
 
     Rescaling s = n t reduces it to the line-power integral truncated at
@@ -616,7 +607,7 @@ def window_power_integral(rho: float, gamma_exp: float, n: int,
     if rho <= 0 or not 0.0 < gamma_exp < 1.0 or n < 10:
         raise DomainError("need rho > 0, gamma in (0, 1), n >= 10")
     s_hi = float(n) ** (1.0 - gamma_exp)
-    core, quad_err = _finite_line_integral(rho + 1.0, s_hi, tol)
+    core, quad_err = _finite_line_integral(rho + 1.0, s_hi)
     value = float(n) ** rho * core
     main = 2.0 * math.pi / math.e * float(n) ** rho / gamma(1.0 + rho)
     return WindowIntegralResult(

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import renewalops as ro
 from renewalops.errors import DomainError
 from renewalops.induced import _branch_entries, _tail_completion
-from renewalops.renewal_engine import FastLayout
+from renewalops.renewal_engine import FastLayout, _fast_steps
 
 SESSION_T0 = time.time()
 
@@ -125,6 +125,13 @@ def exact_history(op, v, n_max) -> np.ndarray:
     s0 = op.density_values * np.asarray(v, dtype=float)
     branches = op.branch_matrices()[: min(n_max, op.n_trunc)]
     return np.array([s for _, s in exact_steps(branches, s0, n_max)])
+
+
+def fast_history(op, v, n_max) -> np.ndarray:
+    """s_0..s_{n_max} of the engine ``renewal_action`` runs, for the measure-normalized v."""
+    s0 = op.density_values * np.asarray(v, dtype=float)
+    steps = _fast_steps(op.stacked, op.window, op.j_direct, op.groups, s0, n_max)
+    return np.array([s.copy() for _, s in steps])
 
 
 def block_series(op, z: complex, extended: bool = False) -> np.ndarray:

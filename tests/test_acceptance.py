@@ -236,9 +236,10 @@ def test_criterion_10_polynomial_machinery():
     gaps = {}
     for eps in (0.5, 0.1):
         gaps[eps] = tb.indicator_majorant(eps).gap
-    quad_up = tb.OneSidedPoly("upper", 2, gap=0.0, b=np.array([0.0, 8.0, -7.0]))
-    quad_lo = tb.OneSidedPoly("lower", 2, gap=0.0, b=np.array([0.0, -1.0, 2.0]))
-    signs = quad_up.sign_check(10**4) and quad_lo.sign_check(10**4)
+    # 8x - 7x**2 and 2x**2 - x in the shifted Chebyshev basis T_k(2x - 1)
+    quad_up = tb.OneSidedPoly("upper", 2, gap=0.0, cheb_q=np.array([11 / 8, 1 / 2, -7 / 8]))
+    quad_lo = tb.OneSidedPoly("lower", 2, gap=0.0, cheb_q=np.array([1 / 4, 1 / 2, 1 / 4]))
+    signs = quad_up.sign_check() and quad_lo.sign_check()
     fit_gaps = {m: tb.one_sided_fit(m, "upper").gap for m in (4, 8, 16, 32)}
     ms = sorted(fit_gaps)
     decreasing = all(fit_gaps[b] < fit_gaps[a] for a, b in zip(ms, ms[1:]))

@@ -48,8 +48,20 @@ class TestConfig:
 
 
 class TestExitCodes:
-    def test_validation_failure(self, tmp_path):
-        assert main(["contour", "--beta", "1.5", "--out", str(tmp_path)]) == 2
+    def test_validation_failure(self, tmp_path, capsys):
+        bad_flags = [["contour", "--beta", "1.5"], ["kernel", "--gamma", "0.7"],
+                     ["polys", "--epsilon", "0"], ["polys", "--degrees", "a"],
+                     ["polys", "--degrees", "4,1"]]
+        # argparse's choices catch these values as flags, but not from a file
+        bad_lines = ["family = foo", "check = B9"]
+        for argv in bad_flags:
+            assert main(argv + ["--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        for line in bad_lines:
+            f = tmp_path / "bad.cfg"
+            f.write_text(line + "\n")
+            assert main(["contour", "--config", str(f), "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:

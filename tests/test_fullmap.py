@@ -16,7 +16,7 @@ import pytest
 import renewalops as ro
 from renewalops.ladder import integral_tail_factor, pullback_row
 
-from conftest import bisect_left_branch
+from conftest import bisect_left_branch, fast_history
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ class TestRenewalCrossCheck:
         h = op.density_values
         centers = 0.5 * (grid.edges[:-1] + grid.edges[1:])
         w = 1.0 + 0.5 * np.cos(2 * np.pi * centers)
-        acc = ro.renewal_action(op, w / h, 20, keep_history=True)
+        s_all = fast_history(op, w / h, 20)
         mesh = GradedMesh(floor=1e-4, points_per_decade=3000)
         obs = y_supported(mesh, lambda x: np.interp(x, centers, w,
                                                     left=w[0], right=w[-1]))
@@ -217,7 +217,7 @@ class TestRenewalCrossCheck:
             cur = full_map_transfer(spec, cur)
             if n in (1, 5, 20):
                 cell_avg = np.diff(cur.cumulative_at(grid.edges)) / grid.width
-                assert np.max(np.abs(acc.s_all[n] - cell_avg)) < 5e-4
+                assert np.max(np.abs(s_all[n] - cell_avg)) < 5e-4
 
 
 class TestExtendedDensity:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import renewalops as ro
+from renewalops import induced
 from renewalops.errors import NumericalError
 
 from conftest import block_series, doubling_branch_matrix
@@ -152,6 +153,21 @@ class TestAssembly:
         with pytest.raises(NumericalError):
             ro.assemble_operator(ro.MapSpec("lsv", alpha=2.0), ro.Grid(32),
                                  n_trunc=4, deficit_bound=0.05)
+
+    def test_size_guard_raises_before_the_ladder(self, monkeypatch):
+        spec, m, n_trunc = ro.MapSpec("lsv", alpha=2.0), 64, 200
+        need = 8 * m * m + 8 * (2 * n_trunc + 1)  # the default k_ladder is 2 n_trunc
+        built = []
+        ladder = induced.BranchLadder
+        monkeypatch.setattr(induced, "BranchLadder",
+                            lambda *a, **k: built.append(1) or ladder(*a, **k))
+        monkeypatch.setattr(induced, "_FAST_LIMIT", need - 1)
+        with pytest.raises(NumericalError, match="lower grid or ntrunc"):
+            ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
+        assert built == []
+        monkeypatch.setattr(induced, "_FAST_LIMIT", need)
+        ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
+        assert built
 
     def test_doubling_first_return_only(self, doubling_op):
         assert doubling_op.n_trunc == 1

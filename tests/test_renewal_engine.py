@@ -7,9 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import renewalops as ro
 from renewalops import renewal_engine
-from renewalops.errors import NumericalError
+from renewalops.errors import DomainError, NumericalError
 
-from conftest import exact_history, exact_steps, literal_exact_steps, synthetic_operator
+from conftest import (exact_history, exact_steps, fast_history, literal_exact_steps,
+                      synthetic_operator)
 
 
 @st.composite
@@ -94,26 +95,25 @@ class TestPathAgreement:
     def test_fast_matches_exact_on_assembled_operators(self, case):
         op, v, n_max = assemble_case(**case)
         exact = exact_history(op, v, n_max)
-        fast = ro.renewal_action(op, v, n_max, keep_history=True)
-        assert np.max(np.abs(fast.s_all - exact)) < 1e-10
+        fast = fast_history(op, v, n_max)
+        assert np.max(np.abs(fast - exact)) < 1e-10
 
 
 class TestStructure:
     def test_positivity(self, lsv2_small):
         v = np.abs(np.sin(np.arange(lsv2_small.grid.m)))
-        acc = ro.renewal_action(lsv2_small, v, 100, keep_history=True)
-        assert acc.s_all.min() >= -1e-13
+        assert fast_history(lsv2_small, v, 100).min() >= -1e-13
 
     def test_convolution_identity_literal(self, lsv2_small):
         # s_n = sum_j R_j s_{n-j} re-verified against independently built blocks
         v = np.ones(lsv2_small.grid.m)
-        acc = ro.renewal_action(lsv2_small, v, 60, keep_history=True)
+        s_all = fast_history(lsv2_small, v, 60)
         mats = lsv2_small.branch_matrices()
         for n in (1, 7, 33, 60):
             expect = np.zeros(lsv2_small.grid.m)
             for j in range(1, min(n, len(mats)) + 1):
-                expect += mats[j - 1] @ acc.s_all[n - j]
-            assert np.max(np.abs(acc.s_all[n] - expect)) < 1e-11
+                expect += mats[j - 1] @ s_all[n - j]
+            assert np.max(np.abs(s_all[n] - expect)) < 1e-11
 
     def test_partial_sums_track_integrals(self, lsv2_small):
         v = np.ones(lsv2_small.grid.m)
@@ -128,6 +128,12 @@ class TestStructure:
                                 snapshot_ns=[10, 20])
         assert sorted(acc.snapshots) == [10, 20, 40]
 
+    @pytest.mark.parametrize("snapshot_ns", [[-1], [10, 41]])
+    def test_snapshot_outside_range_rejected(self, lsv2_small, snapshot_ns):
+        with pytest.raises(DomainError, match="snapshot"):
+            ro.renewal_action(lsv2_small, np.ones(lsv2_small.grid.m), 40,
+                              snapshot_ns=snapshot_ns)
+
 
 class TestExactPath:
     @settings(max_examples=80, deadline=None)
@@ -141,8 +147,8 @@ class TestExactPath:
         k = min(n_max, op.n_trunc)
         yielded = np.array([s for _, s in exact_steps(blocks[:k], s0, n_max)])
         assert yielded.tobytes() == want
-        fast = ro.renewal_action(op, v, n_max, keep_history=True)
-        assert np.max(np.abs(fast.s_all - yielded)) < 1e-10
+        fast = fast_history(op, v, n_max)
+        assert np.max(np.abs(fast - yielded)) < 1e-10
 
 
 class TestFastPath:

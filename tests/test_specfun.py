@@ -132,7 +132,6 @@ class TestSlowlyVarying:
         ro.SlowlyVarying("constant", c=2.0),
         ro.SlowlyVarying("log_power", c=1.0, p=-1.0),
         ro.SlowlyVarying("log_power", c=3.0, p=2.0),
-        ro.SlowlyVarying("tabulated", knots_x=(2.0, 1e3, 1e8), knots_val=(1.0, 1.3, 1.35)),
     ])
     def test_positive_and_slowly_varying(self, ell):
         x = np.geomspace(2.0, 1e7, 40)

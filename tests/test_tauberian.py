@@ -71,16 +71,23 @@ class TestPanelQuad:
         assert got == pytest.approx(exact, rel=1e-13)
 
 
+# 8x - 7x**2 and 2x**2 - x in the shifted Chebyshev basis T_k(2x - 1)
+MAJORANT_QUADRATIC = np.array([11 / 8, 1 / 2, -7 / 8])
+MINORANT_QUADRATIC = np.array([1 / 4, 1 / 2, 1 / 4])
+
+
 class TestFixedQuadratics:
     def test_majorant_quadratic(self):
-        q = tb.OneSidedPoly("upper", 2, gap=0.0, b=np.array([0.0, 8.0, -7.0]))
-        assert q.sign_check(10**4)
+        q = tb.OneSidedPoly("upper", 2, gap=0.0, cheb_q=MAJORANT_QUADRATIC)
+        assert np.allclose(q.monomial(), [0.0, 8.0, -7.0], rtol=0, atol=1e-14)
+        assert q.sign_check()
         assert q(np.array([1.0]))[0] == pytest.approx(1.0)
         assert q(np.array([0.0]))[0] == 0.0
 
     def test_minorant_quadratic(self):
-        q = tb.OneSidedPoly("lower", 2, gap=0.0, b=np.array([0.0, -1.0, 2.0]))
-        assert q.sign_check(10**4)
+        q = tb.OneSidedPoly("lower", 2, gap=0.0, cheb_q=MINORANT_QUADRATIC)
+        assert np.allclose(q.monomial(), [0.0, -1.0, 2.0], rtol=0, atol=1e-14)
+        assert q.sign_check()
         assert q(np.array([1.0]))[0] == pytest.approx(1.0)
 
 
@@ -113,9 +120,8 @@ class TestOneSidedFit:
     def test_minimizer_beats_fixed_quadratic(self):
         # the fixed quadratic is a feasible point of the degree-2 problem
         fit = tb.one_sided_fit(2, "upper")
-        fixed = tb.OneSidedPoly("upper", 2, gap=0.0, b=np.array([0.0, 8.0, -7.0]))
         w = tb._basis_gap_moments(2, 0.5)
-        fixed_gap = 8 * (w[0] + w[1]) / 2 - 7 * (3 * w[0] + 4 * w[1] + w[2]) / 8 - 1.0
+        fixed_gap = float(np.dot(MAJORANT_QUADRATIC, w)) - 1.0
         assert fit.gap <= fixed_gap + 1e-9
 
     def test_gap_and_coefficient_trends(self):
@@ -123,7 +129,7 @@ class TestOneSidedFit:
         for m in (4, 8, 16, 32):
             for side in ("upper", "lower"):
                 p = tb.one_sided_fit(m, side)
-                assert p.sign_check(10**4)
+                assert p.sign_check()
                 if side == "upper":
                     gaps[m], sums[m] = p.gap, p.coefficient_sum()
         ms = sorted(gaps)
