@@ -38,6 +38,10 @@ __all__ = [
     "return_time_tail",
 ]
 
+# operands of the left-branch evaluations, as 0-d arrays: numpy converts a
+# Python float operand on every call
+_ONE, _TWO, _MINUS_ONE = np.array(1.0), np.array(2.0), np.array(-1.0)
+
 
 @dataclass(frozen=True)
 class MapSpec:
@@ -63,13 +67,38 @@ class MapSpec:
             return x * (1.0 + (2.0 * x) ** self.alpha)
         return x * (1.0 + x * math.exp(-1.0 / x))
 
-    def left_and_deriv_np(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Left branch and its derivative on an array, sharing one power or exp."""
+    def left_np(self, x: np.ndarray, share: np.ndarray, tmp: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+        """Left branch of the array x, written into ``out``.
+
+        ``share`` receives the power (2x)**alpha or exp(-1/x) that
+        ``left_deriv_np`` reuses; ``tmp`` is scratch.  The four arrays have
+        x's shape and do not overlap.  Only the power and exp run in place,
+        where numpy takes the same SIMD loop as on a fresh output; any other
+        output that is also an input would cost numpy an overlap check,
+        which dominates on a one-cell row.
+        """
         if self.family == "lsv":
-            p = (2.0 * x) ** self.alpha
-            return x * (1.0 + p), 1.0 + (self.alpha + 1.0) * p
-        e = np.exp(-1.0 / x)
-        return x * (1.0 + x * e), 1.0 + (2.0 * x + 1.0) * e
+            np.multiply(_TWO, x, share)
+            share **= self.alpha
+            np.add(_ONE, share, tmp)
+        else:
+            np.divide(_MINUS_ONE, x, share)
+            np.exp(share, share)
+            np.multiply(x, share, out)
+            np.add(out, _ONE, tmp)
+        return np.multiply(x, tmp, out)
+
+    def left_deriv_np(self, x: np.ndarray, share: np.ndarray, tmp: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+        """Derivative of the left branch at x into ``out``, from ``left_np``'s ``share``."""
+        if self.family == "lsv":
+            np.multiply(self.alpha + 1.0, share, tmp)
+        else:
+            np.multiply(_TWO, x, tmp)
+            np.add(tmp, _ONE, out)
+            np.multiply(out, share, tmp)
+        return np.add(tmp, _ONE, out)
 
     @property
     def left_image_sup(self) -> float:

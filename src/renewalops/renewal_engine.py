@@ -98,7 +98,7 @@ class FastLayout:
 
     Branches j < ``j_direct`` go to the stacked window, the rest up to
     ``n_trunc`` to per-source-cell kernels; later branches are ignored.  The
-    default ``j_direct`` is min(n_trunc + 1, 512), and any value is clamped
+    default ``j_direct`` is min(n_trunc + 1, 128), and any value is clamped
     to [2, n_trunc + 1].  Each source cell stores only its band of lags,
     filled block by block as entries arrive, in dyadic pieces: a piece
     starting at lag p spans at most min(p rounded down to a power of two,
@@ -106,11 +106,19 @@ class FastLayout:
     of two, raised to ``_BLOCK_MIN`` where p allows, so it never exceeds p.
     Pieces of equal block length form one ``KernelGroup``.  Rows at or above
     ``row_hi`` must be zero in every kernel branch.
+
+    Why 128: from lag 51 on, every branch reads at most two source cells
+    (lsv alpha = 5/3 and lsv0 at grid 1024, alpha = 2 and 2.5 at grid 512),
+    so those lags are cheap as kernel pieces and costly as window entries.
+    On lsv0 at grid 1024 with ``n_trunc`` 2500, 2,500 steps took the engine
+    0.29 s at 512, 0.20 s at 256, 0.19 s at 128, 0.20 s at 64 and 0.22 s
+    at 32 (2-vCPU x86, one BLAS thread): below ~64 the launches of the many
+    short pieces cost more than the smaller window saves.
     """
 
     def __init__(self, m: int, n_trunc: int, j_direct: int | None, row_hi: int):
         if j_direct is None:
-            j_direct = min(n_trunc + 1, 512)
+            j_direct = min(n_trunc + 1, 128)
         self.m = m
         self.n_trunc = n_trunc
         self.j_direct = max(2, min(j_direct, n_trunc + 1))

@@ -197,7 +197,6 @@ class SecondOrderConstant:
 
     value: float
     error_bar: float
-    cutoff: int
 
 
 def second_order_constant(
@@ -246,7 +245,6 @@ def second_order_constant(
     return SecondOrderConstant(
         value=-integral / g1,
         error_bar=(richardson_err + h_tail) / g1,
-        cutoff=cutoff,
     )
 
 

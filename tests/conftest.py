@@ -5,8 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 import renewalops as ro
-from renewalops.errors import DomainError
+from renewalops.errors import DomainError, NumericalError
 from renewalops.induced import _branch_entries, _tail_completion
+from renewalops.ladder import _MAX_ITER, _TOL
 from renewalops.renewal_engine import FastLayout, _fast_steps
 
 SESSION_T0 = time.time()
@@ -21,6 +22,33 @@ def bisect_left_branch(spec, target, lo=1e-12, hi=0.5, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_left_and_deriv(spec, x):
+    """Left branch and its derivative on an array, sharing one power or exp."""
+    if spec.family == "lsv":
+        p = (2.0 * x) ** spec.alpha
+        return x * (1.0 + p), 1.0 + (spec.alpha + 1.0) * p
+    e = np.exp(-1.0 / x)
+    return x * (1.0 + x * e), 1.0 + (2.0 * x + 1.0) * e
+
+
+# The tests' reference for ``ladder.pullback_row``: the same Newton with a
+# fresh array for every value, which the in-place one must match bit for bit.
+def reference_pullback_row(spec, targets, w0):
+    """Solve left(w) = target elementwise by monotone Newton from above."""
+    w = w0.copy()
+    fw, dfw = reference_left_and_deriv(spec, w)
+    for _ in range(_MAX_ITER):
+        err = fw - targets
+        if np.abs(err).max() <= _TOL:
+            return w
+        w -= err / dfw
+        np.maximum(w, 1e-300, out=w)
+        fw, dfw = reference_left_and_deriv(spec, w)
+    if np.abs(fw - targets).max() > 1e-12:
+        raise NumericalError("vectorized left-branch pullback stalled")
+    return w
 
 
 def doubling_branch_matrix(m: int) -> sp.csr_matrix:

@@ -139,7 +139,7 @@ class TestOutputs:
     (["tails", "--family", "lsv0", "--n", "100", "--grid", "128"], "tails.csv"),
     (["dual-ergodic", "--alpha", "2", "--grid", "128", "--ntrunc", "400", "--nmax", "300"],
      "dual_ergodic.csv"),
-    # j_direct is 512 here, so the FFT kernel groups for lags 512..800 launch
+    # j_direct is 128 by default, so the FFT kernel groups for lags 128..800 launch
     (["dual-ergodic", "--alpha", "2", "--grid", "128", "--ntrunc", "800", "--nmax", "800"],
      "dual_ergodic.csv"),
 ])

@@ -16,7 +16,7 @@ import pytest
 import renewalops as ro
 from renewalops.ladder import integral_tail_factor, pullback_row
 
-from conftest import bisect_left_branch, fast_history
+from conftest import bisect_left_branch, fast_history, reference_left_and_deriv
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def full_map_transfer(spec, obs):
     if np.any(inside):
         targets = np.minimum(nodes[inside], sup * (1 - 1e-14))
         y = pullback_row(spec, targets, targets)
-        out[inside] += obs(y) / spec.left_and_deriv_np(y)[1]
+        out[inside] += obs(y) / reference_left_and_deriv(spec, y)[1]
     floor = nodes[0]
     # mass landing in (0, floor): right-branch preimage is [1/2, (1+floor)/2];
     # the left-branch preimage interval is below the pullback of the floor
@@ -142,7 +142,7 @@ def extended_density(op, mesh, tol=1e-9, max_terms=4000):
         last_it = 0
         for it in range(1, max_terms + 1):
             xi = pullback_row(spec, xi, xi)
-            weight = weight / spec.left_and_deriv_np(xi)[1]
+            weight = weight / reference_left_and_deriv(spec, xi)[1]
             term = weight * h_at(0.5 * (xi + 1.0))
             acc = acc + term
             last_it = it

@@ -1,10 +1,11 @@
 """The blocked ladder and assembly against per-row reference loops.
 
-The reference pulls every clamped edge back rung by rung, as the ladder did
+The reference pulls every clamped edge back rung by rung with the
+allocating Newton of ``conftest.reference_pullback_row``, as the ladder did
 when it built its rows in one pass and re-pulled them in every sweep, and
 extracts each branch's Ulam entries one row at a time, as assembly did
-before it took whole blocks of rungs.  The blocked code must agree bit for
-bit.
+before it took whole blocks of rungs.  The blocked code, with its in-place
+Newton, must agree bit for bit.
 """
 
 import numpy as np
@@ -14,15 +15,16 @@ import scipy.sparse as sp
 import renewalops as ro
 from renewalops import renewal_engine
 from renewalops.induced import _tail_completion
-from renewalops.ladder import BranchLadder, pullback_row
+from renewalops.ladder import BranchLadder
 
-from conftest import block_series
+from conftest import block_series, reference_pullback_row
 
 N_RUNGS = 500  # also the assembly's k_ladder, which must reach n_trunc
 STRIDE = 128
 SPECS = {
     "lsv-5/3": ro.MapSpec("lsv", alpha=5.0 / 3.0),
     "lsv-2": ro.MapSpec("lsv", alpha=2.0),
+    "lsv-5/2": ro.MapSpec("lsv", alpha=2.5),
     "lsv0": ro.MapSpec("lsv0"),
 }
 
@@ -32,7 +34,7 @@ def reference_rungs(spec, edges, n_rungs):
     row = np.minimum(edges, spec.left_image_sup * (1.0 - 1e-14))
     rows = [row]
     for _ in range(n_rungs):
-        row = pullback_row(spec, row, row)
+        row = reference_pullback_row(spec, row, row)
         rows.append(row)
     return rows
 
@@ -143,6 +145,15 @@ class TestOnePassLadder:
         assert_sweep_matches(ladder, ref, 2, 6)  # restarts below the frontier
         assert np.array_equal(ladder.x_tail, [r[0] for r in ref])
         assert_sweep_matches(ladder, ref, STRIDE + 2, N_RUNGS + 2)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_one_edge_orbit(self, name):
+        spec, edges = SPECS[name], np.array([0.5])
+        ref = reference_rungs(spec, edges, N_RUNGS)
+        ladder = ro.tail_sequence(spec, N_RUNGS + 1)
+        assert np.array_equal(ladder.x_tail, [r[0] for r in ref])
+        assert_sweep_matches(ladder, ref, 1, N_RUNGS + 2)
+        assert_sweep_matches(ladder, ref, STRIDE - 3, STRIDE + 4)  # restarts below the frontier
 
     def test_only_distinct_columns_are_pulled(self, case):
         spec, edges, _ = case

@@ -152,6 +152,21 @@ class TestExactPath:
 
 
 class TestFastPath:
+    @pytest.mark.parametrize("spec", [ro.MapSpec("lsv", alpha=2.0), ro.MapSpec("lsv0")],
+                             ids=["lsv-2", "lsv0"])
+    def test_default_window_matches_wide_window(self, spec):
+        grid, n_trunc = ro.Grid(64), 600
+        op = ro.assemble_operator(spec, grid, n_trunc=n_trunc)
+        assert op.j_direct == min(n_trunc + 1, 128)
+        wide = ro.assemble_operator(spec, grid, n_trunc=n_trunc, j_direct=512)
+        v = np.random.default_rng(3).uniform(0.5, 1.5, grid.m)
+        ns = list(range(n_trunc + 1))
+        got = ro.renewal_action(op, v, n_trunc, snapshot_ns=ns)
+        want = ro.renewal_action(wide, v, n_trunc, snapshot_ns=ns)
+        np.testing.assert_allclose(got.tn_integral, want.tn_integral, rtol=1e-12, atol=0)
+        for n in ns:
+            np.testing.assert_allclose(got.snapshots[n], want.snapshots[n], rtol=1e-12, atol=0)
+
     def test_size_guard_raises_before_any_spectrum(self, monkeypatch):
         op = ro.assemble_operator(ro.MapSpec("lsv", alpha=2.0), ro.Grid(32), n_trunc=200,
                                   j_direct=16)
