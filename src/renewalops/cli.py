@@ -293,7 +293,7 @@ def _cmd_kernel(cfg: ExperimentConfig, outdir: Path) -> dict:
         phi = tb.phi_from_sequence(u)
         bound = float(np.max(np.abs(u)))
         for n in ns:
-            params = tb.KernelParams(n=n, p=2, gamma_exp=cfg.gamma)
+            params = tb.KernelParams(n=n, gamma_exp=cfg.gamma)
             ke = tb.kernel_extract(phi, params, seq_bound=bound)
             direct = float(np.sum(u[: n - 2 * params.p + 1]))
             rows.append([name, n, ke.estimate, direct,
@@ -361,7 +361,12 @@ def run(subcommand: str, cfg: ExperimentConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        print(f"error: out {cfg.out!r} is or lies under a file, not a directory",
+              file=sys.stderr)
+        return 2
     cfg.experiment = cfg.experiment or subcommand
     try:
         extra = _COMMANDS[subcommand](cfg, outdir)

@@ -23,18 +23,18 @@ class SlopeFit:
         return 2.0 * self.stderr
 
 
-def slope_fit(n: np.ndarray, values: np.ndarray, floor: float = 1e-300) -> SlopeFit:
+def slope_fit(n: np.ndarray, values: np.ndarray) -> SlopeFit:
     """Least-squares slope of log|values| against log n.
 
-    Zero entries are floored so transient exact cancellations do not poison
-    the fit.
+    Zero entries are floored at 1e-300 so transient exact cancellations do
+    not poison the fit.
     """
     n = np.asarray(n, dtype=float)
     v = np.abs(np.asarray(values, dtype=float))
     if n.shape != v.shape or n.size < 3:
         raise DomainError("slope fit needs >= 3 matching samples")
     x = np.log(n)
-    y = np.log(np.maximum(v, floor))
+    y = np.log(np.maximum(v, 1e-300))
     a, b = np.polyfit(x, y, 1)
     resid = y - (a * x + b)
     dof = max(n.size - 2, 1)

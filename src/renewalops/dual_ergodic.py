@@ -17,7 +17,7 @@ import numpy as np
 from .diagnostics import SlopeFit, slope_fit
 from .errors import DomainError
 from .induced import InducedOperator
-from .maps import TailModel
+from .maps import TailModel, return_time_tail
 from .renewal_engine import renewal_action
 from .scalar import AsymptoticExpansion, ReturnDistribution, second_order_constant
 from .specfun import Norming, SlowlyVarying
@@ -55,10 +55,8 @@ def tail_model_from_operator(op: InducedOperator) -> TailModel:
         return TailModel(beta=0.0, c=c, ell=SlowlyVarying("log_power", c=1.0 / c, p=1.0))
     beta = op.spec.beta
     c = 0.25 * beta**beta * h_half
-    hobs = op.density_observable()
-    ys = 0.5 * (op.ladder.x_tail[: op.n_trunc] + 1.0)
-    tails = hobs.cumulative_at(ys)
-    n = np.arange(1, op.n_trunc + 1, dtype=float)
+    n = np.arange(1, op.n_trunc + 1)
+    tails = return_time_tail(op.ladder, op.density_observable(), n)
     h_table = tails / c - n ** (-beta)
     return TailModel(beta=beta, c=c, h_table=h_table)
 
@@ -118,7 +116,6 @@ def dual_ergodic_report(
     op: InducedOperator,
     v: np.ndarray,
     ns: list[int],
-    with_expansion: bool = True,
 ) -> DualErgodicReport:
     """sup over the grid of |a_n**-1 S_n - integral(v)| at the requested times.
 
@@ -144,7 +141,7 @@ def dual_ergodic_report(
     resid = None
     resid_fit = None
     beta = tm.beta
-    if with_expansion and 0.5 < beta < 1.0:
+    if 0.5 < beta < 1.0:
         ch = second_order_constant(beta, c=tm.c, H=tm.H)
         exp = AsymptoticExpansion(beta=beta, c=tm.c, c_h=ch.value)
         pred = exp.partial_sum_prediction(np.array(ns, dtype=float))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -14,17 +15,15 @@ __all__ = ["Grid", "GridObservable"]
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform partition of [lo, hi] into m cells."""
+    """Uniform partition of the induced interval Y = [lo, hi] = [1/2, 1] into m cells."""
 
     m: int
-    lo: float = 0.5
-    hi: float = 1.0
+    lo: ClassVar[float] = 0.5
+    hi: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if self.m < 1:
             raise DomainError("grid needs at least one cell")
-        if not self.lo < self.hi:
-            raise DomainError("grid endpoints out of order")
 
     @cached_property
     def edges(self) -> np.ndarray:

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from .errors import DomainError, NumericalError
 from .grid import Grid, GridObservable
 from .ladder import BranchLadder
-from .maps import MapSpec
+from .maps import MapSpec, return_time_tail
 from .renewal_engine import _FAST_LIMIT, FastLayout, KernelGroup
 
 __all__ = [
@@ -130,8 +130,7 @@ class InducedOperator:
         """Invariant mass of {return time > n_trunc}."""
         if self.ladder is None:
             return 0.0
-        h = self.density_observable()
-        return float(h.cumulative_at(self.ladder.y_n(self.n_trunc))[0])
+        return return_time_tail(self.ladder, self.density_observable(), self.n_trunc)
 
     def density_observable(self) -> GridObservable:
         return GridObservable(self.grid, self.density_values)
@@ -140,10 +139,9 @@ class InducedOperator:
         """Invariant measure of {return time = j}, j = 1..n_trunc."""
         if self.ladder is None:
             raise DomainError("synthetic operator carries no branch geometry")
-        h = self.density_observable()
-        ys = np.concatenate([[1.0], 0.5 * (self.ladder.x_tail[: self.n_trunc] + 1.0)])
-        cums = h.cumulative_at(ys)
-        return cums[:-1] - cums[1:]
+        tails = return_time_tail(self.ladder, self.density_observable(),
+                                 np.arange(self.n_trunc + 1))
+        return -np.diff(tails)
 
     # -- branch access ----------------------------------------------------
 
@@ -188,8 +186,6 @@ def assemble_operator(
     """
     if deficit_bound is None:
         deficit_bound = 0.15 if spec.family == "lsv" else 1.0
-    if (grid.lo, grid.hi) != (0.5, 1.0):
-        raise DomainError("induced operator lives on the grid over [1/2, 1]")
     if n_trunc < 1:
         raise DomainError("n_trunc must be >= 1")
     if k_ladder is None:

@@ -126,16 +126,16 @@ def return_time_tail(tail: BranchLadder, density: GridObservable, n):
     """Measure of {return time > n} in Y, via the density on [1/2, 1].
 
     The set {return time > n} is [1/2, y_n], so the value is the cumulative
-    integral of the density up to y_n from the ``tail_sequence`` ``tail``;
-    n = 0 returns the full mass 1 (up to the density's own normalization).
-    ``n`` may be an array of times: the result has its shape and comes
-    from one ``cumulative_at`` over the orbit.
+    integral of the density up to y_n, read off the orbit of ``tail`` (a
+    ``tail_sequence`` or an assembly ladder) with y_0 = 1: n = 0 gives the
+    full mass.  ``n`` may be an array of times in 0..n_rungs + 1: the
+    result has its shape and comes from one ``cumulative_at``.
     """
     n = np.asarray(n)
-    if (n < 0).any():
-        raise DomainError("n must be >= 0")
-    y = np.array([tail.y_n(int(k)) for k in n.ravel()])
-    out = np.where(n == 0, density.integral(), density.cumulative_at(y).reshape(n.shape))
+    if (n < 0).any() or (n > tail.n_rungs + 1).any():
+        raise DomainError(f"n outside the tabulated orbit 0..{tail.n_rungs + 1}")
+    y = np.concatenate([[1.0], 0.5 * (tail.x_tail + 1.0)])[n]
+    out = density.cumulative_at(y).reshape(n.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -144,20 +144,17 @@ class TailModel:
     """Model of the return-time tail: c*(n**-beta + H(n)) or 1/ell(n).
 
     For the power form, H is carried as a tabulated array (index n = 1..N)
-    with an O(n**-q) power extrapolation beyond the table; q defaults to
-    2*beta, the decay under which the second-order constant converges.
+    with an O(n**-2beta) power extrapolation beyond the table, the decay
+    under which the second-order constant converges.
     For the slowly varying form (beta = 0), the tail is 1/ell(n).
     """
 
     beta: float
     c: float = 1.0
     h_table: np.ndarray | None = None
-    q: float | None = None
     ell: SlowlyVarying | None = None
 
     def __post_init__(self):
-        if self.q is None:
-            self.q = 2.0 * self.beta
         if self.h_table is not None:
             self.h_table = np.asarray(self.h_table, dtype=float)
 
@@ -172,7 +169,7 @@ class TailModel:
         idx = np.clip(n[inside].astype(int), 1, N) - 1
         out[inside] = self.h_table[idx]
         # power extrapolation pinned at the last table entry
-        out[~inside] = self.h_table[-1] * (n[~inside] / N) ** (-self.q)
+        out[~inside] = self.h_table[-1] * (n[~inside] / N) ** (-2.0 * self.beta)
         return out
 
     def tail(self, n) -> np.ndarray:

@@ -17,10 +17,10 @@ The result is the literal sum_j R_j s_{n-j} up to floating-point ordering.
 This module alone owns the fast path's layout.  ``FastLayout`` takes the
 Ulam entries of the branches in order and decides the ``j_direct`` split,
 the window's columns and the kernel bands and pieces; ``_fast_steps``
-launches the blocks from a schedule keyed by step and holds each piece's
-spectrum only from its first block to its group's last.  ``renewal_action``
-checks the fast path's size before it allocates.  Operator assembly just
-feeds the layout entries.
+takes every piece's spectrum once, before the first step, and launches the
+blocks from a schedule keyed by step.  ``renewal_action`` checks the
+fast path's size before it allocates.  Operator assembly just feeds the
+layout entries.
 
 Everything here acts in Lebesgue form (fixed point of the block sum is the
 invariant density).  Conversion to the measure-normalized form used in the
@@ -79,18 +79,17 @@ class _Piece:
     """A kernel piece being filled: lags p .. p + full - 1 of one source cell."""
 
     def __init__(self, p: int, full: int, row_hi: int):
-        self.p, self.full, self.used = p, full, 0
+        self.p, self.full = p, full
         self.kern = np.zeros((row_hi, 0))
 
     def put(self, d: np.ndarray, rows: np.ndarray, w: np.ndarray):
-        """Add weights at lags p + d, growing the columns by doubling."""
-        need = int(d[-1]) + 1
-        if need > self.kern.shape[1]:
-            grown = np.zeros((self.kern.shape[0], min(self.full, max(need, 2 * self.kern.shape[1]))))
-            grown[:, : self.used] = self.kern[:, : self.used]
+        """Add weights at lags p + d (d ascending), growing the columns to lag p + d[-1]."""
+        have, need = self.kern.shape[1], int(d[-1]) + 1
+        if need > have:
+            grown = np.zeros((self.kern.shape[0], need))
+            grown[:, :have] = self.kern
             self.kern = grown
         self.kern[rows, d] += w
-        self.used = max(self.used, need)
 
 
 class FastLayout:
@@ -166,7 +165,7 @@ class FastLayout:
                 lo = cut
 
     def groups(self) -> list[KernelGroup]:
-        """The filled pieces, trimmed to their bands, grouped by block length.
+        """The filled pieces, grouped by block length.
 
         Call it once, after the last ``add``: the layout lets go of them.
         """
@@ -174,9 +173,9 @@ class FastLayout:
         for i, pieces in self._bands.items():
             for piece in pieces:
                 floor = 1 << (piece.p.bit_length() - 1)
-                block = min(max(_next_pow2(piece.used), _BLOCK_MIN), floor)
+                block = min(max(_next_pow2(piece.kern.shape[1]), _BLOCK_MIN), floor)
                 g = by_block.setdefault(block, KernelGroup(block, self.row_hi))
-                g.kernels[i, piece.p] = np.ascontiguousarray(piece.kern[:, : piece.used])
+                g.kernels[i, piece.p] = piece.kern
                 piece.kern = None
         self._bands = {}
         return [by_block[b] for b in sorted(by_block)]
@@ -228,34 +227,34 @@ def _fast_bytes(j_direct: int, groups: list[KernelGroup], m: int, n_max: int) ->
 
 
 class _GroupRun:
-    """A kernel group during one fast run: pieces join at their first block.
+    """A kernel group during one fast run, with its pieces' spectra taken once.
 
     The first block of a piece at lag p is the one whose inputs reach
     time 0, launched for t = block * (p // block); traces before time 0
-    are the zero rows of the trace history's ``pad``.
+    are the zero rows of the trace history's ``pad``.  Pieces are kept in
+    order of first launch, so a launch convolves a prefix of them.
     """
 
     def __init__(self, g: KernelGroup, pieces, pad: int):
-        self.block = g.block
-        # (first launch, trace row of time t - p at t = 0, trace column, kernel)
-        self.queue = sorted(((g.block * (p // g.block), pad - p, col, k) for col, p, k in pieces),
-                            key=lambda e: e[0])
-        self.joined = 0
-        self.spectra: list[np.ndarray] = []
+        L = self.block = g.block
+        pieces = sorted(pieces, key=lambda e: e[1] // L)  # stable: ties keep dict order
+        self.first = np.array([L * (p // L) for _, p, _ in pieces])
+        # trace row of time t - p at t = 0, and trace column
+        self._rows = np.array([pad - p for _, p, _ in pieces])[:, None]
+        self._cols = np.array([col for col, _, _ in pieces])[:, None]
+        # the rfft outputs are kept as they come: copying them into one
+        # preallocated array raised criterion 7's fresh-process peak RSS by
+        # about 2% (770 -> 785 MB, 2-vCPU x86)
+        self.spectra = [np.fft.rfft(kern, n=2 * L, axis=1) for _, _, kern in pieces]
 
     def launch(self, t: int, traces: np.ndarray) -> np.ndarray:
-        """Outputs t .. t + 2·block - 2 of the joined pieces, shape (2·block - 1, row_hi)."""
-        L, f, q = self.block, 2 * self.block, self.queue
-        joined = self.joined
-        while self.joined < len(q) and q[self.joined][0] == t:
-            self.spectra.append(np.fft.rfft(q[self.joined][3], n=f, axis=1))
-            self.joined += 1
-        if self.joined > joined:
-            self._rows = np.array([e[1] for e in q[: self.joined]])[:, None] + np.arange(L)
-            self._cols = np.array([e[2] for e in q[: self.joined]])[:, None]
-        a_hat = np.fft.rfft(traces[self._rows + t, self._cols], n=f, axis=1)
+        """Outputs t .. t + 2·block - 2 of the started pieces, shape (2·block - 1, row_hi)."""
+        f = 2 * self.block
+        k = int(self.first.searchsorted(t, "right"))
+        rows = self._rows[:k] + np.arange(t, t + self.block)
+        a_hat = np.fft.rfft(traces[rows, self._cols[:k]], n=f, axis=1)
         acc = self.spectra[0] * a_hat[0]
-        for k_hat, a in zip(self.spectra[1:], a_hat[1:]):
+        for k_hat, a in zip(self.spectra[1:k], a_hat[1:]):
             acc += k_hat * a
         return np.fft.irfft(acc, n=f, axis=1)[:, : f - 1].T
 
@@ -274,8 +273,8 @@ def _fast_steps(
     ..., s_{n-1}] (jd = j_direct - 1), as ``FastLayout`` lays them out.
     Launches are scheduled by step: a group launches after each step t - 1
     with t a multiple of its block, from its earliest piece's first block
-    while t <= n_max.  Spectra are taken as pieces join and dropped after
-    the group's last launch.  A launch after step n writes outputs n + 1 ..
+    while t <= n_max.  Each group takes its pieces' spectra once, before
+    the first step.  A launch after step n writes outputs n + 1 ..
     n + 2·block - 1, only in the rows below ``row_hi``, so the pending
     outputs fit a ring of twice the largest block times by ``row_hi`` cells.
     """
@@ -296,7 +295,7 @@ def _fast_steps(
         pieces = [(col[i], p, k) for (i, p), k in g.kernels.items() if p <= n_max]
         if pieces:
             run = _GroupRun(g, pieces, pad)
-            launches.setdefault(run.queue[0][0] - 1, []).append(run)
+            launches.setdefault(int(run.first[0]) - 1, []).append(run)
     read_cells = np.array(read_cells, dtype=np.int64)
 
     for n in range(0, n_max + 1):
@@ -327,8 +326,6 @@ def _fast_steps(
             ring[: len(out_t) - first] += out_t[first:]
             if t + run.block <= n_max:
                 launches.setdefault(n + run.block, []).append(run)
-            else:
-                run.spectra = None  # the group's last launch
 
 
 def renewal_action(

@@ -90,16 +90,16 @@ class ReturnDistribution:
         return float(np.atleast_1d(self.tail(np.array([self.n_stored])))[0])
 
     @classmethod
-    def from_power_tail(cls, beta: float, n_max: int, c: float = 1.0) -> "ReturnDistribution":
-        """Tails exactly c * n**-beta for n >= 1 (requires c <= 1)."""
-        if not 0.0 < beta <= 1.0 or not 0.0 < c <= 1.0:
-            raise DomainError("need beta in (0, 1] and c in (0, 1]")
+    def from_power_tail(cls, beta: float, n_max: int) -> "ReturnDistribution":
+        """Tails exactly n**-beta for n >= 1."""
+        if not 0.0 < beta <= 1.0:
+            raise DomainError("need beta in (0, 1]")
         n = np.arange(0, n_max + 1, dtype=float)
         tails = np.ones(n_max + 1)
-        tails[1:] = c * n[1:] ** (-beta)
+        tails[1:] = n[1:] ** (-beta)
         f = np.zeros(n_max + 1)
         f[1:] = tails[:-1] - tails[1:]
-        return cls(f, tail=lambda m: c * np.asarray(m, dtype=float) ** (-beta))
+        return cls(f, tail=lambda m: np.asarray(m, dtype=float) ** (-beta))
 
 
 @dataclass
@@ -290,19 +290,18 @@ def residual_diagnostics(
     expansion: AsymptoticExpansion,
     n_lo: int = 10**3,
     n_hi: int | None = None,
-    points_per_decade: int = 8,
     n_terms: int | None = None,
 ) -> dict:
     """Residuals U_n minus the expansion prediction, with a slope fit.
 
-    Rows are log-spaced over [n_lo, n_hi]; the returned dict carries the
-    sampled n, residuals, and the fitted log-log slope with its ~95%
-    halfwidth.
+    Rows are log-spaced over [n_lo, n_hi], 8 per decade; the returned dict
+    carries the sampled n, residuals, and the fitted log-log slope with its
+    ~95% halfwidth.
     """
     if seq.n_max < 10**3:
         raise DomainError("need the sequence to at least n = 1000")
     n_hi = seq.n_max if n_hi is None else n_hi
-    count = max(4, int(points_per_decade * np.log10(n_hi / n_lo)) + 1)
+    count = max(4, int(8 * np.log10(n_hi / n_lo)) + 1)
     ns = np.unique(np.round(np.logspace(np.log10(n_lo), np.log10(n_hi), count)).astype(int))
     resid = seq.U(ns) - expansion.partial_sum_prediction(ns, n_terms)
     fit = slope_fit(ns, resid)

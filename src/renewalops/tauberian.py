@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 import scipy.fft
@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 _X_BREAK = math.exp(-1.0)
+# the fit's gap measure is d(t**beta) at this beta
+_GAP_BETA = 0.5
 _MAX_PANELS = 1 << 20
 _QUAD_BATCH = 1 << 14
 # Gauss-Legendre nodes per quadrature panel
@@ -300,19 +302,15 @@ def _basis_gap_moments(m: int, beta: float) -> np.ndarray:
     return (vals - t0[:, None]) @ wq
 
 
-def one_sided_fit(
-    m: int,
-    side: str,
-    beta: float = 0.5,
-) -> OneSidedPoly:
+def one_sided_fit(m: int, side: str) -> OneSidedPoly:
     """Minimal-gap one-sided polynomial of degree m by linear programming.
 
     The gap functional is the integral of q(e^{-t}) - g(e^{-t}) against
-    d(t**beta) (closed-form moments Gamma(1+beta) k**-beta for x**k), the
-    measure in which the gap of the optimal pair decays like 1/m.  The sign
-    constraint is imposed on a Chebyshev grid of max(2048, 128 m)
-    intervals, re-verified on a 10x finer
-    grid, and repaired by a multiple-of-x nudge if sampling missed a dip.
+    d(t**beta) with beta = 1/2 (closed-form moments Gamma(1+beta) k**-beta
+    for x**k), the measure in which the gap of the optimal pair decays like
+    1/m.  The sign constraint is imposed on a Chebyshev grid of
+    max(2048, 128 m) intervals, re-verified on a 10x finer grid, and
+    repaired by a multiple-of-x nudge if sampling missed a dip.
     """
     if m < 2:
         raise DomainError("degree must be >= 2")
@@ -322,7 +320,7 @@ def one_sided_fit(
     # moments of the shifted Chebyshev basis against d(t^beta), with the
     # value at x = 0 subtracted (the q(0) = 0 constraint makes them finite);
     # computed by quadrature in tau = t^beta, which is stable at any degree
-    obj = _basis_gap_moments(m, beta)
+    obj = _basis_gap_moments(m, _GAP_BETA)
     x = 0.5 * (1.0 + np.cos(np.pi * np.arange(n_grid + 1) / n_grid))
     g = (x >= _X_BREAK).astype(float)
     basis_vals = np.stack([ncheb.chebval(2.0 * x - 1.0, np.eye(m + 1)[k]) for k in range(m + 1)])
@@ -363,7 +361,7 @@ def one_sided_fit(
     # x = (T_0 + T_1)/2 in the shifted basis, so the nudge keeps q(0) = 0
     poly.cheb_q[0] += sgn * eta / 2.0
     poly.cheb_q[1] += sgn * eta / 2.0
-    poly.gap += eta * gamma(1.0 + beta)
+    poly.gap += eta * gamma(1.0 + _GAP_BETA)
     # pin the residual roundoff of the q(0) = 0 equality
     poly.cheb_q[0] -= float(ncheb.chebval(-1.0, poly.cheb_q))
     return poly
@@ -376,14 +374,14 @@ def one_sided_fit(
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Window parameters: radius exp(-1/n), arc n**-gamma, kernel power p.
+    """Window parameters: radius exp(-1/n), arc n**-gamma, kernel power p = 2.
 
     The standing constraint 1 - r <= alpha/4 keeps the window identity in
     its valid regime; it fails only for very small n.
     """
 
     n: int
-    p: int = 2
+    p: ClassVar[int] = 2
     gamma_exp: float = 0.25
 
     def __post_init__(self):

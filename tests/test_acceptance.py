@@ -142,7 +142,7 @@ def test_criterion_06_kernel_extraction():
     # constant coefficients
     phi_ones = lambda z: 1.0 / (1.0 - z)
     for n in (100, 500):
-        ke = tb.kernel_extract(phi_ones, tb.KernelParams(n=n, p=2, gamma_exp=0.4))
+        ke = tb.kernel_extract(phi_ones, tb.KernelParams(n=n, gamma_exp=0.4))
         direct = float(n - 4 + 1)
         rel = abs(ke.estimate - direct) / direct
         covered = abs(ke.estimate - direct) <= ke.error_bar
@@ -153,7 +153,7 @@ def test_criterion_06_kernel_extraction():
     u = ro.renewal_sequence(return_distribution_from_operator(op), 600).u
     phi = ro.phi_from_sequence(u)
     for n in (100, 500):
-        ke = tb.kernel_extract(phi, tb.KernelParams(n=n, p=2, gamma_exp=0.4),
+        ke = tb.kernel_extract(phi, tb.KernelParams(n=n, gamma_exp=0.4),
                                seq_bound=1.0)
         direct = float(np.sum(u[: n - 3]))
         rel = abs(ke.estimate - direct) / direct
@@ -174,8 +174,7 @@ def test_criterion_07_uniform_dual_ergodicity():
     t0 = time.time()
     spec = ro.MapSpec("lsv", alpha=1.0 / 0.6)
     op = ro.assemble_operator(spec, ro.Grid(2048), n_trunc=10**4, j_direct=512)
-    rep = dual_ergodic_report(op, np.ones(2048), [10**2, 10**3, 10**4],
-                              with_expansion=False)
+    rep = dual_ergodic_report(op, np.ones(2048), [10**2, 10**3, 10**4])
     elapsed = time.time() - t0
     e = rep.sup_error
     ok = e[0] > e[1] > e[2] and elapsed < 600.0

@@ -63,6 +63,14 @@ class TestExitCodes:
             assert main(["contour", "--config", str(f), "--out", str(tmp_path)]) == 2
             assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_through_a_file_rejected(self, tmp_path, capsys, under):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if under else taken
+        assert main(["contour", "--check", "B2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -44,12 +44,12 @@ class TestReturnDistribution:
 class TestReport:
     def test_zero_observable(self, lsv2_small):
         rep = dual_ergodic_report(lsv2_small, np.zeros(lsv2_small.grid.m),
-                                  [10, 30, 100], with_expansion=False)
+                                  [10, 30, 100])
         assert np.all(rep.sup_error == 0.0)
 
     def test_sup_error_decreases(self, lsv2_mid):
         rep = dual_ergodic_report(lsv2_mid, np.ones(lsv2_mid.grid.m),
-                                  [100, 300, 1000], with_expansion=False)
+                                  [100, 300, 1000])
         assert rep.sup_error[0] > rep.sup_error[1] > rep.sup_error[2]
 
     def test_rows_schema(self, lsv2_small):

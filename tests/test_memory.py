@@ -1,4 +1,5 @@
-"""Memory guards: the assembly transient per Ulam entry and the kernel bands."""
+"""Memory guards: the assembly transient per Ulam entry, the kernel bands and
+the fast engine's single up-front allocation."""
 
 import tracemalloc
 
@@ -6,6 +7,7 @@ import numpy as np
 
 import renewalops as ro
 from renewalops.induced import _branch_entries
+from renewalops.renewal_engine import _fast_bytes, _fast_steps, _live_pieces
 
 
 def test_assembly_transient_per_ulam_entry():
@@ -25,7 +27,6 @@ def test_assembly_transient_per_ulam_entry():
     assert (peak - retained) / n_entries < 12.0
 
 
-
 def test_kernels_are_stored_as_lag_bands():
     """Each source cell keeps only rows below row_hi over lags j_first..j_last."""
     spec, grid = ro.MapSpec("lsv0"), ro.Grid(256)
@@ -42,3 +43,21 @@ def test_kernels_are_stored_as_lag_bands():
     kernel_bytes = sum(k.nbytes for g in op.groups for k in g.kernels.values())
     assert len(first) > 5
     assert band_bytes <= kernel_bytes <= 1.5 * band_bytes
+
+
+def test_fast_run_allocates_everything_before_its_first_step():
+    """Spectra, ring, window history and traces exist once s_0 is out, as sized."""
+    op = ro.assemble_operator(ro.MapSpec("lsv", alpha=2.0), ro.Grid(64), n_trunc=600)
+    n_max = op.n_trunc
+    need = _fast_bytes(op.j_direct, op.groups, op.grid.m, n_max)
+    spectra = sum(16 * g.row_hi * (g.block + 1) for g, *_ in _live_pieces(op.groups, n_max))
+    assert spectra > need / 2
+    s0 = op.density_values.copy()
+    tracemalloc.start()
+    try:
+        steps = _fast_steps(op.stacked, op.window, op.j_direct, op.groups, s0, n_max)
+        next(steps)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(held - need) <= 0.02 * need

@@ -152,31 +152,31 @@ class TestOneSidedFit:
 class TestKernelParams:
     def test_window_constraint_checked(self):
         with pytest.raises(DomainError):
-            tb.KernelParams(n=6, p=2, gamma_exp=0.49)
+            tb.KernelParams(n=6, gamma_exp=0.49)
 
     def test_valid_params(self):
-        kp = tb.KernelParams(n=100, p=2, gamma_exp=0.25)
+        kp = tb.KernelParams(n=100, gamma_exp=0.25)
         assert 1.0 - kp.r <= kp.alpha / 4.0
 
 
 class TestKernelExtract:
     def test_constant_sequence(self):
         phi = lambda z: 1.0 / (1.0 - z)
-        ke = tb.kernel_extract(phi, tb.KernelParams(n=100, p=2, gamma_exp=0.25))
+        ke = tb.kernel_extract(phi, tb.KernelParams(n=100, gamma_exp=0.25))
         assert abs(ke.estimate - 97.0) <= ke.error_bar
         assert abs(ke.imag_part) < 1e-10
 
     def test_constant_sequence_tight_window(self):
         phi = lambda z: 1.0 / (1.0 - z)
         for n in (100, 500):
-            ke = tb.kernel_extract(phi, tb.KernelParams(n=n, p=2, gamma_exp=0.4))
+            ke = tb.kernel_extract(phi, tb.KernelParams(n=n, gamma_exp=0.4))
             direct = n - 4 + 1
             assert abs(ke.estimate - direct) / direct < 5e-3
 
     def test_delta_sequence(self):
         phi = lambda z: np.ones_like(np.asarray(z, dtype=complex))
         for n in (10, 20, 50):
-            ke = tb.kernel_extract(phi, tb.KernelParams(n=n, p=2, gamma_exp=0.3))
+            ke = tb.kernel_extract(phi, tb.KernelParams(n=n, gamma_exp=0.3))
             assert abs(ke.estimate - 1.0) <= ke.error_bar + 0.05
 
     def test_defect_bound_covers_three_sequences(self):
@@ -188,7 +188,7 @@ class TestKernelExtract:
         for name, u in seqs.items():
             phi = tb.phi_from_sequence(u)
             for n in (50, 100, 500):
-                params = tb.KernelParams(n=n, p=2, gamma_exp=0.25)
+                params = tb.KernelParams(n=n, gamma_exp=0.25)
                 ke = tb.kernel_extract(phi, params, seq_bound=float(np.max(np.abs(u))))
                 direct = float(np.sum(u[: n - 3]))
                 assert abs(ke.estimate - direct) <= ke.defect_bound + ke.quad_error, name
@@ -196,13 +196,13 @@ class TestKernelExtract:
     def test_positivity_up_to_error(self):
         u = np.abs(np.sin(np.arange(300))) * 0.5
         phi = tb.phi_from_sequence(u)
-        ke = tb.kernel_extract(phi, tb.KernelParams(n=80, p=2, gamma_exp=0.3),
+        ke = tb.kernel_extract(phi, tb.KernelParams(n=80, gamma_exp=0.3),
                                seq_bound=0.5)
         assert ke.estimate >= -ke.error_bar
 
     def test_monomial_weight_decay(self):
         # raw window integral of z^s decays like the per-mode kernel weight
-        params = tb.KernelParams(n=60, p=2, gamma_exp=0.3)
+        params = tb.KernelParams(n=60, gamma_exp=0.3)
         n, p, r, alpha = params.n, params.p, params.r, params.alpha
         for s in (n + 5, n + 20, n + 80):
             def phi(z, s=s):
