@@ -4,6 +4,11 @@ Scalar and operator renewal sequences for intermittent maps of the unit
 interval, with Karamata-type first-order asymptotics, higher-order
 expansions driven by complex Tauberian kernels, and the supporting
 special-function, polynomial-approximation and contour-integral machinery.
+
+The Tauberian names (``indicator_majorant``, ``kernel_extract`` and the
+rest of ``_TAUBERIAN``) load ``renewalops.tauberian``, and with it
+``scipy.optimize``, on first use: the operator half of the package needs
+only numpy and ``scipy.sparse``.
 """
 
 from .errors import DomainError, NumericalError
@@ -33,18 +38,6 @@ from .scalar import (
     residual_diagnostics,
     second_order_constant,
 )
-from .tauberian import (
-    KernelExtract,
-    KernelParams,
-    OneSidedPoly,
-    indicator_majorant,
-    kernel_extract,
-    line_power_integral,
-    one_sided_fit,
-    phi_from_sequence,
-    rotated_gamma_integral,
-    window_power_integral,
-)
 from .dual_ergodic import (
     DualErgodicReport,
     dual_ergodic_report,
@@ -53,6 +46,20 @@ from .dual_ergodic import (
     tail_model_from_operator,
 )
 from .diagnostics import SlopeFit, slope_fit
+
+# names of ``.tauberian``, which ``__getattr__`` imports on first use
+_TAUBERIAN = (
+    "KernelExtract",
+    "KernelParams",
+    "OneSidedPoly",
+    "indicator_majorant",
+    "kernel_extract",
+    "line_power_integral",
+    "one_sided_fit",
+    "phi_from_sequence",
+    "rotated_gamma_integral",
+    "window_power_integral",
+)
 
 __all__ = [
     "DomainError",
@@ -81,16 +88,7 @@ __all__ = [
     "renewal_sequence",
     "residual_diagnostics",
     "second_order_constant",
-    "KernelExtract",
-    "KernelParams",
-    "OneSidedPoly",
-    "indicator_majorant",
-    "kernel_extract",
-    "line_power_integral",
-    "one_sided_fit",
-    "phi_from_sequence",
-    "rotated_gamma_integral",
-    "window_power_integral",
+    *_TAUBERIAN,
     "DualErgodicReport",
     "dual_ergodic_report",
     "norming_from_tail",
@@ -101,3 +99,16 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Resolve a Tauberian name by importing ``.tauberian`` on first read."""
+    if name in _TAUBERIAN:
+        from . import tauberian
+
+        return getattr(tauberian, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_TAUBERIAN))

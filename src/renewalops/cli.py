@@ -13,6 +13,10 @@ Every run writes a CSV (header row, 17 significant digits, '.' decimal
 point) plus a JSON sidecar holding the configuration, error bars and the
 timestamp (the CSV body is byte-identical across reruns of one config),
 and a small matplotlib script for the table, which is never executed here.
+
+``kernel``, ``contour`` and ``polys`` import the Tauberian layer when they
+run, so ``tails``, ``renewal`` and ``dual-ergodic`` never load it or
+``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .dual_ergodic import (
     return_distribution_from_operator,
     tail_model_from_operator,
 )
-from . import tauberian as tb
 
 __all__ = ["ExperimentConfig", "main", "run"]
 
@@ -281,6 +284,8 @@ def _cmd_dual_ergodic(cfg: ExperimentConfig, outdir: Path) -> dict:
 
 
 def _cmd_kernel(cfg: ExperimentConfig, outdir: Path) -> dict:
+    from . import tauberian as tb
+
     ns = sorted({100, 500, cfg.nmax} if cfg.nmax >= 12 else {100, 500})
     rows = []
     sequences = {"ones": np.ones(max(ns) + 1)}
@@ -307,6 +312,8 @@ def _cmd_kernel(cfg: ExperimentConfig, outdir: Path) -> dict:
 
 
 def _cmd_contour(cfg: ExperimentConfig, outdir: Path) -> dict:
+    from . import tauberian as tb
+
     if cfg.check == "B1":
         val, err = tb.rotated_gamma_integral(cfg.beta, u=1.0, theta=1.0, r_hi=float(cfg.nmax))
         closed = math.gamma(1.0 - cfg.beta)
@@ -326,6 +333,8 @@ def _cmd_contour(cfg: ExperimentConfig, outdir: Path) -> dict:
 
 
 def _cmd_polys(cfg: ExperimentConfig, outdir: Path) -> dict:
+    from . import tauberian as tb
+
     rows = []
     maj = tb.indicator_majorant(cfg.epsilon)
     rows.append(["majorant", maj.degree, maj.gap, cfg.epsilon, 1.0, True])

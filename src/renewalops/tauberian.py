@@ -61,6 +61,8 @@ _QUAD_BATCH = 1 << 14
 _GL_ORDER = 12
 # relative tolerance of the contour validators' oscillatory quadrature
 _CONTOUR_TOL = 1e-9
+# bytes one one-sided fit may ask for in its two dense constraint matrices
+_LP_LIMIT = 2 << 30
 
 # ---------------------------------------------------------------------------
 # quadrature: composite Gauss-Legendre with oscillation-resolving panels
@@ -176,24 +178,18 @@ class OneSidedPoly:
         return bool(np.all(q <= g + margin))
 
 
-def _weighted_gap(poly: OneSidedPoly) -> float:
-    """integral of (q - g) x**-3/2 over (0, 1] by panel quadrature.
+def _sampled_gap(samp: np.ndarray) -> float:
+    """integral of (q - g) x**-3/2 over (0, 1] from samples of p = q / x.
 
-    The weight is the one of ``indicator_majorant``'s closed-form gap.  Runs
-    in the variable s = sqrt(x), where the integrand is regular at 0
-    because q has no constant term.
+    ``samp`` holds p at x_k = (1 + cos(pi k / n)) / 2, k = 0..n.  With x =
+    (1 + cos theta) / 2 the integral of q x**-3/2 = p x**-1/2 is the one of
+    p sin(theta / 2) over [0, pi], taken here by the trapezoid rule; the
+    step's part is 2 (sqrt(e) - 1).
     """
-
-    def f(s):
-        x = s * s
-        g = (x >= _X_BREAK).astype(float)
-        return 2.0 * (poly(x) - g) * s ** -2.0
-
-    s_break = math.sqrt(_X_BREAK)
-    total = 0.0
-    for lo, hi, panels in ((0.0, s_break, 600), (s_break, 1.0, 300)):
-        total += _panel_quad(f, lo, hi, panels).real
-    return total if poly.side == "upper" else -total
+    n = len(samp) - 1
+    w = np.sin(0.5 * np.pi * np.arange(n + 1) / n)
+    w[-1] *= 0.5  # w[0] is already 0
+    return float(np.dot(samp, w)) * math.pi / n - 2.0 * (math.exp(0.5) - 1.0)
 
 
 def indicator_majorant(epsilon: float, degree_cap: int = 1 << 17) -> OneSidedPoly:
@@ -204,7 +200,8 @@ def indicator_majorant(epsilon: float, degree_cap: int = 1 << 17) -> OneSidedPol
     epsilon / ((2e)^{3/2} + 4); uniformly approximate x**-1 h(x) + delta to
     within delta by a Chebyshev interpolant; multiply by x.  The gap
     integral against x**-3/2 is then below epsilon; it is evaluated in
-    closed form from the Chebyshev coefficients and verified by quadrature.
+    closed form from the Chebyshev coefficients and verified by the
+    trapezoid rule on the samples that measured the sup error.
     Raises, reporting the sup error reached and the delta required, if the
     needed degree exceeds ``degree_cap``.
     """
@@ -262,7 +259,7 @@ def indicator_majorant(epsilon: float, degree_cap: int = 1 << 17) -> OneSidedPol
     moments = 2.0 / (1.0 - 4.0 * kk.astype(float) ** 2)
     gap = float(np.dot(coeffs, moments) - 2.0 * (math.exp(0.5) - 1.0))
     poly = OneSidedPoly(side="upper", degree=len(coeffs), gap=gap, cheb_r=coeffs)
-    quad_gap = _weighted_gap(poly)
+    quad_gap = _sampled_gap(samp)
     if not (0.0 <= gap < epsilon) or abs(quad_gap - gap) > 0.05 * epsilon + 1e-8:
         raise NumericalError(
             f"constructed gap {gap:.3g} (quadrature {quad_gap:.3g}) outside (0, {epsilon})"
@@ -310,13 +307,21 @@ def one_sided_fit(m: int, side: str) -> OneSidedPoly:
     for x**k), the measure in which the gap of the optimal pair decays like
     1/m.  The sign constraint is imposed on a Chebyshev grid of
     max(2048, 128 m) intervals, re-verified on a 10x finer grid, and
-    repaired by a multiple-of-x nudge if sampling missed a dip.
+    repaired by a multiple-of-x nudge if sampling missed a dip.  Raises
+    before any allocation if the two dense (m + 1) x (grid + 1) constraint
+    matrices would exceed ``_LP_LIMIT`` bytes.
     """
     if m < 2:
         raise DomainError("degree must be >= 2")
     if side not in ("upper", "lower"):
         raise DomainError("side must be 'upper' or 'lower'")
     n_grid = max(2048, 128 * m)
+    need = 16 * (m + 1) * (n_grid + 1)  # basis_vals and a_ub, float64 each
+    if need > _LP_LIMIT:
+        raise NumericalError(
+            f"one-sided fit of degree {m} needs {need / 2**20:.0f} MiB for its "
+            f"constraint matrices, above {_LP_LIMIT / 2**20:.0f} MiB; use lower degrees"
+        )
     # moments of the shifted Chebyshev basis against d(t^beta), with the
     # value at x = 0 subtracted (the q(0) = 0 constraint makes them finite);
     # computed by quadrature in tau = t^beta, which is stable at any degree

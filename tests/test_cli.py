@@ -164,3 +164,38 @@ def test_csv_bodies_do_not_depend_on_thread_count(tmp_path, argv, csv):
                        env=env, check=True, timeout=300)
         bodies.append(read(out / csv))
     assert bodies[0] == bodies[1]
+
+
+FOOTPRINT_SCRIPT = """
+import sys
+from pathlib import Path
+
+TAUBERIAN_ONLY = ("scipy.optimize", "scipy.fft", "scipy.special", "scipy.linalg",
+                  "renewalops.tauberian")
+out = Path(sys.argv[1])
+import renewalops.cli as cli
+assert not [m for m in TAUBERIAN_ONLY if m in sys.modules], "import renewalops.cli"
+for argv in (["tails", "--n", "100"], ["renewal", "--nmax", "1000"],
+             ["dual-ergodic", "--ntrunc", "200", "--nmax", "100"]):
+    assert cli.main(argv + ["--grid", "32", "--out", str(out / argv[0])]) == 0, argv
+    loaded = [m for m in TAUBERIAN_ONLY if m in sys.modules]
+    assert not loaded, (argv[0], loaded)
+assert cli.main(["kernel", "--family", "lsv0", "--nmax", "10", "--out",
+                 str(out / "kernel")]) == 0
+import renewalops
+import scipy.optimize
+assert renewalops.tauberian.linprog is scipy.optimize.linprog
+assert renewalops.indicator_majorant is renewalops.tauberian.indicator_majorant
+print("ok")
+"""
+
+
+def test_operator_subcommands_never_load_the_tauberian_layer(tmp_path):
+    """A fresh process loads ``scipy.optimize`` and its kin only at ``kernel``."""
+    src = str(Path(renewalops.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ok"]

@@ -3,9 +3,11 @@ import re
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import renewalops as ro
 import renewalops.tauberian as tb
+from renewalops.cli import main
 from renewalops.errors import DomainError, NumericalError
 
 
@@ -41,6 +43,36 @@ def one_shot_panel_quad(f, a, b, n_panels, order=12):
     x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     vals = np.asarray(f(x), dtype=complex).reshape(n_panels, order)
     return complex(np.sum(vals * weights[None, :] * half[:, None]))
+
+
+# The tests' reference for ``indicator_majorant``'s gap check, which takes
+# the trapezoid rule on its sup-error samples instead (``_sampled_gap``).
+def _weighted_gap(poly: tb.OneSidedPoly) -> float:
+    """integral of (q - g) x**-3/2 over (0, 1] by panel quadrature.
+
+    The weight is the one of ``indicator_majorant``'s closed-form gap.  Runs
+    in the variable s = sqrt(x), where the integrand is regular at 0
+    because q has no constant term.
+    """
+
+    def f(s):
+        x = s * s
+        g = (x >= tb._X_BREAK).astype(float)
+        return 2.0 * (poly(x) - g) * s ** -2.0
+
+    s_break = math.sqrt(tb._X_BREAK)
+    total = 0.0
+    for lo, hi, panels in ((0.0, s_break, 600), (s_break, 1.0, 300)):
+        total += tb._panel_quad(f, lo, hi, panels).real
+    return total if poly.side == "upper" else -total
+
+
+def majorant_samples(poly: tb.OneSidedPoly) -> np.ndarray:
+    """q / x at the 4 m + 1 Chebyshev points where the construction sampled it."""
+    m = len(poly.cheb_r) - 1
+    fine = np.zeros(4 * m + 1)
+    fine[: m + 1] = poly.cheb_r
+    return scipy.fft.dct(tb._dct_prepare(fine), type=1) * 0.5
 
 
 class TestPanelQuad:
@@ -100,7 +132,14 @@ class TestIndicatorMajorant:
 
     def test_moment_gap_matches_quadrature(self):
         p = tb.indicator_majorant(0.5)
-        assert tb._weighted_gap(p) == pytest.approx(p.gap, abs=5e-3)
+        assert _weighted_gap(p) == pytest.approx(p.gap, abs=5e-3)
+
+    @pytest.mark.parametrize("eps", [0.5, 0.2, 0.1])
+    def test_sampled_gap_matches_quadrature_and_closed_form(self, eps):
+        p = tb.indicator_majorant(eps)
+        sampled = tb._sampled_gap(majorant_samples(p))
+        assert sampled == pytest.approx(_weighted_gap(p), abs=1e-7)
+        assert sampled == pytest.approx(p.gap, abs=5e-8)
 
     def test_degree_cap_reports_achievable(self):
         # the error names the cap, the sup error reached there and the delta
@@ -147,6 +186,23 @@ class TestOneSidedFit:
     def test_infeasible_degree(self):
         with pytest.raises(DomainError):
             tb.one_sided_fit(1, "upper")
+
+    def test_size_guard_raises_before_any_matrix(self, monkeypatch, tmp_path):
+        m = 32
+        need = 16 * (m + 1) * (128 * m + 1)  # basis_vals and a_ub at n_grid = 128 m
+        built = []
+        moments = tb._basis_gap_moments
+        monkeypatch.setattr(tb, "_basis_gap_moments",
+                            lambda *a: built.append(1) or moments(*a))
+        monkeypatch.setattr(tb, "_LP_LIMIT", need - 1)
+        with pytest.raises(NumericalError, match="degree 32.*lower degrees"):
+            tb.one_sided_fit(m, "upper")
+        assert built == []
+        assert main(["polys", "--epsilon", "0.5", "--degrees", "4,32",
+                     "--out", str(tmp_path)]) == 1
+        monkeypatch.setattr(tb, "_LP_LIMIT", need)
+        tb.one_sided_fit(m, "upper")
+        assert built
 
 
 class TestKernelParams:
