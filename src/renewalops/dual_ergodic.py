@@ -125,8 +125,8 @@ def dual_ergodic_report(
     """
     v = np.asarray(v, dtype=float)
     ns = sorted(set(int(n) for n in ns))
-    if min(ns) < 1:
-        raise DomainError("report times must be >= 1")
+    if not ns or ns[0] < 1:
+        raise DomainError("report times must be >= 1, and at least one is needed")
     tm = tail_model_from_operator(op)
     norming = norming_from_tail(tm)
     acc = renewal_action(op, v, n_max=max(ns), snapshot_ns=ns)

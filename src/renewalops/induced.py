@@ -175,14 +175,15 @@ def assemble_operator(
     ``n_trunc`` bounds the return times carried by the renewal machinery;
     ``k_ladder`` extends the pullback ladder further so the density solve
     sees an (integral-tail completed) operator with essentially no missing
-    mass.  Raises before building the ladder when the dense block sum and
-    the ladder's orbit would take more than the engine's ``_FAST_LIMIT``
-    bytes.  Raises after assembly when the invariant mass beyond ``n_trunc``
-    exceeds ``deficit_bound``, advising a larger truncation.  The default
-    bound is 0.15 for the polynomial family; for the log family the deficit
-    is structurally near 1 at any desk-scale truncation (the invariant
-    density is supported on [1/2, sup of the left branch], where all short
-    return times carry no mass), so no bound is enforced by default.
+    mass.  Raises before building the ladder when the dense block sum, the
+    ladder's orbit and the least bytes of the kernel bands would take more
+    than the engine's ``_FAST_LIMIT`` bytes.  Raises after assembly when
+    the invariant mass beyond ``n_trunc`` exceeds ``deficit_bound``,
+    advising a larger truncation.  The default bound is 0.15 for the
+    polynomial family; for the log family the deficit is structurally near
+    1 at any desk-scale truncation (the invariant density is supported on
+    [1/2, sup of the left branch], where all short return times carry no
+    mass), so no bound is enforced by default.
     """
     if deficit_bound is None:
         deficit_bound = 0.15 if spec.family == "lsv" else 1.0
@@ -193,19 +194,19 @@ def assemble_operator(
     k_ladder = max(k_ladder, n_trunc)
 
     m, delta = grid.m, grid.width
-    need = 8 * m * m + 8 * (k_ladder + 1)
+    sup = min(spec.left_image_sup, 1.0)
+    row_hi = min(m, grid.cell_of(sup * (1 - 1e-12)) + 2)
+    layout = FastLayout(m, n_trunc, j_direct, row_hi)
+    need = 8 * m * m + 8 * (k_ladder + 1) + layout.kernel_floor
     if need > _FAST_LIMIT:
         raise NumericalError(
-            f"assembly needs {need / 2**30:.3g} GiB for the dense block sum on {m} cells "
-            f"and a {k_ladder}-rung ladder, above the {_FAST_LIMIT / 2**30:.3g} GiB limit; "
-            "lower grid or ntrunc"
+            f"assembly needs {need / 2**30:.3g} GiB for the dense block sum and kernel bands "
+            f"on {m} cells and a {k_ladder}-rung ladder, above the "
+            f"{_FAST_LIMIT / 2**30:.3g} GiB limit; lower grid or ntrunc"
         )
     edges = grid.edges
     ladder = BranchLadder(spec, edges, n_rungs=k_ladder)
 
-    sup = min(spec.left_image_sup, 1.0)
-    row_hi = min(m, grid.cell_of(sup * (1 - 1e-12)) + 2)
-    layout = FastLayout(m, n_trunc, j_direct, row_hi)
     r1 = np.zeros((m, m))
     for j0, G in ladder.sweep(1, k_ladder + 2):
         brow, rows, cols, w = _branch_entries(edges, G, m, delta)

@@ -16,11 +16,11 @@ The result is the literal sum_j R_j s_{n-j} up to floating-point ordering.
 
 This module alone owns the fast path's layout.  ``FastLayout`` takes the
 Ulam entries of the branches in order and decides the ``j_direct`` split,
-the window's columns and the kernel bands and pieces; ``_fast_steps``
-takes every piece's spectrum once, before the first step, and launches the
-blocks from a schedule keyed by step.  ``renewal_action`` checks the
-fast path's size before it allocates.  Operator assembly just feeds the
-layout entries.
+the window's columns and the kernel bands and pieces.  ``_FastRun`` plans
+one run from them and sizes it, so ``renewal_action`` checks the size
+before anything is allocated; its ``steps`` takes every piece's spectrum
+once, before the first step, and launches the blocks from a schedule keyed
+by step.  Operator assembly just feeds the layout entries.
 
 Everything here acts in Lebesgue form (fixed point of the block sum is the
 invariant density).  Conversion to the measure-normalized form used in the
@@ -62,7 +62,7 @@ class KernelGroup:
 
     ``kernels[(i, p)]`` holds the columns of R_p, ..., R_{p+span-1} that
     read source cell i, shape (row_hi, span) with span <= block <= p; rows
-    above ``row_hi`` are identically zero (the branch image is
+    above the layout's ``row_hi`` are identically zero (the branch image is
     [1/2, sup of the left branch]).  All pieces share launches at the
     multiples t of ``block`` and one inverse transform per launch: launched
     after step t - 1, piece (i, p) convolves the traces s_{t-p}[i], ...,
@@ -71,7 +71,6 @@ class KernelGroup:
     """
 
     block: int
-    row_hi: int
     kernels: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
 
@@ -128,6 +127,12 @@ class FastLayout:
         self._cols: list[np.ndarray] = []
         self._w: list[np.ndarray] = []
 
+    @property
+    def kernel_floor(self) -> int:
+        """Bytes the kernel bands take at least: every kernel branch reads some
+        source cell, whose band then holds a column of ``row_hi`` at its lag."""
+        return 8 * self.row_hi * (self.n_trunc + 1 - self.j_direct)
+
     def add(self, j0: int, brow, rows, cols, w):
         """Take the entries (branch j0 + brow, target row, source col, weight).
 
@@ -136,7 +141,7 @@ class FastLayout:
         n_direct, n_kept = brow.searchsorted([self.j_direct - j0, self.n_trunc + 1 - j0])
         if n_direct:
             # window column block jd - j holds lag j, matching the history
-            # ring of ``_fast_steps``, which reads s_{n-jd}, ..., s_{n-1}
+            # ring of ``_FastRun.steps``, which reads s_{n-jd}, ..., s_{n-1}
             jd = self.j_direct - 1
             self._rows.append(rows[:n_direct])
             self._cols.append((jd - j0 - brow[:n_direct]) * self.m + cols[:n_direct])
@@ -174,7 +179,7 @@ class FastLayout:
             for piece in pieces:
                 floor = 1 << (piece.p.bit_length() - 1)
                 block = min(max(_next_pow2(piece.kern.shape[1]), _BLOCK_MIN), floor)
-                g = by_block.setdefault(block, KernelGroup(block, self.row_hi))
+                g = by_block.setdefault(block, KernelGroup(block))
                 g.kernels[i, piece.p] = piece.kern
                 piece.kern = None
         self._bands = {}
@@ -210,122 +215,105 @@ class RenewalAccumulator:
     snapshots: dict[int, np.ndarray]
 
 
-def _live_pieces(groups: list[KernelGroup], n_max: int):
-    """(group, source cell, first lag, kernel) of the pieces with first lag <= n_max."""
-    return [(g, i, p, k) for g in groups for (i, p), k in g.kernels.items() if p <= n_max]
+class _FastRun:
+    """One fast-path run to ``n_max``: planned and sized when built, allocated by ``steps``.
 
-
-def _fast_bytes(j_direct: int, groups: list[KernelGroup], m: int, n_max: int) -> int:
-    """Bytes ``_fast_steps`` allocates: spectra, output ring, window history, traces."""
-    live = _live_pieces(groups, n_max)
-    block = max((g.block for g, *_ in live), default=0)
-    spectra = sum(16 * g.row_hi * (g.block + 1) for g, *_ in live)
-    ring = 8 * 2 * block * (groups[0].row_hi if groups else 0)
-    hist = 8 * 2 * (j_direct - 1) * m
-    traces = 8 * (block + n_max + 1) * len({i for _, i, _, _ in live})
-    return spectra + ring + hist + traces
-
-
-class _GroupRun:
-    """A kernel group during one fast run, with its pieces' spectra taken once.
-
-    The first block of a piece at lag p is the one whose inputs reach
-    time 0, launched for t = block * (p // block); traces before time 0
-    are the zero rows of the trace history's ``pad``.  Pieces are kept in
-    order of first launch, so a launch convolves a prefix of them.
+    A group's live pieces are those with first lag <= ``n_max``, in order of
+    first launch (stable, so ties keep the kernels' dict order).  The first
+    block of a piece at lag p is the one whose inputs reach time 0, launched
+    for t = block * (p // block), so a launch convolves a prefix of them.
+    Traces before time 0 are ``pad`` zero rows, ``pad`` being the largest
+    live block; ``cells`` are the source cells whose traces are read and
+    ``row_hi`` the kernels' rows (0 when no piece is live).  ``nbytes``
+    counts what ``steps`` allocates: spectra, output ring, window history
+    and traces.
     """
 
-    def __init__(self, g: KernelGroup, pieces, pad: int):
-        L = self.block = g.block
-        pieces = sorted(pieces, key=lambda e: e[1] // L)  # stable: ties keep dict order
-        self.first = np.array([L * (p // L) for _, p, _ in pieces])
-        # trace row of time t - p at t = 0, and trace column
-        self._rows = np.array([pad - p for _, p, _ in pieces])[:, None]
-        self._cols = np.array([col for col, _, _ in pieces])[:, None]
-        # the rfft outputs are kept as they come: copying them into one
+    def __init__(self, op, n_max: int):
+        self.op, self.n_max = op, n_max
+        live = [(g.block, sorted(((i, p, k) for (i, p), k in g.kernels.items() if p <= n_max),
+                                 key=lambda e, L=g.block: e[1] // L)) for g in op.groups]
+        live = [(L, pieces) for L, pieces in live if pieces]
+        self.pad = max((L for L, _ in live), default=0)
+        self.cells = sorted({i for _, pieces in live for i, _, _ in pieces})
+        self.row_hi = live[0][1][0][2].shape[0] if live else 0
+        col = {c: k for k, c in enumerate(self.cells)}
+        # per group: block, and per piece its first launch, the trace row of
+        # time t - p at t = 0, its trace column and its kernel
+        self._groups = [(L, np.array([L * (p // L) for _, p, _ in pieces]),
+                         np.array([self.pad - p for _, p, _ in pieces])[:, None],
+                         np.array([col[i] for i, _, _ in pieces])[:, None],
+                         [k for _, _, k in pieces]) for L, pieces in live]
+        self.nbytes = (16 * self.row_hi * sum((L + 1) * len(ks) for L, *_, ks in self._groups)
+                       + 8 * 2 * self.pad * self.row_hi  # output ring
+                       + 8 * 2 * (op.j_direct - 1) * op.grid.m  # window history
+                       + 8 * (self.pad + n_max + 1) * len(self.cells))  # traces
+
+    def steps(self, s0: np.ndarray):
+        """Generator of s_n: the stacked window plus blocked FFT convolutions.
+
+        ``op.stacked`` multiplies the columns ``op.window`` of the history
+        [s_{n-jd}, ..., s_{n-1}] (jd = j_direct - 1).  Every spectrum is
+        taken once, before the first step.  A group launches after each step
+        t - 1 with t a multiple of its block, from its first piece's first
+        block while t <= n_max.  A launch after step n writes outputs n + 1
+        .. n + 2·block - 1, only in the rows below ``row_hi``, so the pending
+        outputs fit a ring of 2·pad rows.
+        """
+        op, n_max, pad, row_hi = self.op, self.n_max, self.pad, self.row_hi
+        stacked, window = op.stacked, op.window
+        m = s0.shape[0]
+        jd = op.j_direct - 1
+        hist2 = np.zeros((2 * jd, m))
+        flat = hist2.ravel()
+        ring_len = max(2 * pad, 1)
+        ring = np.zeros((ring_len, row_hi))
+        traces = np.zeros((pad + n_max + 1, len(self.cells)))  # row pad + n holds time n
+        # the spectra stay a list of rfft outputs: copying them into one
         # preallocated array raised criterion 7's fresh-process peak RSS by
         # about 2% (770 -> 785 MB, 2-vCPU x86)
-        self.spectra = [np.fft.rfft(kern, n=2 * L, axis=1) for _, _, kern in pieces]
+        launches: dict[int, list[tuple]] = {}
+        for L, first, rows0, cols, kernels in self._groups:
+            spectra = [np.fft.rfft(k, n=2 * L, axis=1) for k in kernels]
+            launches.setdefault(int(first[0]) - 1, []).append((L, first, rows0, cols, spectra))
+        cells = np.array(self.cells, dtype=np.int64)
 
-    def launch(self, t: int, traces: np.ndarray) -> np.ndarray:
-        """Outputs t .. t + 2·block - 2 of the started pieces, shape (2·block - 1, row_hi)."""
-        f = 2 * self.block
-        k = int(self.first.searchsorted(t, "right"))
-        rows = self._rows[:k] + np.arange(t, t + self.block)
-        a_hat = np.fft.rfft(traces[rows, self._cols[:k]], n=f, axis=1)
-        acc = self.spectra[0] * a_hat[0]
-        for k_hat, a in zip(self.spectra[1:k], a_hat[1:]):
-            acc += k_hat * a
-        return np.fft.irfft(acc, n=f, axis=1)[:, : f - 1].T
+        for n in range(0, n_max + 1):
+            if n == 0:
+                s = s0.copy()
+            else:
+                slot = n % ring_len
+                s = np.zeros(m)
+                s[:row_hi] = ring[slot]
+                ring[slot] = 0.0
+                if stacked is not None:
+                    lo = n % jd
+                    s += stacked @ flat[lo * m:].take(window)
+            # record history for the stacked window and the kernel traces
+            r = n % jd
+            hist2[r] = s
+            hist2[jd + r] = s
+            traces[pad + n] = s[cells]
+            yield n, s
 
-
-def _fast_steps(
-    stacked: sp.csr_matrix | None,
-    window: np.ndarray | None,
-    j_direct: int,
-    groups: list[KernelGroup],
-    s0: np.ndarray,
-    n_max: int,
-):
-    """Generator of s_n via stacked window + blocked FFT convolutions.
-
-    ``stacked`` multiplies the columns ``window`` of the history [s_{n-jd},
-    ..., s_{n-1}] (jd = j_direct - 1), as ``FastLayout`` lays them out.
-    Launches are scheduled by step: a group launches after each step t - 1
-    with t a multiple of its block, from its earliest piece's first block
-    while t <= n_max.  Each group takes its pieces' spectra once, before
-    the first step.  A launch after step n writes outputs n + 1 ..
-    n + 2·block - 1, only in the rows below ``row_hi``, so the pending
-    outputs fit a ring of twice the largest block times by ``row_hi`` cells.
-    """
-    m = s0.shape[0]
-    jd = j_direct - 1
-    hist2 = np.zeros((2 * jd, m))
-    flat = hist2.ravel()
-    live = _live_pieces(groups, n_max)
-    pad = max((g.block for g, *_ in live), default=0)
-    ring_len = max(2 * pad, 1)
-    row_hi = groups[0].row_hi if groups else 0
-    ring = np.zeros((ring_len, row_hi))
-    read_cells = sorted({i for _, i, _, _ in live})
-    col = {c: k for k, c in enumerate(read_cells)}
-    traces = np.zeros((pad + n_max + 1, len(read_cells)))  # row pad + n holds time n
-    launches: dict[int, list[_GroupRun]] = {}
-    for g in groups:
-        pieces = [(col[i], p, k) for (i, p), k in g.kernels.items() if p <= n_max]
-        if pieces:
-            run = _GroupRun(g, pieces, pad)
-            launches.setdefault(int(run.first[0]) - 1, []).append(run)
-    read_cells = np.array(read_cells, dtype=np.int64)
-
-    for n in range(0, n_max + 1):
-        if n == 0:
-            s = s0.copy()
-        else:
-            slot = n % ring_len
-            s = np.zeros(m)
-            s[:row_hi] = ring[slot]
-            ring[slot] = 0.0
-            if stacked is not None:
-                lo = n % jd
-                s += stacked @ flat[lo * m:].take(window)
-        # record history for the stacked window and the kernel traces
-        r = n % jd
-        hist2[r] = s
-        hist2[jd + r] = s
-        traces[pad + n] = s[read_cells]
-        yield n, s
-
-        # blocks whose first output is t = n + 1
-        t = n + 1
-        for run in launches.pop(n, ()):
-            out_t = run.launch(t, traces)
-            start = t % ring_len
-            first = min(len(out_t), ring_len - start)
-            ring[start: start + first] += out_t[:first]
-            ring[: len(out_t) - first] += out_t[first:]
-            if t + run.block <= n_max:
-                launches.setdefault(n + run.block, []).append(run)
+            # blocks whose first output is t = n + 1: outputs t .. t + 2·L - 2
+            # of the started pieces
+            t = n + 1
+            for run in launches.pop(n, ()):
+                L, first, rows0, cols, spectra = run
+                f = 2 * L
+                k = int(first.searchsorted(t, "right"))
+                a_hat = np.fft.rfft(traces[rows0[:k] + np.arange(t, t + L), cols[:k]], n=f, axis=1)
+                acc = spectra[0] * a_hat[0]
+                for k_hat, a in zip(spectra[1:k], a_hat[1:]):
+                    acc += k_hat * a
+                out_t = np.fft.irfft(acc, n=f, axis=1)[:, : f - 1].T
+                start = t % ring_len
+                head = min(len(out_t), ring_len - start)
+                ring[start: start + head] += out_t[:head]
+                ring[: len(out_t) - head] += out_t[head:]
+                if t + L <= n_max:
+                    launches.setdefault(n + L, []).append(run)
 
 
 def renewal_action(
@@ -357,14 +345,14 @@ def renewal_action(
     snaps: dict[int, np.ndarray] = {}
     s_sum = np.zeros(grid.m)
 
-    need = _fast_bytes(op.j_direct, op.groups, grid.m, n_max)
-    if need > _FAST_LIMIT:
+    run = _FastRun(op, n_max)
+    if run.nbytes > _FAST_LIMIT:
         raise NumericalError(
-            f"fast path needs {need / 2**30:.3g} GiB for {n_max} steps on {grid.m} cells, "
+            f"fast path needs {run.nbytes / 2**30:.3g} GiB for {n_max} steps on {grid.m} cells, "
             f"above its {_FAST_LIMIT / 2**30:.3g} GiB limit; lower nmax, ntrunc or grid"
         )
 
-    for n, s in _fast_steps(op.stacked, op.window, op.j_direct, op.groups, s0, n_max):
+    for n, s in run.steps(s0):
         tn[n] = s.sum() * delta
         s_sum += s
         if n in snap_set:

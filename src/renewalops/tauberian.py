@@ -188,8 +188,8 @@ def _sampled_gap(samp: np.ndarray) -> float:
     """
     n = len(samp) - 1
     w = np.sin(0.5 * np.pi * np.arange(n + 1) / n)
-    w[-1] *= 0.5  # w[0] is already 0
-    return float(np.dot(samp, w)) * math.pi / n - 2.0 * (math.exp(0.5) - 1.0)
+    w[-1] *= 0.5  # w[0] is already 0; summed without BLAS, as the exact gap
+    return float((samp * w).sum()) * math.pi / n - 2.0 * (math.exp(0.5) - 1.0)
 
 
 def indicator_majorant(epsilon: float, degree_cap: int = 1 << 17) -> OneSidedPoly:
@@ -254,10 +254,11 @@ def indicator_majorant(epsilon: float, degree_cap: int = 1 << 17) -> OneSidedPol
     if np.any(q2 < g2 - 1e-13):
         raise NumericalError("majorant dips below the step; delta margin too thin")
     # exact gap: int q x^-3/2 - int g x^-3/2 with the moment formula
-    # int_0^1 T_k(2x-1) x^-1/2 dx = 2/(1-4k^2)
+    # int_0^1 T_k(2x-1) x^-1/2 dx = 2/(1-4k^2); summed by numpy, not np.dot,
+    # whose BLAS splits a long dot across threads and rounds by their count
     kk = np.arange(len(coeffs))
     moments = 2.0 / (1.0 - 4.0 * kk.astype(float) ** 2)
-    gap = float(np.dot(coeffs, moments) - 2.0 * (math.exp(0.5) - 1.0))
+    gap = float((coeffs * moments).sum() - 2.0 * (math.exp(0.5) - 1.0))
     poly = OneSidedPoly(side="upper", degree=len(coeffs), gap=gap, cheb_r=coeffs)
     quad_gap = _sampled_gap(samp)
     if not (0.0 <= gap < epsilon) or abs(quad_gap - gap) > 0.05 * epsilon + 1e-8:

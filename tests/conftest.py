@@ -8,7 +8,7 @@ import renewalops as ro
 from renewalops.errors import DomainError, NumericalError
 from renewalops.induced import _branch_entries, _tail_completion
 from renewalops.ladder import _MAX_ITER, _TOL
-from renewalops.renewal_engine import FastLayout, _fast_steps
+from renewalops.renewal_engine import FastLayout, _FastRun
 
 SESSION_T0 = time.time()
 
@@ -158,8 +158,7 @@ def exact_history(op, v, n_max) -> np.ndarray:
 def fast_history(op, v, n_max) -> np.ndarray:
     """s_0..s_{n_max} of the engine ``renewal_action`` runs, for the measure-normalized v."""
     s0 = op.density_values * np.asarray(v, dtype=float)
-    steps = _fast_steps(op.stacked, op.window, op.j_direct, op.groups, s0, n_max)
-    return np.array([s.copy() for _, s in steps])
+    return np.array([s.copy() for _, s in _FastRun(op, n_max).steps(s0)])
 
 
 def block_series(op, z: complex, extended: bool = False) -> np.ndarray:

@@ -150,6 +150,8 @@ class TestOutputs:
     # j_direct is 128 by default, so the FFT kernel groups for lags 128..800 launch
     (["dual-ergodic", "--alpha", "2", "--grid", "128", "--ntrunc", "800", "--nmax", "800"],
      "dual_ergodic.csv"),
+    # the majorant's gap sums 16,385 Chebyshev terms
+    (["polys", "--epsilon", "0.1", "--degrees", "4"], "polys.csv"),
 ])
 def test_csv_bodies_do_not_depend_on_thread_count(tmp_path, argv, csv):
     src = str(Path(renewalops.__file__).resolve().parents[1])

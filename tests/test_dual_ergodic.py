@@ -52,6 +52,11 @@ class TestReport:
                                   [100, 300, 1000])
         assert rep.sup_error[0] > rep.sup_error[1] > rep.sup_error[2]
 
+    @pytest.mark.parametrize("ns", [[], [0]], ids=["empty", "zero"])
+    def test_report_times_rejected(self, lsv2_small, ns):
+        with pytest.raises(DomainError, match="at least one"):
+            dual_ergodic_report(lsv2_small, np.ones(lsv2_small.grid.m), ns)
+
     def test_rows_schema(self, lsv2_small):
         rep = dual_ergodic_report(lsv2_small, np.ones(lsv2_small.grid.m), [10, 100])
         rows = rep.rows()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import renewalops as ro
-from renewalops import induced
+from renewalops import induced, renewal_engine
 from renewalops.errors import NumericalError
 
 from conftest import block_series, doubling_branch_matrix
@@ -156,7 +156,10 @@ class TestAssembly:
 
     def test_size_guard_raises_before_the_ladder(self, monkeypatch):
         spec, m, n_trunc = ro.MapSpec("lsv", alpha=2.0), 64, 200
-        need = 8 * m * m + 8 * (2 * n_trunc + 1)  # the default k_ladder is 2 n_trunc
+        op = ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
+        row_hi = renewal_engine._FastRun(op, n_trunc).row_hi
+        # the default k_ladder is 2 n_trunc; every kernel branch holds a column of row_hi
+        need = 8 * m * m + 8 * (2 * n_trunc + 1) + 8 * row_hi * (n_trunc + 1 - op.j_direct)
         built = []
         ladder = induced.BranchLadder
         monkeypatch.setattr(induced, "BranchLadder",

@@ -232,7 +232,7 @@ def reference_assembly(op, ref):
     stacked = sp.csr_matrix(
         (np.concatenate(st_w), (np.concatenate(st_rows), compact)), shape=(m, window.size),
     )
-    row_hi = op.groups[0].row_hi
+    row_hi = renewal_engine._FastRun(op, op.n_trunc).row_hi
     assert all(not band[row_hi:].any() for _, band in bands.values())
     return r1, stacked, window, reference_pieces(bands, row_hi)
 

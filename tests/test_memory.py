@@ -4,10 +4,14 @@ the fast engine's single up-front allocation."""
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import renewalops as ro
 from renewalops.induced import _branch_entries
-from renewalops.renewal_engine import _fast_bytes, _fast_steps, _live_pieces
+from renewalops.renewal_engine import FastLayout, _FastRun
+
+# lsv kernels fill every row; lsv0 kernels at grid 256 only the lowest 19 (row_hi < m)
+OPERATORS = [(ro.MapSpec("lsv", alpha=2.0), 64, 600), (ro.MapSpec("lsv0"), 256, 2000)]
 
 
 def test_assembly_transient_per_ulam_entry():
@@ -38,26 +42,40 @@ def test_kernels_are_stored_as_lag_bands():
             j = j0 + brow[cols == i]
             first.setdefault(int(i), int(j[0]))
             last[int(i)] = int(j[-1])
-    row_hi = op.groups[0].row_hi
+    row_hi = _FastRun(op, op.n_trunc).row_hi
     band_bytes = sum(8 * row_hi * (last[i] - first[i] + 1) for i in first)
     kernel_bytes = sum(k.nbytes for g in op.groups for k in g.kernels.values())
     assert len(first) > 5
     assert band_bytes <= kernel_bytes <= 1.5 * band_bytes
 
 
-def test_fast_run_allocates_everything_before_its_first_step():
+@pytest.mark.parametrize("spec, m, n_trunc", OPERATORS, ids=["lsv-2", "lsv0"])
+def test_kernel_floor_is_below_kernel_bytes(spec, m, n_trunc):
+    """Assembly's size guard counts no more kernel bytes than the bands take."""
+    op = ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
+    row_hi = _FastRun(op, n_trunc).row_hi
+    floor = FastLayout(m, n_trunc, op.j_direct, row_hi).kernel_floor
+    kernel_bytes = sum(k.nbytes for g in op.groups for k in g.kernels.values())
+    assert 0 < floor <= kernel_bytes
+
+
+@pytest.mark.parametrize("spec, m, n_trunc", OPERATORS, ids=["lsv-2", "lsv0"])
+def test_fast_run_allocates_everything_before_its_first_step(spec, m, n_trunc):
     """Spectra, ring, window history and traces exist once s_0 is out, as sized."""
-    op = ro.assemble_operator(ro.MapSpec("lsv", alpha=2.0), ro.Grid(64), n_trunc=600)
-    n_max = op.n_trunc
-    need = _fast_bytes(op.j_direct, op.groups, op.grid.m, n_max)
-    spectra = sum(16 * g.row_hi * (g.block + 1) for g, *_ in _live_pieces(op.groups, n_max))
-    assert spectra > need / 2
+    op = ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
+    run = _FastRun(op, n_trunc)
+    if spec.family == "lsv":
+        spectra = sum(16 * run.row_hi * (g.block + 1)
+                      for g in op.groups for (_, p) in g.kernels if p <= n_trunc)
+        assert spectra > run.nbytes / 2
+    else:
+        assert run.row_hi < m
     s0 = op.density_values.copy()
     tracemalloc.start()
     try:
-        steps = _fast_steps(op.stacked, op.window, op.j_direct, op.groups, s0, n_max)
+        steps = run.steps(s0)
         next(steps)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert abs(held - need) <= 0.02 * need
+    assert abs(held - run.nbytes) <= 0.02 * run.nbytes

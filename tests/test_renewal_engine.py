@@ -171,7 +171,7 @@ class TestFastPath:
         op = ro.assemble_operator(ro.MapSpec("lsv", alpha=2.0), ro.Grid(32), n_trunc=200,
                                   j_direct=16)
         v, n_max = np.ones(32), 150
-        need = renewal_engine._fast_bytes(op.j_direct, op.groups, 32, n_max)
+        need = renewal_engine._FastRun(op, n_max).nbytes
         monkeypatch.setattr(renewal_engine, "_FAST_LIMIT", need - 1)
         transforms = []
         rfft = np.fft.rfft
