@@ -16,12 +16,13 @@ blocks also feed the renewal recursion as a stacked sparse matrix for
 short return times and per-source-cell convolution kernels for long ones.
 
 Every consumer walks the ladder a block of up to 128 branches at a time:
-one vectorized pass extracts the block's Ulam entries in branch order, and
-assembly scatters them straight into the dense block sum and hands them
-to the renewal engine's ``FastLayout``, which owns the window's columns,
-the kernel bands and their pieces; this module does not know that layout.
-The scatter adds the entries one by one in branch order, so the sum
-rounds exactly as a branch-by-branch pass would.
+one vectorized pass extracts the block's Ulam entries in branch order, with
+one source-cell lookup per branch row, and assembly scatters them straight
+into the dense block sum and hands them to the renewal engine's
+``FastLayout``, which owns the window's columns, the kernel bands and their
+pieces; this module does not know that layout.  The scatter adds the
+entries one by one in branch order, so the sum rounds exactly as a
+branch-by-branch pass would.
 """
 
 from __future__ import annotations
@@ -47,43 +48,39 @@ __all__ = [
 def _branch_entries(edges: np.ndarray, G: np.ndarray, m: int, delta: float):
     """COO entries (block row, target cell, source cell, weight) of a block.
 
-    Row r of ``G`` is a branch inverse at the edges; the preimage of target
-    cell t is [G[r, t], G[r, t+1]] and its overlaps with the source cells
-    give the Ulam weights.  Entries are ordered by block row, then target,
-    then source cell.
+    Row r of ``G`` is a branch inverse at the edges; the preimage [a, b] of
+    target cell t weighs (min(b, lo + delta) - max(a, lo)) / delta, where
+    positive, in source cell [lo, lo + delta], lo = edges[0] + cell·delta.
+    A row whose least and largest value share a cell gets these weights, bit
+    for bit, as the differences of the row clipped to that cell; only rows
+    that cross a source edge look up cells per target.  Entries are ordered
+    by block row, then target, then source cell.
     """
-    a = G[:, :-1]
-    b = G[:, 1:]
-    live = b > a
-    r_idx, t_idx = live.nonzero()
-    a = a[live]
-    b = b[live]
+    k0 = np.minimum(np.maximum(edges.searchsorted(G.min(axis=1), side="right") - 1, 0), m - 1)
+    cross = np.flatnonzero(np.minimum(edges.searchsorted(G.max(axis=1)) - 1, m - 1) > k0)
+    lo = (edges[0] + k0 * delta)[:, None]
+    ov = np.diff(np.clip(G, lo, lo + delta), axis=1)
+    ov[cross] = 0.0
+    keep = ov > 0.0
+    n_kept = np.count_nonzero(keep, axis=1)
+    brow = np.arange(G.shape[0]).repeat(n_kept)
+    out = brow, np.flatnonzero(keep) - brow * ov.shape[1], k0.repeat(n_kept), ov[keep] / delta
+    if not cross.size:
+        return out
+    r_idx, t_idx = (G[cross, 1:] > G[cross, :-1]).nonzero()
+    a, b = G[cross[r_idx], t_idx], G[cross[r_idx], t_idx + 1]
     k0 = np.minimum(np.maximum(edges.searchsorted(a, side="right") - 1, 0), m - 1)
-    k1 = np.maximum(k0, np.minimum(edges.searchsorted(b, side="left") - 1, m - 1))
-    counts = k1 - k0 + 1
-    total = int(counts.sum())
-    brow = r_idx.repeat(counts)
-    rows = t_idx.repeat(counts)
-    # source cells k0, k0 + 1, ..., k1 of each target, laid end to end
-    cols = (k0 - (counts.cumsum() - counts)).repeat(counts) + np.arange(total)
-    cell_lo = edges[0] + cols * delta
-    ov = np.minimum(b.repeat(counts), cell_lo + delta) - np.maximum(a.repeat(counts), cell_lo)
-    w = np.maximum(ov, 0.0) / delta
+    counts = np.maximum(np.minimum(edges.searchsorted(b) - 1, m - 1) - k0, 0) + 1
+    # source cells k0 .. k0 + counts - 1 of each target, laid end to end
+    cols = (k0 - (counts.cumsum() - counts)).repeat(counts) + np.arange(counts.sum())
+    lo = edges[0] + cols * delta
+    w = np.maximum(np.minimum(b.repeat(counts), lo + delta)
+                   - np.maximum(a.repeat(counts), lo), 0.0) / delta
     keep = w > 0.0
-    return brow[keep], rows[keep], cols[keep], w[keep]
-
-
-def _block_csr(entries, n_rows: int, m: int) -> list[sp.csr_matrix]:
-    """One CSR matrix per block row, straight from ``_branch_entries`` output."""
-    brow, rows, cols, w = entries
-    starts = brow.searchsorted(np.arange(n_rows + 1))
-    indptr = np.zeros((n_rows, m + 1), np.int64)
-    counts = np.bincount(brow * m + rows, minlength=n_rows * m).reshape(n_rows, m)
-    indptr[:, 1:] = counts.cumsum(axis=1)
-    return [
-        sp.csr_matrix((w[lo:hi], cols[lo:hi], indptr[r]), shape=(m, m))
-        for r, (lo, hi) in enumerate(zip(starts[:-1], starts[1:]))
-    ]
+    crossing = cross[r_idx].repeat(counts)[keep], t_idx.repeat(counts)[keep], cols[keep], w[keep]
+    # a crossing row's entries go before the one-cell entries of later rows
+    at = out[0].searchsorted(crossing[0])
+    return tuple(np.insert(x, at, y) for x, y in zip(out, crossing))
 
 
 @dataclass
@@ -157,8 +154,10 @@ class InducedOperator:
         m = self.grid.m
         mats = []
         for _, G in self.ladder.sweep(1, self.n_trunc + 1):
-            entries = _branch_entries(self.grid.edges, G, m, self.grid.width)
-            mats += _block_csr(entries, G.shape[0], m)
+            brow, rows, cols, w = _branch_entries(self.grid.edges, G, m, self.grid.width)
+            ends = brow.searchsorted(np.arange(G.shape[0] + 1))
+            mats += [sp.csr_matrix((w[lo:hi], (rows[lo:hi], cols[lo:hi])), shape=(m, m))
+                     for lo, hi in zip(ends[:-1], ends[1:])]
         return mats
 
 

@@ -22,9 +22,10 @@ into a block buffer and each block is lifted in one operation, so the
 consumers in ``induced`` extract a whole block's Ulam entries at once.
 
 The distinct columns are few (71 above), so numpy's per-call overhead, not
-the arithmetic, sets the Newton's cost.  Its values live in row-width
-scratch that a sweep allocates once and passes to every rung, and f'(w) is
-evaluated only when an update follows, not after the last step.  Every
+the arithmetic, sets the Newton's cost.  Its values live in scratch that a
+sweep allocates once and passes from rung to rung: each rung's Newton
+starts at its target with the left(w) that the previous rung's last check
+left there, and f'(w) is evaluated only when an update follows.  Every
 ufunc runs in the order of the allocating Newton that the tests keep as
 their reference, so each rung and ``x_tail`` match it bit for bit.
 """
@@ -46,33 +47,34 @@ _MAX_ITER = 60
 _FLOOR = np.array(1e-300)  # keeps iterates positive; 0-d, like maps' constants
 
 
-def pullback_row(spec: MapSpec, targets: np.ndarray, w0: np.ndarray,
-                 out: np.ndarray | None = None,
+def pullback_row(spec: MapSpec, targets: np.ndarray, out: np.ndarray | None = None,
                  work: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
-    """Solve left(w) = target elementwise by monotone Newton from above.
+    """Solve left(w) = target elementwise by monotone Newton from w = target.
 
     This is the package's one left-branch inverse.  Requires
     0 < target < ``spec.left_image_sup`` (callers clamp targets at or above
-    the sup to ``sup * (1 - 1e-14)``) and left(w0) >= target, which
-    w0 = target meets; convexity of the left branch keeps the iterates above
-    the root and decreasing.  The iterates live in ``out`` (a new array by
-    default), which must not overlap ``targets``.  ``work`` is four
-    scratch arrays of the targets' shape, allocated when not given.
+    the sup to ``sup * (1 - 1e-14)``); convexity of the left branch keeps
+    the iterates above the root and decreasing.  They live in ``out`` (new
+    by default), which must not overlap ``targets``.  ``work`` is four
+    scratch arrays of the targets' shape; if given, it holds left(targets)
+    in ``work[2]`` and its share in ``work[0]``, as a call leaves them for
+    its root, so a chain of pullbacks evaluates each point once.
     """
-    if out is None:
-        w = w0.copy()
-    else:
-        w = out
-        w[...] = w0
-    share, a, b, c = work if work is not None else np.empty((4,) + w.shape)
+    if work is None:
+        work = tuple(np.empty((4,) + targets.shape))
+        spec.left_np(targets, work[0], work[1], work[2])
+    w = np.empty_like(targets) if out is None else out
+    w[...] = targets
+    share, a, b, c = work
     for it in range(_MAX_ITER + 1):
-        err = np.subtract(spec.left_np(w, share, a, b), targets, c)
+        err = np.subtract(b, targets, c)
         if np.maximum.reduce(np.abs(err, a), axis=None) <= _TOL:
             return w
         if it == _MAX_ITER:
             break
         step = np.divide(err, spec.left_deriv_np(w, share, a, b), a)
         np.maximum(np.subtract(w, step, b), _FLOOR, out=w)
+        spec.left_np(w, share, a, b)
     if np.maximum.reduce(np.abs(err), axis=None) > 1e-12:
         raise NumericalError("vectorized left-branch pullback stalled")
     return w
@@ -131,17 +133,16 @@ class BranchLadder:
         stride = self.sweep_block
         k, prev = (self._frontier, self._row) if k_lo >= self._frontier else (0, self._row0)
         buf = np.empty((min(stride, k_hi - k), prev.size))
-        work = tuple(np.empty((4, prev.size)))  # Newton scratch, shared by every rung
+        work = tuple(np.empty((4, prev.size)))  # Newton scratch, passed from rung to rung
+        self.spec.left_np(prev, work[0], work[1], work[2])
         k0 = k  # the first block starts on the known rung k, later ones after it
         while k0 < k_hi:
             k1 = min(k_hi, (k0 // stride + 1) * stride)
             rows = buf[: k1 - k0]
             if k0 == k:
                 rows[0] = prev
-            else:
-                pullback_row(self.spec, prev, prev, out=rows[0], work=work)
-            for i in range(1, k1 - k0):
-                pullback_row(self.spec, rows[i - 1], rows[i - 1], out=rows[i], work=work)
+            for i in range(int(k0 == k), k1 - k0):
+                pullback_row(self.spec, rows[i - 1] if i else prev, out=rows[i], work=work)
             # the 1/2-edge column is the scalar backward orbit
             self._x[k0:k1] = rows[:, 0]
             prev = rows[-1].copy()

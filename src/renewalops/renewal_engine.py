@@ -82,13 +82,13 @@ class _Piece:
         self.kern = np.zeros((row_hi, 0))
 
     def put(self, d: np.ndarray, rows: np.ndarray, w: np.ndarray):
-        """Add weights at lags p + d (d ascending), growing the columns to lag p + d[-1]."""
+        """Set weights at lags p + d (d ascending), growing the columns to lag p + d[-1]."""
         have, need = self.kern.shape[1], int(d[-1]) + 1
         if need > have:
             grown = np.zeros((self.kern.shape[0], need))
             grown[:, :have] = self.kern
             self.kern = grown
-        self.kern[rows, d] += w
+        self.kern[rows, d] = w  # each (row, lag) once: a branch's entries are distinct
 
 
 class FastLayout:

@@ -97,7 +97,7 @@ def full_map_transfer(spec, obs):
         inside[-1] = True
     if np.any(inside):
         targets = np.minimum(nodes[inside], sup * (1 - 1e-14))
-        y = pullback_row(spec, targets, targets)
+        y = pullback_row(spec, targets)
         out[inside] += obs(y) / reference_left_and_deriv(spec, y)[1]
     floor = nodes[0]
     # mass landing in (0, floor): right-branch preimage is [1/2, (1+floor)/2];
@@ -105,7 +105,7 @@ def full_map_transfer(spec, obs):
     cums = obs.cumulative_at(np.array([0.5, 0.5 * (1.0 + floor)]))
     escaped = float(cums[1] - cums[0])
     floor_target = np.array([min(floor, sup * (1 - 1e-14))])
-    y_floor = pullback_row(spec, floor_target, floor_target)[0]
+    y_floor = pullback_row(spec, floor_target)[0]
     escaped += float(obs.cumulative_at(np.array([y_floor]))[0])
     return MeshObservable(obs.mesh, out, escaped_mass=obs.escaped_mass + escaped)
 
@@ -141,7 +141,7 @@ def extended_density(op, mesh, tol=1e-9, max_terms=4000):
         term = acc
         last_it = 0
         for it in range(1, max_terms + 1):
-            xi = pullback_row(spec, xi, xi)
+            xi = pullback_row(spec, xi)
             weight = weight / reference_left_and_deriv(spec, xi)[1]
             term = weight * h_at(0.5 * (xi + 1.0))
             acc = acc + term

@@ -11,10 +11,11 @@ Newton, must agree bit for bit.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import renewalops as ro
 from renewalops import renewal_engine
-from renewalops.induced import _tail_completion
+from renewalops.induced import _branch_entries, _tail_completion
 from renewalops.ladder import BranchLadder
 
 from conftest import block_series, reference_pullback_row
@@ -71,6 +72,52 @@ def reference_branch_entries(edges, g_row, m, delta):
     w = np.maximum(ov, 0.0) / delta
     keep = w > 0.0
     return rows[keep], cols[keep], w[keep]
+
+
+@st.composite
+def entry_blocks(draw):
+    """A grid and a block of nondecreasing rows of a few kinds.
+
+    Rows sit inside one cell (endpoints included), span many cells, or
+    reach below 1/2 or above 1 (clamped into cell 0 or m - 1).  Values come
+    from random floats, the edges, and the cell bounds lo and lo + delta of
+    the weight formula (on grids that are not powers of two they can miss
+    the edges by an ulp); repeats make plateaus.
+    """
+    m = draw(st.sampled_from([1, 2, 3, 7, 10, 64, 100]))
+    grid = ro.Grid(m)
+    edges, delta = grid.edges, grid.width
+    lo = edges[0] + np.arange(m) * delta
+    marks = np.unique(np.concatenate([edges, lo, lo + delta]))
+    n = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["cell", "wide", "low", "high"]))
+        c = draw(st.integers(0, m - 1))
+        a, b = {"cell": (edges[c], edges[c + 1]), "wide": (0.5, 1.0),
+                "low": (0.25, edges[1]), "high": (edges[-2], 1.25)}[kind]
+        pool = marks[(marks >= a) & (marks <= b)].tolist()
+        point = st.floats(a, b) | (st.sampled_from(pool) if pool else st.floats(a, b))
+        vals = draw(st.lists(point | st.just(None), min_size=n + 1, max_size=n + 1))
+        for i, v in enumerate(vals):  # None repeats the previous value
+            vals[i] = (vals[i - 1] if i else a) if v is None else v
+        rows.append(np.sort(vals))
+    return grid, np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_blocks())
+def test_branch_entries_match_per_row_reference(block):
+    grid, G = block
+    want = [[], [], [], []]
+    for r, g_row in enumerate(G):
+        rows, cols, w = reference_branch_entries(grid.edges, g_row, grid.m, grid.width)
+        for acc, x in zip(want, (np.full(rows.size, r), rows, cols, w)):
+            acc.append(x)
+    got = _branch_entries(grid.edges, G, grid.m, grid.width)
+    for x, y in zip(got, want):
+        y = np.concatenate(y)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 class RowAccumulator:

@@ -12,9 +12,9 @@ from conftest import bisect_left_branch
 
 
 def left_inverse(spec, x):
-    """The package's one Newton, started at w0 = x, on a single target."""
+    """The package's one Newton, started at w = x, on a single target."""
     target = np.array([x])
-    return float(pullback_row(spec, target, target)[0])
+    return float(pullback_row(spec, target)[0])
 
 
 class TestMapSpec:
