@@ -324,7 +324,7 @@ def _cmd_contour(cfg: ExperimentConfig, outdir: Path) -> dict:
         row = [cfg.check, cfg.beta, res.value, res.closed_form, res.abs_error, res.error_bar]
     else:
         res = tb.window_power_integral(cfg.rho, cfg.gamma, cfg.nmax)
-        row = [cfg.check, cfg.rho, float(res.value.real), res.main_term,
+        row = [cfg.check, cfg.rho, res.value, res.main_term,
                res.deviation, res.quad_error + cfg.nmax ** (cfg.rho * cfg.gamma)]
     _write_csv(outdir / "contour.csv",
                ["check", "parameter", "computed", "closed_form", "abs_error", "error_bar"],

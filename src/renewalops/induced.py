@@ -11,9 +11,10 @@ edges, i.e. from the pullback ladder.
 
 The block sum over all return times is completed beyond the tabulated
 ladder by an integral-tail estimate, so its Ulam matrix conserves mass to
-machine precision and its fixed point is a clean invariant density.  The
-blocks also feed the renewal recursion as a stacked sparse matrix for
-short return times and per-source-cell convolution kernels for long ones.
+machine precision and its fixed point is a clean invariant density, which
+assembly solves before it drops the sum.  The blocks also feed the renewal
+recursion as a stacked sparse matrix for short return times and
+per-source-cell convolution kernels for long ones.
 
 Every consumer walks the ladder a block of up to 128 branches at a time:
 one vectorized pass extracts the block's Ulam entries in branch order, with
@@ -90,11 +91,10 @@ class InducedOperator:
     ``stacked`` applies all blocks with return time < ``j_direct`` to the
     columns ``window`` of a rolling history window; ``groups`` hold the
     longer return times as per-source-cell band pieces of convolution
-    kernels (all as ``FastLayout`` lays them out); ``r1`` is
-    the dense Ulam matrix of the full block sum (completed beyond the
-    truncation), whose fixed point is the invariant density.
-    ``mass_deficit`` is the invariant mass of return times beyond
-    ``n_trunc``.
+    kernels (all as ``FastLayout`` lays them out).  ``density`` is the fixed
+    point of the full block sum (completed beyond the truncation), which is
+    not kept, and ``density_residual`` its L1 residual.  ``mass_deficit``
+    is the invariant mass of return times beyond ``n_trunc``.
     """
 
     spec: MapSpec | None
@@ -104,23 +104,16 @@ class InducedOperator:
     stacked: sp.csr_matrix | None
     window: np.ndarray | None
     groups: list[KernelGroup]
-    r1: np.ndarray
+    density: np.ndarray
+    density_residual: float
     ladder: BranchLadder | None = None
-    _density: np.ndarray | None = None
-    _density_residual: float | None = None
 
     # -- density ---------------------------------------------------------
 
     @property
     def density_values(self) -> np.ndarray:
-        if self._density is None:
-            self._density, self._density_residual = _power_density(self.r1, self.grid.width)
-        return self._density
-
-    @property
-    def density_residual(self) -> float:
-        _ = self.density_values
-        return float(self._density_residual)
+        """``density``; the name callers read and the bench's tracer wraps."""
+        return self.density
 
     @property
     def mass_deficit(self) -> float:
@@ -203,23 +196,13 @@ def assemble_operator(
             f"on {m} cells and a {k_ladder}-rung ladder, above the "
             f"{_FAST_LIMIT / 2**30:.3g} GiB limit; lower grid or ntrunc"
         )
-    edges = grid.edges
-    ladder = BranchLadder(spec, edges, n_rungs=k_ladder)
-
-    r1 = np.zeros((m, m))
-    for j0, G in ladder.sweep(1, k_ladder + 2):
-        brow, rows, cols, w = _branch_entries(edges, G, m, delta)
-        np.add.at(r1.ravel(), rows * m + cols, w)
-        layout.add(j0, brow, rows, cols, w)
-
-    tail = _tail_completion(ladder, edges, delta)
-    if tail is not None:
-        r1 += tail
-
+    ladder = BranchLadder(spec, grid.edges, n_rungs=k_ladder)
+    density, residual = _power_density(_swept_block_sum(ladder, grid, layout), delta)
     stacked, window = layout.stacked()
     op = InducedOperator(
         spec=spec, grid=grid, n_trunc=n_trunc, j_direct=layout.j_direct,
-        stacked=stacked, window=window, groups=layout.groups(), r1=r1, ladder=ladder,
+        stacked=stacked, window=window, groups=layout.groups(),
+        density=density, density_residual=residual, ladder=ladder,
     )
     deficit = op.mass_deficit
     if deficit > deficit_bound:
@@ -229,12 +212,31 @@ def assemble_operator(
     return op
 
 
-def _tail_completion(ladder: BranchLadder, edges: np.ndarray, delta: float) -> np.ndarray | None:
+def _swept_block_sum(ladder: BranchLadder, grid: Grid, layout) -> np.ndarray:
+    """Block sum of all ladder branches plus the integral tail; entries go to ``layout.add``.
+
+    The tail is added on the columns it reads only: elsewhere it is +0.0.
+    """
+    m, delta, edges = grid.m, grid.width, grid.edges
+    r1 = np.zeros((m, m))
+    for j0, G in ladder.sweep(1, ladder.n_rungs + 2):
+        brow, rows, cols, w = _branch_entries(edges, G, m, delta)
+        np.add.at(r1.ravel(), rows * m + cols, w)
+        layout.add(j0, brow, rows, cols, w)
+    tail = _tail_completion(ladder, edges, delta)
+    if tail is not None:
+        profile, read = tail
+        cols = np.flatnonzero(read)
+        r1[:, cols] += np.outer(profile, read[cols])
+    return r1
+
+
+def _tail_completion(ladder: BranchLadder, edges: np.ndarray, delta: float):
     """Integral-tail estimate of the block sum beyond the ladder (rank one).
 
     Mass entering the read region [1/2, 1/2 + width] leaves along the
-    profile of the last tabulated rung, scaled to the region's width;
-    ``None`` when the ladder leaves no tail to complete.
+    profile of the last tabulated rung, scaled to the region's width.
+    Returns its factors (profile, read), or ``None`` when there is no tail.
     """
     tt_cum, width = ladder.top_tail_cumulative()
     if not width > 0:
@@ -246,7 +248,7 @@ def _tail_completion(ladder: BranchLadder, edges: np.ndarray, delta: float) -> n
     profile *= width / total
     hi_edge = min(0.5 + width, 1.0)
     read = np.maximum(np.minimum(edges[1:], hi_edge) - edges[:-1], 0.0) / width
-    return np.outer(profile, read)
+    return profile, read
 
 
 def _power_density(r1: np.ndarray, delta: float):

@@ -533,17 +533,19 @@ def rotated_gamma_integral(beta: float, u: float, theta: float,
     return head + tail_val, float(err)
 
 
-def _finite_line_integral(nu: float, s_hi: float) -> tuple[complex, float]:
+def _finite_line_integral(nu: float, s_hi: float) -> tuple[float, float]:
     """integral_{-S}^{S} (1 - i s)^{-nu} e^{-i s} ds by oscillatory panels.
 
-    The integrand is evaluated in polar form, (1 + s^2)^{-nu/2}
+    f(-s) = conj f(s), so the integral is twice the real part over [0, S],
+    error estimate doubled.  f is evaluated in polar form, (1 + s^2)^{-nu/2}
     e^{i(nu atan s - s)}, which avoids the complex power.
     """
 
     def f(s):
         return (1.0 + s * s) ** (-0.5 * nu) * np.exp(1j * (nu * np.arctan(s) - s))
 
-    return adaptive_oscillatory_quad(f, -s_hi, s_hi, freq=1.0, tol=_CONTOUR_TOL)
+    half, err = adaptive_oscillatory_quad(f, 0.0, s_hi, freq=1.0, tol=_CONTOUR_TOL)
+    return 2.0 * half.real, 2.0 * err
 
 
 def _upper_tail_ibp(nu: float, s_hi: float) -> complex:
@@ -561,7 +563,6 @@ def _upper_tail_ibp(nu: float, s_hi: float) -> complex:
 @dataclass(frozen=True)
 class LineIntegralResult:
     value: float
-    imag_part: float
     closed_form: float
     error_bar: float
 
@@ -587,15 +588,12 @@ def line_power_integral(beta: float) -> LineIntegralResult:
     total = core + 2.0 * tail.real  # left tail is the conjugate of the right
     closed = 2.0 * math.pi / math.e / gamma(1.0 + beta)
     bar = float(quad_err) + 2.0 * s_hi ** (-beta) / beta
-    return LineIntegralResult(
-        value=float(total.real), imag_part=float(total.imag),
-        closed_form=closed, error_bar=bar,
-    )
+    return LineIntegralResult(value=float(total), closed_form=closed, error_bar=bar)
 
 
 @dataclass(frozen=True)
 class WindowIntegralResult:
-    value: complex
+    value: float
     main_term: float
     deviation: float
     quad_error: float
@@ -615,6 +613,6 @@ def window_power_integral(rho: float, gamma_exp: float, n: int) -> WindowIntegra
     value = float(n) ** rho * core
     main = 2.0 * math.pi / math.e * float(n) ** rho / gamma(1.0 + rho)
     return WindowIntegralResult(
-        value=complex(value), main_term=main,
+        value=value, main_term=main,
         deviation=abs(value - main), quad_error=float(quad_err) * float(n) ** rho,
     )

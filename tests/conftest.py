@@ -1,4 +1,5 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import scipy.sparse as sp
 
 import renewalops as ro
 from renewalops.errors import DomainError, NumericalError
-from renewalops.induced import _branch_entries, _tail_completion
+from renewalops.induced import (_branch_entries, _power_density, _swept_block_sum,
+                                _tail_completion)
 from renewalops.ladder import _MAX_ITER, _TOL
 from renewalops.renewal_engine import FastLayout, _FastRun
 
@@ -70,8 +72,12 @@ def doubling_branch_matrix(m: int) -> sp.csr_matrix:
     return sp.csr_matrix((w, (rows, cols)), shape=(m, m))
 
 
-def synthetic_operator(grid, branch_mats) -> ro.InducedOperator:
-    """Operator from explicitly given branch blocks R_1..R_n, without map or ladder."""
+def synthetic_operator(grid, branch_mats, density=None) -> ro.InducedOperator:
+    """Operator from explicitly given branch blocks R_1..R_n, without map or ladder.
+
+    Its density is the fixed point of the blocks' sum, or ``density`` with
+    residual 0 where the caller fixes one (a density solve not under test).
+    """
     mats = [sp.csr_matrix(b) for b in branch_mats]
     n, m = len(mats), grid.m
     coo = [b.tocoo() for b in mats]
@@ -80,13 +86,27 @@ def synthetic_operator(grid, branch_mats) -> ro.InducedOperator:
                      for a in ("row", "col", "data"))
     layout = FastLayout(m, n, n + 1, m)
     layout.add(1, brow, rows, cols, w)
-    r1 = np.zeros((m, m))
-    np.add.at(r1.ravel(), rows * m + cols, w)
+    if density is None:
+        r1 = np.zeros((m, m))
+        np.add.at(r1.ravel(), rows * m + cols, w)
+        density, residual = _power_density(r1, grid.width)
+    else:
+        residual = 0.0
     stacked, window = layout.stacked()
     return ro.InducedOperator(
         spec=None, grid=grid, n_trunc=n, j_direct=layout.j_direct,
-        stacked=stacked, window=window, groups=layout.groups(), r1=r1,
+        stacked=stacked, window=window, groups=layout.groups(),
+        density=density, density_residual=residual,
     )
+
+
+def completed_block_sum(op) -> np.ndarray:
+    """The tail-completed block sum whose fixed point is ``op``'s density.
+
+    Assembly drops it once the density is solved; this rebuilds it by the
+    sweep that assembly calls, handing the entries to no layout.
+    """
+    return _swept_block_sum(op.ladder, op.grid, SimpleNamespace(add=lambda *entries: None))
 
 
 def literal_exact_steps(branches, s0, n_max):
@@ -192,7 +212,7 @@ def block_series(op, z: complex, extended: bool = False) -> np.ndarray:
     if extended:
         tail = _tail_completion(op.ladder, edges, delta)
         if tail is not None:
-            mat += (z ** (op.ladder.n_rungs + 2)) * tail
+            mat += (z ** (op.ladder.n_rungs + 2)) * np.outer(*tail)
     return mat
 
 

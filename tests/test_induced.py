@@ -1,12 +1,15 @@
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import renewalops as ro
 from renewalops import induced, renewal_engine
 from renewalops.errors import NumericalError
+from renewalops.ladder import BranchLadder
 
 from conftest import block_series, doubling_branch_matrix
 
@@ -175,8 +178,28 @@ class TestAssembly:
     def test_doubling_first_return_only(self, doubling_op):
         assert doubling_op.n_trunc == 1
         r1 = doubling_branch_matrix(32)
-        assert np.array_equal(doubling_op.r1, r1.toarray())
+        # with one block the stacked window holds R_1 on its source cells
+        held = np.zeros((32, 32))
+        held[:, doubling_op.window] = doubling_op.stacked.toarray()
+        assert np.array_equal(held, r1.toarray())
         assert abs((r1 @ np.ones(32)) - 1.0).max() < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.one_of(st.none(), st.floats(1.2, 3.0)), m=st.integers(8, 96),
+           n_rungs=st.integers(1, 400))
+    def test_tail_added_on_read_columns_equals_full_outer(self, alpha, m, n_rungs):
+        """The tail goes only into the columns it reads, bit for bit as the whole product."""
+        spec = ro.MapSpec("lsv0") if alpha is None else ro.MapSpec("lsv", alpha=alpha)
+        grid = ro.Grid(m)
+        ladder = BranchLadder(spec, grid.edges, n_rungs=n_rungs)
+        raw = np.zeros((m, m))
+        for _, G in ladder.sweep(1, n_rungs + 2):
+            _, rows, cols, w = induced._branch_entries(grid.edges, G, m, grid.width)
+            np.add.at(raw.ravel(), rows * m + cols, w)
+        profile, read = induced._tail_completion(ladder, grid.edges, grid.width)
+        assert 0 < np.count_nonzero(read) < m
+        got = induced._swept_block_sum(ladder, grid, SimpleNamespace(add=lambda *entries: None))
+        assert np.array_equal(got, raw + np.outer(profile, read))
 
 
 class TestInvariantDensity:

@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 import renewalops as ro
 from renewalops import renewal_engine
-from renewalops.induced import _branch_entries, _tail_completion
+from renewalops.induced import _branch_entries, _power_density, _tail_completion
 from renewalops.ladder import BranchLadder
 
-from conftest import block_series, reference_pullback_row
+from conftest import block_series, completed_block_sum, reference_pullback_row
 
 N_RUNGS = 500  # also the assembly's k_ladder, which must reach n_trunc
 STRIDE = 128
@@ -274,7 +274,7 @@ def reference_assembly(op, ref):
             sel = cols == i
             band[rows[sel], j - j_first] += w[sel]
             bands[int(i)] = (j_first, band)
-    r1 = acc.mat + _tail_completion(op.ladder, edges, delta)
+    r1 = acc.mat + np.outer(*_tail_completion(op.ladder, edges, delta))
     window, compact = np.unique(np.concatenate(st_cols), return_inverse=True)
     stacked = sp.csr_matrix(
         (np.concatenate(st_w), (np.concatenate(st_rows), compact)), shape=(m, window.size),
@@ -287,7 +287,9 @@ def reference_assembly(op, ref):
 def test_assembled_operator_matches_full_width_reference(assembled):
     op, ref = assembled
     r1, stacked, window, groups = reference_assembly(op, ref)
-    assert np.array_equal(op.r1, r1)
+    assert np.array_equal(completed_block_sum(op), r1)
+    density, residual = _power_density(r1, op.grid.width)
+    assert np.array_equal(op.density, density) and op.density_residual == residual
     assert np.array_equal(op.window, window)
     for attr in ("data", "indices", "indptr"):
         got, want = getattr(op.stacked, attr), getattr(stacked, attr)
@@ -332,6 +334,6 @@ def test_block_series_matches_per_row_reference(assembled, z, extended):
         out_i.add(rows, cols, w, scale=zj.imag)
     want = out_r.mat + 1j * out_i.mat
     if extended:
-        want += (z ** (N_RUNGS + 2)) * _tail_completion(op.ladder, edges, delta)
+        want += (z ** (N_RUNGS + 2)) * np.outer(*_tail_completion(op.ladder, edges, delta))
     got = block_series(op, z, extended=extended)
     assert np.array_equal(got, want)

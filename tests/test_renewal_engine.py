@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -26,9 +25,8 @@ def synthetic_families(draw):
     scale = rng.uniform(0.5, 1.0, m) / np.maximum(col_mass, 1e-300)
     blocks = [b @ sp.diags(scale) for b in blocks]
     n_max = draw(st.sampled_from([0, 1, k - 1, k, k + 5]))
-    op = synthetic_operator(ro.Grid(m), blocks)
     # the density solve is not under test: a fixed positive density stands in
-    op = dataclasses.replace(op, _density=rng.uniform(0.5, 1.5, m), _density_residual=0.0)
+    op = synthetic_operator(ro.Grid(m), blocks, density=rng.uniform(0.5, 1.5, m))
     return op, blocks, rng.uniform(0.1, 2.0, m), n_max
 
 

@@ -336,7 +336,18 @@ class TestContourIntegrals:
     def test_line_power_closed_form(self, beta):
         res = tb.line_power_integral(beta)
         assert res.abs_error < 1e-6
-        assert abs(res.imag_part) < 1e-8
+
+    @pytest.mark.parametrize("nu, s_hi", [(1.5, 63.0), (2.0, 31.6), (1.3, 1e3)])
+    def test_line_integral_folds_the_conjugate_half(self, nu, s_hi):
+        """Twice the real part over [0, S] is the two-sided integral, which is real."""
+        def f(s):
+            return (1.0 + s * s) ** (-0.5 * nu) * np.exp(1j * (nu * np.arctan(s) - s))
+
+        full, _ = tb.adaptive_oscillatory_quad(f, -s_hi, s_hi, freq=1.0, tol=1e-9)
+        folded, err = tb._finite_line_integral(nu, s_hi)
+        assert abs(full.imag) < 1e-12
+        assert folded == pytest.approx(full.real, rel=1e-13, abs=0.0)
+        assert 0.0 < err < 1e-9
 
     def test_line_power_ratio_between_betas(self):
         r3 = tb.line_power_integral(0.3)
