@@ -100,13 +100,13 @@ def synthetic_operator(grid, branch_mats, density=None) -> ro.InducedOperator:
     )
 
 
-def completed_block_sum(op) -> np.ndarray:
-    """The tail-completed block sum whose fixed point is ``op``'s density.
+def completed_block_sum(ladder, grid) -> np.ndarray:
+    """The tail-completed block sum whose fixed point is the density.
 
     Assembly drops it once the density is solved; this rebuilds it by the
     sweep that assembly calls, handing the entries to no layout.
     """
-    return _swept_block_sum(op.ladder, op.grid, SimpleNamespace(add=lambda *entries: None))
+    return _swept_block_sum(ladder, grid, SimpleNamespace(add=lambda *entries: None))
 
 
 def literal_exact_steps(branches, s0, n_max):

@@ -1,6 +1,5 @@
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from renewalops import induced, renewal_engine
 from renewalops.errors import NumericalError
 from renewalops.ladder import BranchLadder
 
-from conftest import block_series, doubling_branch_matrix
+from conftest import block_series, completed_block_sum, doubling_branch_matrix
 
 
 def mu_form(op, mat):
@@ -198,8 +197,7 @@ class TestAssembly:
             np.add.at(raw.ravel(), rows * m + cols, w)
         profile, read = induced._tail_completion(ladder, grid.edges, grid.width)
         assert 0 < np.count_nonzero(read) < m
-        got = induced._swept_block_sum(ladder, grid, SimpleNamespace(add=lambda *entries: None))
-        assert np.array_equal(got, raw + np.outer(profile, read))
+        assert np.array_equal(completed_block_sum(ladder, grid), raw + np.outer(profile, read))
 
 
 class TestInvariantDensity:

@@ -287,7 +287,7 @@ def reference_assembly(op, ref):
 def test_assembled_operator_matches_full_width_reference(assembled):
     op, ref = assembled
     r1, stacked, window, groups = reference_assembly(op, ref)
-    assert np.array_equal(completed_block_sum(op), r1)
+    assert np.array_equal(completed_block_sum(op.ladder, op.grid), r1)
     density, residual = _power_density(r1, op.grid.width)
     assert np.array_equal(op.density, density) and op.density_residual == residual
     assert np.array_equal(op.window, window)
