@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_bytes
 from .grid import Grid
 from .induced import assemble_operator, invariant_density
 from .maps import MapSpec, tail_sequence, return_time_tail
@@ -53,6 +53,12 @@ from .dual_ergodic import (
 __all__ = ["ExperimentConfig", "main", "run"]
 
 _FLOAT_FMT = "%.17g"
+# values of the choice fields, checked by argparse and by ``validate``
+_CHOICES = {"family": ["lsv", "lsv0"], "check": ["B1", "B2", "B3"]}
+# peak bytes per step n, from tracemalloc: the scalar renewal with its
+# partial sums, and the 41·n float64 arrays of ``kernel_defect_bound``
+_RENEWAL_STEP_BYTES = 120
+_DEFECT_STEP_BYTES = 984
 
 
 @dataclass
@@ -75,8 +81,9 @@ class ExperimentConfig:
     out: str = "out"
 
     def validate(self):
-        if self.family not in ("lsv", "lsv0"):
-            raise DomainError(f"unknown family {self.family!r}")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise DomainError(f"unknown {name} {getattr(self, name)!r}")
         if self.family == "lsv" and self.alpha < 1.0:
             raise DomainError("alpha must be >= 1")
         for name in ("grid", "ntrunc", "nmax", "n"):
@@ -86,8 +93,6 @@ class ExperimentConfig:
             raise DomainError("beta outside [0, 1]")
         if not 0.0 < self.gamma < 0.5:
             raise DomainError("gamma outside (0, 1/2)")
-        if self.check not in ("B1", "B2", "B3"):
-            raise DomainError(f"unknown contour check {self.check!r}")
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
         self.degree_list()
@@ -155,16 +160,7 @@ def _write_sidecar(path: Path, config: ExperimentConfig, extra: dict) -> None:
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     payload.update(extra)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default),
-                    encoding="utf-8")
-
-
-def _json_default(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    return str(x)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
 
 def _write_plot_script(path: Path, csv_name: str, xcol: str, ycols: list[str]) -> None:
@@ -221,6 +217,8 @@ def _cmd_tails(cfg: ExperimentConfig, outdir: Path) -> dict:
 def _cmd_renewal(cfg: ExperimentConfig, outdir: Path) -> dict:
     beta = cfg.beta
     n_max = cfg.nmax
+    check_bytes(_RENEWAL_STEP_BYTES * (n_max + 1), f"the scalar renewal to n = {n_max}",
+                "lower nmax")
     dist = ReturnDistribution.from_power_tail(beta, n_max)
     seq = renewal_sequence(dist, n_max)
     norming = Norming(beta=beta, ell=SlowlyVarying("constant", c=1.0))
@@ -287,6 +285,8 @@ def _cmd_kernel(cfg: ExperimentConfig, outdir: Path) -> dict:
     from . import tauberian as tb
 
     ns = sorted({100, 500, cfg.nmax} if cfg.nmax >= 12 else {100, 500})
+    check_bytes((_RENEWAL_STEP_BYTES + _DEFECT_STEP_BYTES) * (max(ns) + 1),
+                f"kernel extraction to n = {max(ns)}", "lower nmax")
     rows = []
     sequences = {"ones": np.ones(max(ns) + 1)}
     spec = MapSpec(cfg.family, alpha=cfg.alpha)
@@ -389,7 +389,6 @@ def run(subcommand: str, cfg: ExperimentConfig) -> int:
     return 0
 
 
-_CHOICES = {"family": ["lsv", "lsv0"], "check": ["B1", "B2", "B3"]}
 _TYPES = {"int": int, "float": float, "str": str}
 # every config field but the experiment name, which the subcommand sets
 _FLAGS = [f for f in fields(ExperimentConfig) if f.name != "experiment"]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .diagnostics import SlopeFit, slope_fit
 from .errors import DomainError
-from .induced import InducedOperator
+from .induced import InducedOperator, invariant_density
 from .maps import TailModel, return_time_tail
 from .renewal_engine import renewal_action
 from .scalar import AsymptoticExpansion, ReturnDistribution, second_order_constant
@@ -47,8 +47,6 @@ def tail_model_from_operator(op: InducedOperator) -> TailModel:
     log family the tail is the reciprocal of a slowly varying function with
     scale 2 / h(1/2).
     """
-    if op.spec is None:
-        raise DomainError("synthetic operator carries no map")
     h_half = _density_at_half(op)
     if op.spec.family == "lsv0":
         c = 0.5 * h_half
@@ -56,14 +54,14 @@ def tail_model_from_operator(op: InducedOperator) -> TailModel:
     beta = op.spec.beta
     c = 0.25 * beta**beta * h_half
     n = np.arange(1, op.n_trunc + 1)
-    tails = return_time_tail(op.ladder, op.density_observable(), n)
+    tails = return_time_tail(op.ladder, invariant_density(op), n)
     h_table = tails / c - n ** (-beta)
     return TailModel(beta=beta, c=c, h_table=h_table)
 
 
 def return_distribution_from_operator(op: InducedOperator) -> ReturnDistribution:
     """Lifetime distribution f_j = measure of {return time = j}."""
-    if op.spec is not None and op.spec.family == "lsv0":
+    if op.spec.family == "lsv0":
         raise DomainError(
             "log-family return times carry no invariant mass at desk-scale "
             "truncations (the density is supported left of the short-return "

@@ -52,10 +52,6 @@ class GridObservable:
         if self.values.shape != (self.grid.m,):
             raise DomainError("observable shape does not match grid")
 
-    def integral(self) -> float:
-        """Lebesgue integral of the piecewise-constant representative."""
-        return float(self.values.sum() * self.grid.width)
-
     def cumulative_at(self, x) -> np.ndarray:
         """Exact cumulative integral of the piecewise-constant function at x."""
         x = np.atleast_1d(np.asarray(x, dtype=float))

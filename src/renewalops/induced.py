@@ -33,11 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_bytes
 from .grid import Grid, GridObservable
 from .ladder import BranchLadder
 from .maps import MapSpec, return_time_tail
-from .renewal_engine import _FAST_LIMIT, FastLayout, KernelGroup
+from .renewal_engine import FastLayout, KernelGroup
 
 __all__ = [
     "InducedOperator",
@@ -89,24 +89,26 @@ class InducedOperator:
     """Assembled branch blocks of the first-return transfer operator.
 
     ``stacked`` applies all blocks with return time < ``j_direct`` to the
-    columns ``window`` of a rolling history window; ``groups`` hold the
-    longer return times as per-source-cell band pieces of convolution
-    kernels (all as ``FastLayout`` lays them out).  ``density`` is the fixed
-    point of the full block sum (completed beyond the truncation), which is
-    not kept, and ``density_residual`` its L1 residual.  ``mass_deficit``
-    is the invariant mass of return times beyond ``n_trunc``.
+    columns ``window`` of a rolling history window (no columns when that
+    window holds no entry); ``groups`` hold the longer return times as
+    per-source-cell band pieces of convolution kernels (all as
+    ``FastLayout`` lays them out).  ``density`` is the fixed point of the
+    full block sum (completed beyond the truncation), which is not kept,
+    and ``density_residual`` its L1 residual.  ``spec`` and ``ladder`` are
+    the map and the pullback ladder the blocks were swept from; the branch
+    masses, the deficit and ``branch_matrices`` read them.
     """
 
-    spec: MapSpec | None
+    spec: MapSpec
     grid: Grid
     n_trunc: int
     j_direct: int
-    stacked: sp.csr_matrix | None
-    window: np.ndarray | None
+    stacked: sp.csr_matrix
+    window: np.ndarray
     groups: list[KernelGroup]
     density: np.ndarray
     density_residual: float
-    ladder: BranchLadder | None = None
+    ladder: BranchLadder
 
     # -- density ---------------------------------------------------------
 
@@ -118,18 +120,11 @@ class InducedOperator:
     @property
     def mass_deficit(self) -> float:
         """Invariant mass of {return time > n_trunc}."""
-        if self.ladder is None:
-            return 0.0
-        return return_time_tail(self.ladder, self.density_observable(), self.n_trunc)
-
-    def density_observable(self) -> GridObservable:
-        return GridObservable(self.grid, self.density_values)
+        return return_time_tail(self.ladder, invariant_density(self), self.n_trunc)
 
     def branch_mass(self) -> np.ndarray:
         """Invariant measure of {return time = j}, j = 1..n_trunc."""
-        if self.ladder is None:
-            raise DomainError("synthetic operator carries no branch geometry")
-        tails = return_time_tail(self.ladder, self.density_observable(),
+        tails = return_time_tail(self.ladder, invariant_density(self),
                                  np.arange(self.n_trunc + 1))
         return -np.diff(tails)
 
@@ -142,8 +137,6 @@ class InducedOperator:
         tests' exact reference recursion, and the benchmark's tracer
         (``bench/spans.py``) wraps this method to count their products.
         """
-        if self.ladder is None:
-            raise DomainError("synthetic operator carries no branch geometry")
         m = self.grid.m
         mats = []
         for _, G in self.ladder.sweep(1, self.n_trunc + 1):
@@ -169,7 +162,7 @@ def assemble_operator(
     sees an (integral-tail completed) operator with essentially no missing
     mass.  Raises before building the ladder when the dense block sum, the
     ladder's orbit and the least bytes of the kernel bands would take more
-    than the engine's ``_FAST_LIMIT`` bytes.  Raises after assembly when
+    than ``errors.BYTE_LIMIT``.  Raises after assembly when
     the invariant mass beyond ``n_trunc`` exceeds ``deficit_bound``,
     advising a larger truncation.  The default bound is 0.15 for the
     polynomial family; for the log family the deficit is structurally near
@@ -189,13 +182,9 @@ def assemble_operator(
     sup = min(spec.left_image_sup, 1.0)
     row_hi = min(m, grid.cell_of(sup * (1 - 1e-12)) + 2)
     layout = FastLayout(m, n_trunc, j_direct, row_hi)
-    need = 8 * m * m + 8 * (k_ladder + 1) + layout.kernel_floor
-    if need > _FAST_LIMIT:
-        raise NumericalError(
-            f"assembly needs {need / 2**30:.3g} GiB for the dense block sum and kernel bands "
-            f"on {m} cells and a {k_ladder}-rung ladder, above the "
-            f"{_FAST_LIMIT / 2**30:.3g} GiB limit; lower grid or ntrunc"
-        )
+    check_bytes(8 * m * m + 8 * (k_ladder + 1) + layout.kernel_floor,
+                f"assembly on {m} cells with a {k_ladder}-rung ladder (dense block sum, "
+                f"orbit and kernel bands)", "lower grid or ntrunc")
     ladder = BranchLadder(spec, grid.edges, n_rungs=k_ladder)
     density, residual = _power_density(_swept_block_sum(ladder, grid, layout), delta)
     stacked, window = layout.stacked()
@@ -276,4 +265,4 @@ def _power_density(r1: np.ndarray, delta: float):
 
 def invariant_density(op: InducedOperator) -> GridObservable:
     """Invariant density of the first-return map, unit mass on Y."""
-    return op.density_observable()
+    return GridObservable(op.grid, op.density_values)

@@ -47,23 +47,21 @@ _MAX_ITER = 60
 _FLOOR = np.array(1e-300)  # keeps iterates positive; 0-d, like maps' constants
 
 
-def pullback_row(spec: MapSpec, targets: np.ndarray, out: np.ndarray | None = None,
-                 work: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+def pullback_row(spec: MapSpec, targets: np.ndarray, out: np.ndarray,
+                 work: tuple[np.ndarray, ...]) -> np.ndarray:
     """Solve left(w) = target elementwise by monotone Newton from w = target.
 
     This is the package's one left-branch inverse.  Requires
     0 < target < ``spec.left_image_sup`` (callers clamp targets at or above
     the sup to ``sup * (1 - 1e-14)``); convexity of the left branch keeps
-    the iterates above the root and decreasing.  They live in ``out`` (new
-    by default), which must not overlap ``targets``.  ``work`` is four
-    scratch arrays of the targets' shape; if given, it holds left(targets)
-    in ``work[2]`` and its share in ``work[0]``, as a call leaves them for
-    its root, so a chain of pullbacks evaluates each point once.
+    the iterates above the root and decreasing.  They live in ``out``,
+    which must not overlap ``targets``, and it is returned.  ``work`` is
+    four scratch arrays of the targets' shape and must come in holding
+    left(targets) in ``work[2]`` and its share in ``work[0]``, as
+    ``spec.left_np(targets, *work[:3])`` leaves them; a call leaves them so
+    for its root, so a chain of pullbacks evaluates each point once.
     """
-    if work is None:
-        work = tuple(np.empty((4,) + targets.shape))
-        spec.left_np(targets, work[0], work[1], work[2])
-    w = np.empty_like(targets) if out is None else out
+    w = out
     w[...] = targets
     share, a, b, c = work
     for it in range(_MAX_ITER + 1):

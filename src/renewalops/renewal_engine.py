@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, check_bytes
 
 __all__ = ["FastLayout", "KernelGroup", "RenewalAccumulator", "renewal_action"]
 
@@ -46,10 +46,6 @@ _SPAN_CAP = 1024
 # floor on a group's block length where the first lag allows it, so short
 # pieces do not launch a transform pair every few steps
 _BLOCK_MIN = 16
-
-# cap on the bytes one fast-path run allocates: kernel spectra, output ring,
-# window history and the source-cell traces
-_FAST_LIMIT = 1 << 31
 
 
 def _next_pow2(n: int) -> int:
@@ -123,9 +119,10 @@ class FastLayout:
         self.row_hi = row_hi
         # pieces per source cell, cells in order of first branch, then cell
         self._bands: dict[int, list[_Piece]] = {}
-        self._rows: list[np.ndarray] = []
-        self._cols: list[np.ndarray] = []
-        self._w: list[np.ndarray] = []
+        # window entries; the empty first arrays keep an empty window a matrix
+        self._rows: list[np.ndarray] = [np.empty(0, np.int64)]
+        self._cols: list[np.ndarray] = [np.empty(0, np.int64)]
+        self._w: list[np.ndarray] = [np.empty(0)]
 
     @property
     def kernel_floor(self) -> int:
@@ -185,16 +182,15 @@ class FastLayout:
         self._bands = {}
         return [by_block[b] for b in sorted(by_block)]
 
-    def stacked(self) -> tuple[sp.csr_matrix | None, np.ndarray | None]:
+    def stacked(self) -> tuple[sp.csr_matrix, np.ndarray]:
         """The window [R_{jd}, ..., R_1] (jd = j_direct - 1) on its distinct columns.
 
         Returns the matrix over those columns, renumbered in ascending
-        order, and their indices into the flattened history window (or
-        None twice if the window is empty).  Renumbering keeps every row's
-        entry order, so a product rounds as with the full-width window.
+        order, and their indices into the flattened history window; with
+        no window entry, an m x 0 matrix and no indices.  Renumbering keeps
+        every row's entry order, so a product rounds as with the full-width
+        window.
         """
-        if not self._w:
-            return None, None
         cols, compact = np.unique(np.concatenate(self._cols), return_inverse=True)
         mat = sp.csr_matrix((np.concatenate(self._w), (np.concatenate(self._rows), compact)),
                             shape=(self.m, cols.size))
@@ -225,8 +221,8 @@ class _FastRun:
     Traces before time 0 are ``pad`` zero rows, ``pad`` being the largest
     live block; ``cells`` are the source cells whose traces are read and
     ``row_hi`` the kernels' rows (0 when no piece is live).  ``nbytes``
-    counts what ``steps`` allocates: spectra, output ring, window history
-    and traces.
+    counts what the run allocates: spectra, output ring, window history
+    and traces in ``steps``, and the per-step integrals of ``renewal_action``.
     """
 
     def __init__(self, op, n_max: int):
@@ -247,7 +243,8 @@ class _FastRun:
         self.nbytes = (16 * self.row_hi * sum((L + 1) * len(ks) for L, *_, ks in self._groups)
                        + 8 * 2 * self.pad * self.row_hi  # output ring
                        + 8 * 2 * (op.j_direct - 1) * op.grid.m  # window history
-                       + 8 * (self.pad + n_max + 1) * len(self.cells))  # traces
+                       + 8 * (self.pad + n_max + 1) * len(self.cells)  # traces
+                       + 8 * (n_max + 1))  # per-step integrals
 
     def steps(self, s0: np.ndarray):
         """Generator of s_n: the stacked window plus blocked FFT convolutions.
@@ -286,9 +283,7 @@ class _FastRun:
                 s = np.zeros(m)
                 s[:row_hi] = ring[slot]
                 ring[slot] = 0.0
-                if stacked is not None:
-                    lo = n % jd
-                    s += stacked @ flat[lo * m:].take(window)
+                s += stacked @ flat[(n % jd) * m:].take(window)
             # record history for the stacked window and the kernel traces
             r = n % jd
             hist2[r] = s
@@ -339,18 +334,14 @@ def renewal_action(
     if v.shape != (grid.m,):
         raise DomainError("observable shape does not match the operator grid")
 
+    run = _FastRun(op, n_max)
+    check_bytes(run.nbytes, f"the renewal recursion of {n_max} steps on {grid.m} cells",
+                "lower nmax, ntrunc or grid")
     s0 = h * v
     delta = grid.width
     tn = np.zeros(n_max + 1)
     snaps: dict[int, np.ndarray] = {}
     s_sum = np.zeros(grid.m)
-
-    run = _FastRun(op, n_max)
-    if run.nbytes > _FAST_LIMIT:
-        raise NumericalError(
-            f"fast path needs {run.nbytes / 2**30:.3g} GiB for {n_max} steps on {grid.m} cells, "
-            f"above its {_FAST_LIMIT / 2**30:.3g} GiB limit; lower nmax, ntrunc or grid"
-        )
 
     for n, s in run.steps(s0):
         tn[n] = s.sum() * delta

@@ -35,7 +35,7 @@ import scipy.fft
 from numpy.polynomial import chebyshev as ncheb
 from scipy.optimize import linprog
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_bytes
 from .specfun import gamma
 
 __all__ = [
@@ -57,16 +57,24 @@ _X_BREAK = math.exp(-1.0)
 _GAP_BETA = 0.5
 _MAX_PANELS = 1 << 20
 _QUAD_BATCH = 1 << 14
-# Gauss-Legendre nodes per quadrature panel
+# Gauss-Legendre nodes and weights on [-1, 1], per quadrature panel
 _GL_ORDER = 12
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 # relative tolerance of the contour validators' oscillatory quadrature
 _CONTOUR_TOL = 1e-9
-# bytes one one-sided fit may ask for in its two dense constraint matrices
-_LP_LIMIT = 2 << 30
+# highest Chebyshev degree the constructive majorant may reach
+_DEGREE_CAP = 1 << 17
 
 # ---------------------------------------------------------------------------
 # quadrature: composite Gauss-Legendre with oscillation-resolving panels
 # ---------------------------------------------------------------------------
+
+
+def _gl_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the panels between ``edges``, a row per panel, and their half widths."""
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    return mid[:, None] + half[:, None] * _GL_NODES[None, :], half
 
 
 def _panel_quad(f, a: float, b: float, n_panels: int) -> complex:
@@ -76,16 +84,12 @@ def _panel_quad(f, a: float, b: float, n_panels: int) -> complex:
     batch totals are added in panel order, so the transient node arrays
     stay at a fixed size (about 3 MB each) however many panels there are.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
     edges = np.linspace(a, b, n_panels + 1)
     total = 0j
     for start in range(0, n_panels, _QUAD_BATCH):
-        batch = edges[start: start + _QUAD_BATCH + 1]
-        mid = 0.5 * (batch[:-1] + batch[1:])
-        half = 0.5 * np.diff(batch)
-        x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        vals = np.asarray(f(x), dtype=complex).reshape(len(mid), _GL_ORDER)
-        total += complex(np.sum(vals * weights[None, :] * half[:, None]))
+        x, half = _gl_panels(edges[start: start + _QUAD_BATCH + 1])
+        vals = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
+        total += complex(np.sum(vals * _GL_WEIGHTS[None, :] * half[:, None]))
     return total
 
 
@@ -192,7 +196,7 @@ def _sampled_gap(samp: np.ndarray) -> float:
     return float((samp * w).sum()) * math.pi / n - 2.0 * (math.exp(0.5) - 1.0)
 
 
-def indicator_majorant(epsilon: float, degree_cap: int = 1 << 17) -> OneSidedPoly:
+def indicator_majorant(epsilon: float) -> OneSidedPoly:
     """Constructive majorant of the step with weighted gap below epsilon.
 
     Follows the classical Karamata construction: mollify the step linearly
@@ -202,13 +206,12 @@ def indicator_majorant(epsilon: float, degree_cap: int = 1 << 17) -> OneSidedPol
     integral against x**-3/2 is then below epsilon; it is evaluated in
     closed form from the Chebyshev coefficients and verified by the
     trapezoid rule on the samples that measured the sup error.
-    Raises, reporting the sup error reached and the delta required, if the
-    needed degree exceeds ``degree_cap``.
+    The degree starts at 256 and doubles; raises, reporting the sup error
+    reached and the delta required, if the needed degree exceeds
+    ``_DEGREE_CAP``.
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    if degree_cap < 256:
-        raise DomainError("degree_cap below the starting degree 256")
     delta = 0.9 * min(1.0 / (2 * math.e), epsilon / ((2 * math.e) ** 1.5 + 4.0))
     x_lo = _X_BREAK - delta
 
@@ -222,7 +225,7 @@ def indicator_majorant(epsilon: float, degree_cap: int = 1 << 17) -> OneSidedPol
     m = 256
     coeffs = None
     sup_err = math.inf
-    while m <= degree_cap:
+    while m <= _DEGREE_CAP:
         # Chebyshev interpolation at m+1 points via DCT-I
         k = np.arange(m + 1)
         xc = 0.5 * (1.0 + np.cos(np.pi * k / m))
@@ -244,7 +247,7 @@ def indicator_majorant(epsilon: float, degree_cap: int = 1 << 17) -> OneSidedPol
         m *= 2
     if coeffs is None:
         raise NumericalError(
-            f"majorant for epsilon {epsilon:g} needs degree > {degree_cap}: the "
+            f"majorant for epsilon {epsilon:g} needs degree > {_DEGREE_CAP}: the "
             f"interpolant reached sup error {sup_err:.3g} at degree {m // 2}, "
             f"above the required delta {delta:.3g}"
         )
@@ -276,6 +279,12 @@ def _dct_prepare(padded: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cheb_basis(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T_k(2x - 1), a row per k = 0..m, and T_k(-1) = (-1)**k, the basis at x = 0."""
+    vals = np.stack([ncheb.chebval(2.0 * x - 1.0, np.eye(m + 1)[k]) for k in range(m + 1)])
+    return vals, np.array([(-1.0) ** k for k in range(m + 1)])
+
+
 def _basis_gap_moments(m: int, beta: float) -> np.ndarray:
     """integral of T_k(2 e^{-t} - 1) - T_k(-1) against d(t^beta), k = 0..m.
 
@@ -289,14 +298,9 @@ def _basis_gap_moments(m: int, beta: float) -> np.ndarray:
         [0.0], np.geomspace(tau_hi * 1e-8, tau_hi * 0.2, n_panels // 2),
         np.linspace(tau_hi * 0.2, tau_hi, n_panels // 2)[1:],
     ])
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    tau = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    wq = (half[:, None] * np.tile(weights, (len(mid), 1))).ravel()
-    x = np.exp(-(tau ** (1.0 / beta)))
-    vals = np.stack([ncheb.chebval(2.0 * x - 1.0, np.eye(m + 1)[k]) for k in range(m + 1)])
-    t0 = np.array([(-1.0) ** k for k in range(m + 1)])
+    tau, half = _gl_panels(edges)
+    wq = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    vals, t0 = _cheb_basis(m, np.exp(-(tau.ravel() ** (1.0 / beta))))
     return (vals - t0[:, None]) @ wq
 
 
@@ -310,27 +314,23 @@ def one_sided_fit(m: int, side: str) -> OneSidedPoly:
     max(2048, 128 m) intervals, re-verified on a 10x finer grid, and
     repaired by a multiple-of-x nudge if sampling missed a dip.  Raises
     before any allocation if the two dense (m + 1) x (grid + 1) constraint
-    matrices would exceed ``_LP_LIMIT`` bytes.
+    matrices would exceed ``errors.BYTE_LIMIT``.
     """
     if m < 2:
         raise DomainError("degree must be >= 2")
     if side not in ("upper", "lower"):
         raise DomainError("side must be 'upper' or 'lower'")
     n_grid = max(2048, 128 * m)
-    need = 16 * (m + 1) * (n_grid + 1)  # basis_vals and a_ub, float64 each
-    if need > _LP_LIMIT:
-        raise NumericalError(
-            f"one-sided fit of degree {m} needs {need / 2**20:.0f} MiB for its "
-            f"constraint matrices, above {_LP_LIMIT / 2**20:.0f} MiB; use lower degrees"
-        )
+    # basis_vals and a_ub, float64 each
+    check_bytes(16 * (m + 1) * (n_grid + 1),
+                f"one-sided fit of degree {m} (constraint matrices)", "use lower degrees")
     # moments of the shifted Chebyshev basis against d(t^beta), with the
     # value at x = 0 subtracted (the q(0) = 0 constraint makes them finite);
     # computed by quadrature in tau = t^beta, which is stable at any degree
     obj = _basis_gap_moments(m, _GAP_BETA)
     x = 0.5 * (1.0 + np.cos(np.pi * np.arange(n_grid + 1) / n_grid))
     g = (x >= _X_BREAK).astype(float)
-    basis_vals = np.stack([ncheb.chebval(2.0 * x - 1.0, np.eye(m + 1)[k]) for k in range(m + 1)])
-    t0 = np.array([(-1.0) ** k for k in range(m + 1)])  # T_k(2*0-1)
+    basis_vals, t0 = _cheb_basis(m, x)
 
     if side == "upper":
         a_ub = -basis_vals.T

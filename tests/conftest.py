@@ -9,7 +9,7 @@ import renewalops as ro
 from renewalops.errors import DomainError, NumericalError
 from renewalops.induced import (_branch_entries, _power_density, _swept_block_sum,
                                 _tail_completion)
-from renewalops.ladder import _MAX_ITER, _TOL
+from renewalops.ladder import _MAX_ITER, _TOL, pullback_row
 from renewalops.renewal_engine import FastLayout, _FastRun
 
 SESSION_T0 = time.time()
@@ -33,6 +33,14 @@ def reference_left_and_deriv(spec, x):
         return x * (1.0 + p), 1.0 + (spec.alpha + 1.0) * p
     e = np.exp(-1.0 / x)
     return x * (1.0 + x * e), 1.0 + (2.0 * x + 1.0) * e
+
+
+def pull_back(spec, targets):
+    """``ladder.pullback_row`` into a fresh array, with scratch primed as it requires."""
+    targets = np.asarray(targets, dtype=float)
+    work = tuple(np.empty((4,) + targets.shape))
+    spec.left_np(targets, work[0], work[1], work[2])
+    return pullback_row(spec, targets, np.empty_like(targets), work)
 
 
 # The tests' reference for ``ladder.pullback_row``: the same Newton with a
@@ -96,7 +104,7 @@ def synthetic_operator(grid, branch_mats, density=None) -> ro.InducedOperator:
     return ro.InducedOperator(
         spec=None, grid=grid, n_trunc=n, j_direct=layout.j_direct,
         stacked=stacked, window=window, groups=layout.groups(),
-        density=density, density_residual=residual,
+        density=density, density_residual=residual, ladder=None,
     )
 
 

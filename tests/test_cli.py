@@ -71,6 +71,24 @@ class TestExitCodes:
         assert main(["contour", "--check", "B2", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [["renewal"], ["kernel"],
+                                      ["dual-ergodic", "--grid", "32", "--ntrunc", "200"]],
+                             ids=["renewal", "kernel", "dual-ergodic"])
+    def test_huge_nmax_fails_with_advice_before_allocating(self, tmp_path, argv):
+        # under a 3 GiB address-space cap an nmax-sized allocation would end
+        # in a MemoryError traceback, not the guard's advice
+        cap = 3 << 30
+        code = (f"import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+                "runpy.run_module('renewalops', run_name='__main__')")
+        src = str(Path(renewalops.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code, *argv, "--nmax", str(10**11),
+                               "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert "lower nmax" in done.stderr and "Traceback" not in done.stderr
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

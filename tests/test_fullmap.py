@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import renewalops as ro
-from renewalops.ladder import integral_tail_factor, pullback_row
+from renewalops.ladder import integral_tail_factor
 
-from conftest import bisect_left_branch, fast_history, reference_left_and_deriv
+from conftest import bisect_left_branch, fast_history, pull_back, reference_left_and_deriv
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def full_map_transfer(spec, obs):
         inside[-1] = True
     if np.any(inside):
         targets = np.minimum(nodes[inside], sup * (1 - 1e-14))
-        y = pullback_row(spec, targets)
+        y = pull_back(spec, targets)
         out[inside] += obs(y) / reference_left_and_deriv(spec, y)[1]
     floor = nodes[0]
     # mass landing in (0, floor): right-branch preimage is [1/2, (1+floor)/2];
@@ -105,7 +105,7 @@ def full_map_transfer(spec, obs):
     cums = obs.cumulative_at(np.array([0.5, 0.5 * (1.0 + floor)]))
     escaped = float(cums[1] - cums[0])
     floor_target = np.array([min(floor, sup * (1 - 1e-14))])
-    y_floor = pullback_row(spec, floor_target)[0]
+    y_floor = pull_back(spec, floor_target)[0]
     escaped += float(obs.cumulative_at(np.array([y_floor]))[0])
     return MeshObservable(obs.mesh, out, escaped_mass=obs.escaped_mass + escaped)
 
@@ -121,7 +121,7 @@ def extended_density(op, mesh, tol=1e-9, max_terms=4000):
     ``max_terms`` (or once below ``tol`` relative) and closed with the
     matching integral-tail factor.
     """
-    h = op.density_observable()
+    h = ro.invariant_density(op)
     edges = h.grid.edges
     centers = 0.5 * (edges[:-1] + edges[1:])
 
@@ -141,7 +141,7 @@ def extended_density(op, mesh, tol=1e-9, max_terms=4000):
         term = acc
         last_it = 0
         for it in range(1, max_terms + 1):
-            xi = pullback_row(spec, xi)
+            xi = pull_back(spec, xi)
             weight = weight / reference_left_and_deriv(spec, xi)[1]
             term = weight * h_at(0.5 * (xi + 1.0))
             acc = acc + term
@@ -232,7 +232,7 @@ class TestExtendedDensity:
     def test_matches_y_density(self, lsv2_mid):
         mesh = GradedMesh(floor=1e-3, points_per_decade=3000)
         hx = extended_density(lsv2_mid, mesh)
-        h = lsv2_mid.density_observable()
+        h = ro.invariant_density(lsv2_mid)
         centers = 0.5 * (h.grid.edges[:-1] + h.grid.edges[1:])
         assert np.max(np.abs(hx(centers) - h.values)) < 1e-3
 

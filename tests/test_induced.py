@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import renewalops as ro
-from renewalops import induced, renewal_engine
+from renewalops import errors, induced, renewal_engine
 from renewalops.errors import NumericalError
 from renewalops.ladder import BranchLadder
 
@@ -166,11 +166,11 @@ class TestAssembly:
         ladder = induced.BranchLadder
         monkeypatch.setattr(induced, "BranchLadder",
                             lambda *a, **k: built.append(1) or ladder(*a, **k))
-        monkeypatch.setattr(induced, "_FAST_LIMIT", need - 1)
+        monkeypatch.setattr(errors, "BYTE_LIMIT", need - 1)
         with pytest.raises(NumericalError, match="lower grid or ntrunc"):
             ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
         assert built == []
-        monkeypatch.setattr(induced, "_FAST_LIMIT", need)
+        monkeypatch.setattr(errors, "BYTE_LIMIT", need)
         ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
         assert built
 
@@ -213,7 +213,8 @@ class TestInvariantDensity:
         assert lsv2_small.density_residual <= 1e-10
 
     def test_unit_mass(self, lsv2_small):
-        assert ro.invariant_density(lsv2_small).integral() == pytest.approx(1.0, abs=1e-12)
+        h = ro.invariant_density(lsv2_small)
+        assert float(h.values.sum() * h.grid.width) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBlockSeries:

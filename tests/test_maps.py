@@ -6,15 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 import renewalops as ro
 from renewalops.errors import DomainError
-from renewalops.ladder import pullback_row
 
-from conftest import bisect_left_branch
+from conftest import bisect_left_branch, pull_back
 
 
 def left_inverse(spec, x):
     """The package's one Newton, started at w = x, on a single target."""
     target = np.array([x])
-    return float(pullback_row(spec, target)[0])
+    return float(pull_back(spec, target)[0])
 
 
 class TestMapSpec:

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 import renewalops as ro
-from renewalops import renewal_engine
+from renewalops import errors, renewal_engine
 from renewalops.errors import DomainError, NumericalError
 
 from conftest import (exact_history, exact_steps, fast_history, literal_exact_steps,
@@ -170,13 +170,25 @@ class TestFastPath:
                                   j_direct=16)
         v, n_max = np.ones(32), 150
         need = renewal_engine._FastRun(op, n_max).nbytes
-        monkeypatch.setattr(renewal_engine, "_FAST_LIMIT", need - 1)
+        monkeypatch.setattr(errors, "BYTE_LIMIT", need - 1)
         transforms = []
         rfft = np.fft.rfft
         monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: transforms.append(1) or rfft(*a, **k))
         with pytest.raises(NumericalError, match="lower nmax"):
             ro.renewal_action(op, v, n_max)
         assert transforms == []
-        monkeypatch.setattr(renewal_engine, "_FAST_LIMIT", need)
+        monkeypatch.setattr(errors, "BYTE_LIMIT", need)
         ro.renewal_action(op, v, n_max)
         assert transforms
+
+    def test_empty_window(self):
+        # blocks without entries leave an m x 0 window: s_0 = h v, then zeros
+        m, h = 8, np.full(8, 2.0)
+        op = synthetic_operator(ro.Grid(m), [sp.csr_matrix((m, m))] * 3, density=h)
+        assert op.stacked.shape == (m, 0) and op.window.size == 0
+        v = np.linspace(0.5, 1.5, m)
+        hist = fast_history(op, v, 5)
+        assert np.array_equal(hist[0], h * v) and not hist[1:].any()
+        acc = ro.renewal_action(op, v, 5)
+        assert acc.tn_integral[0] == (h * v).sum() * op.grid.width
+        assert not acc.tn_integral[1:].any()

@@ -7,6 +7,7 @@ import scipy.fft
 
 import renewalops as ro
 import renewalops.tauberian as tb
+from renewalops import errors
 from renewalops.cli import main
 from renewalops.errors import DomainError, NumericalError
 
@@ -141,11 +142,12 @@ class TestIndicatorMajorant:
         assert sampled == pytest.approx(_weighted_gap(p), abs=1e-7)
         assert sampled == pytest.approx(p.gap, abs=5e-8)
 
-    def test_degree_cap_reports_achievable(self):
+    def test_degree_cap_reports_achievable(self, monkeypatch):
         # the error names the cap, the sup error reached there and the delta
         # the epsilon requires, not an epsilon inverted from the sup error
+        monkeypatch.setattr(tb, "_DEGREE_CAP", 512)
         with pytest.raises(NumericalError) as exc:
-            tb.indicator_majorant(0.1, degree_cap=512)
+            tb.indicator_majorant(0.1)
         msg = str(exc.value)
         delta = 0.9 * 0.1 / ((2 * math.e) ** 1.5 + 4.0)
         assert "degree > 512" in msg and "at degree 512" in msg
@@ -194,13 +196,13 @@ class TestOneSidedFit:
         moments = tb._basis_gap_moments
         monkeypatch.setattr(tb, "_basis_gap_moments",
                             lambda *a: built.append(1) or moments(*a))
-        monkeypatch.setattr(tb, "_LP_LIMIT", need - 1)
+        monkeypatch.setattr(errors, "BYTE_LIMIT", need - 1)
         with pytest.raises(NumericalError, match="degree 32.*lower degrees"):
             tb.one_sided_fit(m, "upper")
         assert built == []
         assert main(["polys", "--epsilon", "0.5", "--degrees", "4,32",
                      "--out", str(tmp_path)]) == 1
-        monkeypatch.setattr(tb, "_LP_LIMIT", need)
+        monkeypatch.setattr(errors, "BYTE_LIMIT", need)
         tb.one_sided_fit(m, "upper")
         assert built
 
