@@ -59,6 +59,8 @@ _CHOICES = {"family": ["lsv", "lsv0"], "check": ["B1", "B2", "B3"]}
 # partial sums, and the 41·n float64 arrays of ``kernel_defect_bound``
 _RENEWAL_STEP_BYTES = 120
 _DEFECT_STEP_BYTES = 984
+# the advice of ``assemble_operator``'s size check, which names ``dual-ergodic``'s options
+_ASSEMBLY_ADVICE = "lower grid or ntrunc"
 
 
 @dataclass
@@ -184,6 +186,18 @@ fig.savefig({csv_name!r}.replace(".csv", ".png"), dpi=150)
     path.write_text(body, encoding="utf-8")
 
 
+def _assemble(spec: MapSpec, grid: Grid, n_trunc: int, option: str):
+    """``assemble_operator`` whose size advice names ``option``, the flag that set n_trunc."""
+    try:
+        return assemble_operator(spec, grid, n_trunc=n_trunc)
+    except NumericalError as exc:
+        msg = str(exc)
+        if not msg.endswith(_ASSEMBLY_ADVICE):
+            raise
+        advice = f"lower grid or {option}"
+        raise NumericalError(msg.removesuffix(_ASSEMBLY_ADVICE) + advice) from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -193,7 +207,7 @@ def _cmd_tails(cfg: ExperimentConfig, outdir: Path) -> dict:
     spec = MapSpec(cfg.family, alpha=cfg.alpha)
     n = cfg.n
     grid = Grid(cfg.grid)
-    op = assemble_operator(spec, grid, n_trunc=max(n, 64))
+    op = _assemble(spec, grid, max(n, 64), "n")
     h = invariant_density(op)
     tail = tail_sequence(spec, n)
     tm = tail_model_from_operator(op)
@@ -260,7 +274,7 @@ def _cmd_renewal(cfg: ExperimentConfig, outdir: Path) -> dict:
 def _cmd_dual_ergodic(cfg: ExperimentConfig, outdir: Path) -> dict:
     spec = MapSpec(cfg.family, alpha=cfg.alpha)
     grid = Grid(cfg.grid)
-    op = assemble_operator(spec, grid, n_trunc=cfg.ntrunc)
+    op = _assemble(spec, grid, cfg.ntrunc, "ntrunc")
     # the log-spaced report times start at 10: keep those within nmax
     ns = np.round(np.logspace(1, np.log10(cfg.nmax), 25)).astype(int).tolist()
     ns = sorted({n for n in ns if n <= cfg.nmax} | {cfg.nmax})
@@ -291,7 +305,9 @@ def _cmd_kernel(cfg: ExperimentConfig, outdir: Path) -> dict:
     sequences = {"ones": np.ones(max(ns) + 1)}
     spec = MapSpec(cfg.family, alpha=cfg.alpha)
     if cfg.family == "lsv":
-        op = assemble_operator(spec, Grid(cfg.grid), n_trunc=max(max(ns) + 1, cfg.ntrunc))
+        n_trunc = max(max(ns) + 1, cfg.ntrunc)
+        option = "ntrunc" if n_trunc == cfg.ntrunc else "nmax"
+        op = _assemble(spec, Grid(cfg.grid), n_trunc, option)
         dist = return_distribution_from_operator(op)
         sequences["map_derived"] = renewal_sequence(dist, max(ns)).u
     for name, u in sequences.items():

@@ -17,17 +17,20 @@ only the distinct columns are pulled back (71 of 1025 for lsv0 at grid
 1024); the swept rows stop at the shared column.
 
 Sweeps hand out branches in blocks of up to ``sweep_block`` rows that end
-at multiples of ``sweep_block`` rungs.  Newton writes the rungs straight
-into a block buffer and each block is lifted in one operation, so the
-consumers in ``induced`` extract a whole block's Ulam entries at once.
+at multiples of ``sweep_block`` rungs.  One ``pullback_rows`` call writes a
+block's rungs straight into a block buffer and each block is lifted in one
+operation, so the consumers in ``induced`` extract a whole block's Ulam
+entries at once.
 
 The distinct columns are few (71 above), so numpy's per-call overhead, not
 the arithmetic, sets the Newton's cost.  Its values live in scratch that a
 sweep allocates once and passes from rung to rung: each rung's Newton
 starts at its target with the left(w) that the previous rung's last check
-left there, and f'(w) is evaluated only when an update follows.  Every
-ufunc runs in the order of the allocating Newton that the tests keep as
-their reference, so each rung and ``x_tail`` match it bit for bit.
+left there, f'(w) is evaluated only when an update follows, and the
+convergence check tests the whole row only once its last column passes.
+Every ufunc that runs, runs in the order of the allocating Newton that the
+tests keep as their reference, so each rung and ``x_tail`` match it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -40,42 +43,50 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .maps import MapSpec
 
-__all__ = ["BranchLadder", "pullback_row", "integral_tail_factor"]
+__all__ = ["BranchLadder", "pullback_rows", "integral_tail_factor"]
 
 _TOL = 1e-15
 _MAX_ITER = 60
 _FLOOR = np.array(1e-300)  # keeps iterates positive; 0-d, like maps' constants
 
 
-def pullback_row(spec: MapSpec, targets: np.ndarray, out: np.ndarray,
-                 work: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Solve left(w) = target elementwise by monotone Newton from w = target.
+def pullback_rows(spec: MapSpec, prev: np.ndarray, rows: np.ndarray,
+                  work: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Fill rows[i] = left^-1(rows[i-1]), reading rows[-1] as ``prev``; return ``rows``.
 
-    This is the package's one left-branch inverse.  Requires
+    This is the package's one left-branch inverse: each row is solved by
+    monotone Newton from w = target, elementwise.  Requires
     0 < target < ``spec.left_image_sup`` (callers clamp targets at or above
     the sup to ``sup * (1 - 1e-14)``); convexity of the left branch keeps
-    the iterates above the root and decreasing.  They live in ``out``,
-    which must not overlap ``targets``, and it is returned.  ``work`` is
-    four scratch arrays of the targets' shape and must come in holding
-    left(targets) in ``work[2]`` and its share in ``work[0]``, as
-    ``spec.left_np(targets, *work[:3])`` leaves them; a call leaves them so
-    for its root, so a chain of pullbacks evaluates each point once.
+    the iterates above the root and decreasing.  ``prev`` must not overlap
+    ``rows``.  ``work`` is four scratch arrays of a row's shape and must
+    come in holding left(prev) in ``work[2]`` and its share in ``work[0]``,
+    as ``spec.left_np(prev, *work[:3])`` leaves them; the call leaves them
+    so for the last row, so a chain of pullbacks evaluates each point once.
+
+    The convergence test max|err| <= tol reads err[-1] first: while
+    |err[-1]| > tol the maximum exceeds tol too, so the row-wide abs and
+    reduce are skipped without changing any decision or iterate (a NaN
+    falls through to them).  left(x) - x increases on (0, 1/2) in both
+    families, so the last column, the largest target, converges last.
     """
-    w = out
-    w[...] = targets
+    left, deriv = spec.left_np, spec.left_deriv_np
     share, a, b, c = work
-    for it in range(_MAX_ITER + 1):
-        err = np.subtract(b, targets, c)
-        if np.maximum.reduce(np.abs(err, a), axis=None) <= _TOL:
-            return w
-        if it == _MAX_ITER:
-            break
-        step = np.divide(err, spec.left_deriv_np(w, share, a, b), a)
-        np.maximum(np.subtract(w, step, b), _FLOOR, out=w)
-        spec.left_np(w, share, a, b)
-    if np.maximum.reduce(np.abs(err), axis=None) > 1e-12:
-        raise NumericalError("vectorized left-branch pullback stalled")
-    return w
+    targets = prev
+    for w in rows:
+        w[...] = targets
+        for _ in range(_MAX_ITER):
+            err = np.subtract(b, targets, c)
+            if abs(err.item(-1)) <= _TOL and np.maximum.reduce(np.abs(err, a), axis=None) <= _TOL:
+                break
+            step = np.divide(err, deriv(w, share, a, b), a)
+            np.maximum(np.subtract(w, step, b), _FLOOR, out=w)
+            left(w, share, a, b)
+        else:
+            if np.maximum.reduce(np.abs(np.subtract(b, targets, c), a), axis=None) > 1e-12:
+                raise NumericalError("vectorized left-branch pullback stalled")
+        targets = w
+    return rows
 
 
 def integral_tail_factor(spec: MapSpec, k: int) -> float:
@@ -139,8 +150,7 @@ class BranchLadder:
             rows = buf[: k1 - k0]
             if k0 == k:
                 rows[0] = prev
-            for i in range(int(k0 == k), k1 - k0):
-                pullback_row(self.spec, rows[i - 1] if i else prev, out=rows[i], work=work)
+            pullback_rows(self.spec, prev, rows[int(k0 == k):], work)
             # the 1/2-edge column is the scalar backward orbit
             self._x[k0:k1] = rows[:, 0]
             prev = rows[-1].copy()

@@ -9,7 +9,7 @@ import renewalops as ro
 from renewalops.errors import DomainError, NumericalError
 from renewalops.induced import (_branch_entries, _power_density, _swept_block_sum,
                                 _tail_completion)
-from renewalops.ladder import _MAX_ITER, _TOL, pullback_row
+from renewalops.ladder import _MAX_ITER, _TOL, pullback_rows
 from renewalops.renewal_engine import FastLayout, _FastRun
 
 SESSION_T0 = time.time()
@@ -36,14 +36,14 @@ def reference_left_and_deriv(spec, x):
 
 
 def pull_back(spec, targets):
-    """``ladder.pullback_row`` into a fresh array, with scratch primed as it requires."""
+    """``ladder.pullback_rows`` on a one-row block, with scratch primed as it requires."""
     targets = np.asarray(targets, dtype=float)
     work = tuple(np.empty((4,) + targets.shape))
     spec.left_np(targets, work[0], work[1], work[2])
-    return pullback_row(spec, targets, np.empty_like(targets), work)
+    return pullback_rows(spec, targets, np.empty((1,) + targets.shape), work)[0]
 
 
-# The tests' reference for ``ladder.pullback_row``: the same Newton with a
+# The tests' reference for ``ladder.pullback_rows``: the same Newton with a
 # fresh array for every value, which the in-place one must match bit for bit.
 def reference_pullback_row(spec, targets, w0):
     """Solve left(w) = target elementwise by monotone Newton from above."""

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import renewalops
+from renewalops import cli, errors
 from renewalops.cli import ExperimentConfig, main
 
 
@@ -88,6 +89,22 @@ class TestExitCodes:
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 1, done.stderr
         assert "lower nmax" in done.stderr and "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("argv, option", [
+        (["tails", "--n", "200"], "n"),
+        (["dual-ergodic"], "ntrunc"),
+        (["kernel", "--ntrunc", "10"], "nmax"),
+        (["kernel", "--ntrunc", "3000"], "ntrunc"),
+    ], ids=["tails", "dual-ergodic", "kernel-nmax", "kernel-ntrunc"])
+    def test_assembly_size_advice_names_the_truncation_option(self, tmp_path, capsys,
+                                                              monkeypatch, argv, option):
+        # kernel's own check (nmax 1000) passes; the 2 MiB block sum of grid 512 does not
+        limit = (cli._RENEWAL_STEP_BYTES + cli._DEFECT_STEP_BYTES) * 1001
+        monkeypatch.setattr(errors, "BYTE_LIMIT", limit)
+        assert main(argv + ["--grid", "512", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: assembly on 512 cells"), err
+        assert err.endswith(f"; lower grid or {option}\n"), err
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:

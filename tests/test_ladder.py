@@ -14,11 +14,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import renewalops as ro
-from renewalops import renewal_engine
+from renewalops import ladder as ladder_mod, renewal_engine
+from renewalops.errors import NumericalError
 from renewalops.induced import _branch_entries, _power_density, _tail_completion
-from renewalops.ladder import BranchLadder
+from renewalops.ladder import BranchLadder, pullback_rows
 
-from conftest import block_series, completed_block_sum, reference_pullback_row
+from conftest import block_series, completed_block_sum, pull_back, reference_pullback_row
 
 N_RUNGS = 500  # also the assembly's k_ladder, which must reach n_trunc
 STRIDE = 128
@@ -337,3 +338,81 @@ def test_block_series_matches_per_row_reference(assembled, z, extended):
         want += (z ** (N_RUNGS + 2)) * np.outer(*_tail_completion(op.ladder, edges, delta))
     got = block_series(op, z, extended=extended)
     assert np.array_equal(got, want)
+
+
+def reference_chain(spec, prev, n_rows):
+    """n_rows rungs below ``prev``, each by ``reference_pullback_row`` from its target."""
+    rows = []
+    for _ in range(n_rows):
+        prev = reference_pullback_row(spec, prev, prev)
+        rows.append(prev)
+    return np.array(rows)
+
+
+def block_pullback(spec, prev, n_rows):
+    """``pullback_rows`` over one block of n_rows rungs below ``prev``."""
+    work = tuple(np.empty((4, prev.size)))
+    spec.left_np(prev, work[0], work[1], work[2])
+    return pullback_rows(spec, prev, np.empty((n_rows, prev.size)), work)
+
+
+class TestPullbackRows:
+    """The block Newton, whose convergence test reads the last element first."""
+
+    def test_last_element_converged_falls_back_to_the_full_row(self):
+        # left(0.01) = 0.01 in floating point: the last element passes the
+        # first test of every rung while 0.4 does not
+        spec, prev = ro.MapSpec("lsv0"), np.array([0.4, 0.01])
+        got = block_pullback(spec, prev, 300)
+        assert np.array_equal(got, reference_chain(spec, prev, 300))
+        assert (got[:, 1] == 0.01).all() and got[-1, 0] < 0.3
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), alpha=st.one_of(st.none(), st.floats(1.0, 3.0)),
+           n_rows=st.integers(1, 40))
+    def test_shuffled_rows_match_the_reference(self, data, alpha, n_rows):
+        spec = ro.MapSpec("lsv0") if alpha is None else ro.MapSpec("lsv", alpha=alpha)
+        cap = spec.left_image_sup * (1.0 - 1e-14)
+        prev = np.array(data.draw(st.lists(
+            st.floats(0.0, cap, exclude_min=True, allow_subnormal=False),
+            min_size=1, max_size=12)))
+        prev = prev[data.draw(st.permutations(range(prev.size)))]
+        assert np.array_equal(block_pullback(spec, prev, n_rows),
+                              reference_chain(spec, prev, n_rows))
+
+    def test_cap_stalls_a_sweep(self, monkeypatch):
+        monkeypatch.setattr(ladder_mod, "_MAX_ITER", 1)
+        ladder = BranchLadder(ro.MapSpec("lsv", alpha=2.0), ro.Grid(64).edges, n_rungs=4)
+        with pytest.raises(NumericalError, match="stalled"):
+            list(ladder.sweep(1, 6))
+
+    def test_row_within_1e_12_at_the_cap_returns(self, monkeypatch):
+        # from w = 0.05, two Newton updates leave |left(w) - 0.05| near 1e-14
+        spec, target = ro.MapSpec("lsv", alpha=2.0), np.array([0.05])
+        monkeypatch.setattr(ladder_mod, "_MAX_ITER", 2)
+        w = pull_back(spec, target)
+        assert 1e-15 < abs(spec.left(float(w[0])) - 0.05) <= 1e-12
+        monkeypatch.setattr(ladder_mod, "_MAX_ITER", 1)
+        with pytest.raises(NumericalError, match="stalled"):
+            pull_back(spec, target)
+
+
+# left_np calls, the priming one included, of ladders completed to their last
+# rung; a change that evaluates the branch more often per rung shows here
+@pytest.mark.parametrize("spec, edges, n_rungs, calls", [
+    (SPECS["lsv0"], ro.Grid(1024).edges, 25_000, 43_687),
+    (SPECS["lsv0"], ro.Grid(1024).edges, 2_500, 5_080),
+    (SPECS["lsv-2"], ro.Grid(512).edges, 4_000, 8_087),
+    (SPECS["lsv-2"], np.array([0.5]), 99_999, 110_928),
+], ids=["lsv0-1024-25000", "lsv0-1024-2500", "lsv-2-512-4000", "lsv-2-orbit-99999"])
+def test_left_branch_evaluation_count(monkeypatch, spec, edges, n_rungs, calls):
+    count = [0]
+    left_np = ro.MapSpec.left_np
+
+    def counted(self, *args):
+        count[0] += 1
+        return left_np(self, *args)
+
+    monkeypatch.setattr(ro.MapSpec, "left_np", counted)
+    BranchLadder(spec, edges, n_rungs=n_rungs).x_tail
+    assert 0 < count[0] <= calls
