@@ -9,10 +9,11 @@ Subcommands map onto the verification surfaces of the library:
 * ``contour``      closed-form contour integral checks (B1, B2, B3)
 * ``polys``        one-sided polynomial constructions and their gap trends
 
-Every run writes a CSV (header row, 17 significant digits, '.' decimal
-point) plus a JSON sidecar holding the configuration, error bars and the
-timestamp (the CSV body is byte-identical across reruns of one config),
-and a small matplotlib script for the table, which is never executed here.
+Each subcommand computes a table and ``run`` writes it: a CSV (header row,
+17 significant digits, '.' decimal point), a JSON sidecar holding the
+configuration, error bars and the timestamp (the CSV body is byte-identical
+across reruns of one config), and for the subcommands in ``_PLOTS`` a small
+matplotlib script for the table, which is never executed here.
 
 ``kernel``, ``contour`` and ``polys`` import the Tauberian layer when they
 run, so ``tails``, ``renewal`` and ``dual-ergodic`` never load it or
@@ -59,8 +60,15 @@ _CHOICES = {"family": ["lsv", "lsv0"], "check": ["B1", "B2", "B3"]}
 # partial sums, and the 41·n float64 arrays of ``kernel_defect_bound``
 _RENEWAL_STEP_BYTES = 120
 _DEFECT_STEP_BYTES = 984
-# the advice of ``assemble_operator``'s size check, which names ``dual-ergodic``'s options
-_ASSEMBLY_ADVICE = "lower grid or ntrunc"
+# a subcommand's result: the CSV header, its rows and the sidecar's extra fields
+_Table = tuple[list[str], list[list], dict]
+# columns that each plotted subcommand's script draws against n
+_PLOTS = {
+    "tails": ["tail_prob"],
+    "renewal": ["residual"],
+    "dual-ergodic": ["sup_error", "expansion_residual"],
+    "kernel": ["rel_err"],
+}
 
 
 @dataclass
@@ -165,7 +173,7 @@ def _write_sidecar(path: Path, config: ExperimentConfig, extra: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
 
-def _write_plot_script(path: Path, csv_name: str, xcol: str, ycols: list[str]) -> None:
+def _write_plot_script(path: Path, csv_name: str, ycols: list[str]) -> None:
     body = f"""#!/usr/bin/env python3
 # Plot script emitted alongside {csv_name}; run it yourself, nothing runs it for you.
 import csv
@@ -173,11 +181,11 @@ import matplotlib.pyplot as plt
 
 with open({csv_name!r}) as fh:
     rows = list(csv.DictReader(fh))
-x = [float(r[{xcol!r}]) for r in rows]
+x = [float(r['n']) for r in rows]
 fig, ax = plt.subplots()
 for col in {ycols!r}:
     ax.plot(x, [abs(float(r[col])) for r in rows], label=col, marker="o", ms=3)
-ax.set_xlabel({xcol!r})
+ax.set_xlabel('n')
 ax.set_xscale('log')
 ax.set_yscale('log')
 ax.legend()
@@ -187,15 +195,12 @@ fig.savefig({csv_name!r}.replace(".csv", ".png"), dpi=150)
 
 
 def _assemble(spec: MapSpec, grid: Grid, n_trunc: int, option: str):
-    """``assemble_operator`` whose size advice names ``option``, the flag that set n_trunc."""
+    """``assemble_operator`` whose advice names ``option``, the flag that set n_trunc."""
     try:
         return assemble_operator(spec, grid, n_trunc=n_trunc)
     except NumericalError as exc:
-        msg = str(exc)
-        if not msg.endswith(_ASSEMBLY_ADVICE):
-            raise
-        advice = f"lower grid or {option}"
-        raise NumericalError(msg.removesuffix(_ASSEMBLY_ADVICE) + advice) from None
+        head, sep, advice = str(exc).rpartition("; ")
+        raise NumericalError(head + sep + advice.replace("ntrunc", option)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +208,7 @@ def _assemble(spec: MapSpec, grid: Grid, n_trunc: int, option: str):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_tails(cfg: ExperimentConfig, outdir: Path) -> dict:
+def _cmd_tails(cfg: ExperimentConfig) -> _Table:
     spec = MapSpec(cfg.family, alpha=cfg.alpha)
     n = cfg.n
     grid = Grid(cfg.grid)
@@ -221,14 +226,12 @@ def _cmd_tails(cfg: ExperimentConfig, outdir: Path) -> dict:
         else:
             asym = tm.c / np.log(k + 1.0)
         rows.append([k, tail.x_n(k), tail.y_n(k), p, p / asym, deficit])
-    _write_csv(outdir / "tails.csv",
-               ["n", "x_n", "y_n", "tail_prob", "asymptote_ratio", "error_bar"], rows)
-    _write_plot_script(outdir / "plot_tails.py", "tails.csv", "n", ["tail_prob"])
-    return {"c": tm.c, "beta": beta, "mass_deficit": deficit,
-            "density_residual": op.density_residual}
+    return (["n", "x_n", "y_n", "tail_prob", "asymptote_ratio", "error_bar"], rows,
+            {"c": tm.c, "beta": beta, "mass_deficit": deficit,
+             "density_residual": op.density_residual})
 
 
-def _cmd_renewal(cfg: ExperimentConfig, outdir: Path) -> dict:
+def _cmd_renewal(cfg: ExperimentConfig) -> _Table:
     beta = cfg.beta
     n_max = cfg.nmax
     check_bytes(_RENEWAL_STEP_BYTES * (n_max + 1), f"the scalar renewal to n = {n_max}",
@@ -257,21 +260,17 @@ def _cmd_renewal(cfg: ExperimentConfig, outdir: Path) -> dict:
         else:
             row += [first, U_n - first, math.nan]
         rows.append(row)
-    _write_csv(outdir / "renewal.csv",
-               ["n", "u_n", "U_n", "first_order", "ratio", "expansion", "residual",
-                "error_bar"], rows)
     extra = {"beta": beta}
     if exp is not None and n_max >= 10**3:
         diag = residual_diagnostics(seq, exp, n_lo=max(10**3, n_max // 1000), n_hi=n_max)
         extra["residual_slope"] = diag["fit"].slope
         extra["residual_slope_halfwidth"] = diag["fit"].halfwidth
         extra["c_H"] = exp.c_h
-    _write_plot_script(outdir / "plot_renewal.py", "renewal.csv", "n",
-                       ["residual"])
-    return extra
+    return (["n", "u_n", "U_n", "first_order", "ratio", "expansion", "residual", "error_bar"],
+            rows, extra)
 
 
-def _cmd_dual_ergodic(cfg: ExperimentConfig, outdir: Path) -> dict:
+def _cmd_dual_ergodic(cfg: ExperimentConfig) -> _Table:
     spec = MapSpec(cfg.family, alpha=cfg.alpha)
     grid = Grid(cfg.grid)
     op = _assemble(spec, grid, cfg.ntrunc, "ntrunc")
@@ -283,19 +282,15 @@ def _cmd_dual_ergodic(cfg: ExperimentConfig, outdir: Path) -> dict:
     for row in report.rows():
         rows.append([row["n"], row["a_n"], row["sup_error"],
                      row.get("expansion_residual", math.nan), row["error_bar"]])
-    _write_csv(outdir / "dual_ergodic.csv",
-               ["n", "a_n", "sup_error", "expansion_residual", "error_bar"], rows)
-    _write_plot_script(outdir / "plot_dual_ergodic.py", "dual_ergodic.csv", "n",
-                       ["sup_error", "expansion_residual"])
     extra = {"c": report.c, "beta": report.beta, "mass_deficit": report.mass_deficit}
     if report.sup_fit is not None:
         extra["sup_error_slope"] = report.sup_fit.slope
     if report.residual_fit is not None:
         extra["expansion_residual_slope"] = report.residual_fit.slope
-    return extra
+    return ["n", "a_n", "sup_error", "expansion_residual", "error_bar"], rows, extra
 
 
-def _cmd_kernel(cfg: ExperimentConfig, outdir: Path) -> dict:
+def _cmd_kernel(cfg: ExperimentConfig) -> _Table:
     from . import tauberian as tb
 
     ns = sorted({100, 500, cfg.nmax} if cfg.nmax >= 12 else {100, 500})
@@ -320,14 +315,11 @@ def _cmd_kernel(cfg: ExperimentConfig, outdir: Path) -> dict:
             rows.append([name, n, ke.estimate, direct,
                          abs(ke.estimate - direct) / max(abs(direct), 1e-300),
                          ke.quad_error, ke.defect_bound, ke.imag_part])
-    _write_csv(outdir / "kernel.csv",
-               ["sequence", "n", "extract", "direct", "rel_err", "quad_err",
-                "defect_bound", "imag_part"], rows)
-    _write_plot_script(outdir / "plot_kernel.py", "kernel.csv", "n", ["rel_err"])
-    return {"gamma": cfg.gamma}
+    return (["sequence", "n", "extract", "direct", "rel_err", "quad_err", "defect_bound",
+             "imag_part"], rows, {"gamma": cfg.gamma})
 
 
-def _cmd_contour(cfg: ExperimentConfig, outdir: Path) -> dict:
+def _cmd_contour(cfg: ExperimentConfig) -> _Table:
     from . import tauberian as tb
 
     if cfg.check == "B1":
@@ -342,13 +334,11 @@ def _cmd_contour(cfg: ExperimentConfig, outdir: Path) -> dict:
         res = tb.window_power_integral(cfg.rho, cfg.gamma, cfg.nmax)
         row = [cfg.check, cfg.rho, res.value, res.main_term,
                res.deviation, res.quad_error + cfg.nmax ** (cfg.rho * cfg.gamma)]
-    _write_csv(outdir / "contour.csv",
-               ["check", "parameter", "computed", "closed_form", "abs_error", "error_bar"],
-               [row])
-    return {"check": cfg.check}
+    return (["check", "parameter", "computed", "closed_form", "abs_error", "error_bar"],
+            [row], {"check": cfg.check})
 
 
-def _cmd_polys(cfg: ExperimentConfig, outdir: Path) -> dict:
+def _cmd_polys(cfg: ExperimentConfig) -> _Table:
     from . import tauberian as tb
 
     rows = []
@@ -360,10 +350,8 @@ def _cmd_polys(cfg: ExperimentConfig, outdir: Path) -> dict:
             p = tb.one_sided_fit(m, side)
             rows.append([f"fit_{side}", m, p.gap, m * p.gap, p.coefficient_sum(),
                          p.sign_check()])
-    _write_csv(outdir / "polys.csv",
-               ["kind", "degree", "gap", "target_or_mgap", "coefficient_sum", "sign_ok"],
-               rows)
-    return {"epsilon": cfg.epsilon, "degrees": degrees}
+    return (["kind", "degree", "gap", "target_or_mgap", "coefficient_sum", "sign_ok"],
+            rows, {"epsilon": cfg.epsilon, "degrees": degrees})
 
 
 _COMMANDS = {
@@ -378,30 +366,29 @@ _COMMANDS = {
 
 def run(subcommand: str, cfg: ExperimentConfig) -> int:
     """Run one experiment; returns the process exit code."""
+    outdir = Path(cfg.out)
     try:
         cfg.validate()
         if subcommand not in _COMMANDS:
             raise DomainError(f"unknown subcommand {subcommand!r}")
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    outdir = Path(cfg.out)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        print(f"error: out {cfg.out!r} is or lies under a file, not a directory",
-              file=sys.stderr)
-        return 2
-    cfg.experiment = cfg.experiment or subcommand
-    try:
-        extra = _COMMANDS[subcommand](cfg, outdir)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise DomainError(f"out {cfg.out!r} is or lies under a file, "
+                              "not a directory") from None
+        cfg.experiment = cfg.experiment or subcommand
+        header, rows, extra = _COMMANDS[subcommand](cfg)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-    _write_sidecar(outdir / f"{subcommand.replace('-', '_')}_meta.json", cfg, extra)
+    name = subcommand.replace("-", "_")
+    _write_csv(outdir / f"{name}.csv", header, rows)
+    if subcommand in _PLOTS:
+        _write_plot_script(outdir / f"plot_{name}.py", f"{name}.csv", _PLOTS[subcommand])
+    _write_sidecar(outdir / f"{name}_meta.json", cfg, extra)
     return 0
 
 
@@ -425,20 +412,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {}
-    if args.config:
-        try:
-            overrides.update(ExperimentConfig.from_file(Path(args.config)))
-        except (OSError, DomainError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    for f in _FLAGS:
-        val = getattr(args, f.name)
-        if val is not None:
-            overrides[f.name] = val
+    flags = {f.name: getattr(args, f.name) for f in _FLAGS if getattr(args, f.name) is not None}
+    # DomainError, a bad number and a file that is not UTF-8 are all ValueErrors
     try:
-        cfg = _coerce(ExperimentConfig, overrides)
-    except (DomainError, ValueError) as exc:
+        overrides = ExperimentConfig.from_file(Path(args.config)) if args.config else {}
+        cfg = _coerce(ExperimentConfig, overrides | flags)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return run(args.subcommand, cfg)

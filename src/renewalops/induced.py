@@ -162,10 +162,11 @@ def assemble_operator(
     sees an (integral-tail completed) operator with essentially no missing
     mass.  Raises before building the ladder when the dense block sum, the
     ladder's orbit and the least bytes of the kernel bands would take more
-    than ``errors.BYTE_LIMIT``.  Raises after assembly when
-    the invariant mass beyond ``n_trunc`` exceeds ``deficit_bound``,
-    advising a larger truncation.  The default bound is 0.15 for the
-    polynomial family; for the log family the deficit is structurally near
+    than ``errors.BYTE_LIMIT``.  Raises after assembly when the invariant
+    mass beyond ``n_trunc`` exceeds ``deficit_bound``.  Both messages end in
+    advice naming the truncation ``ntrunc``, a token the CLI replaces with
+    the flag that set it.  The default bound is 0.15 for the polynomial
+    family; for the log family the deficit is structurally near
     1 at any desk-scale truncation (the invariant density is supported on
     [1/2, sup of the left branch], where all short return times carry no
     mass), so no bound is enforced by default.
@@ -196,7 +197,7 @@ def assemble_operator(
     deficit = op.mass_deficit
     if deficit > deficit_bound:
         raise NumericalError(
-            f"mass deficit {deficit:.3g} exceeds {deficit_bound}; increase n_trunc"
+            f"mass deficit {deficit:.3g} exceeds {deficit_bound}; raise ntrunc"
         )
     return op
 

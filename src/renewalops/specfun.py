@@ -29,6 +29,9 @@ __all__ = [
 # Strictly-positive slack for "(j+1)*beta - j > 0" comparisons: exponents that
 # vanish only through float rounding (e.g. beta = 2/3) must not count.
 _EXPONENT_TOL = 1e-12
+# the most expansion terms computed: the count grows like beta/(1-beta), so
+# without a cap it takes minutes near beta = 1 - 1e-6 and never ends at 1 - 1e-16
+_ORDER_CAP = 10**4
 
 
 def gamma(x: float) -> float:
@@ -70,10 +73,14 @@ def harmonic_sum(ell: Callable[[np.ndarray], np.ndarray], n: int) -> float:
 def expansion_order(beta: float) -> int:
     """Largest j >= 0 with (j+1)*beta - j > 0; the expansion has j+1 terms.
 
-    Equals 0 for beta <= 1/2 and grows like beta/(1-beta) as beta -> 1.
+    Equals 0 for beta <= 1/2 and grows like beta/(1-beta) as beta -> 1;
+    raises where that exceeds ``_ORDER_CAP`` (beta above about 0.9999).
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta={beta} outside (0, 1)")
+    if beta / (1.0 - beta) > _ORDER_CAP:
+        raise DomainError(f"the expansion at beta={beta} needs about {beta / (1.0 - beta):.3g} "
+                          f"terms, above {_ORDER_CAP}")
     j = 0
     while (j + 2) * beta - (j + 1) > _EXPONENT_TOL:
         j += 1
@@ -126,5 +133,8 @@ class Norming:
         return harmonic_sum(self.ell, int(n))
 
     def return_sequence(self, n) -> float:
-        """Darling-Kac norming a_n = n**beta / (m(n) * constant)."""
-        return float(n) ** self.beta / (self.m(n) * self.constant)
+        """Darling-Kac norming a_n = n**beta / (m(n) * constant); undefined where m(n) = 0."""
+        m = self.m(n)
+        if m == 0:
+            raise DomainError(f"a_n is undefined at n = {n}, where m(n) = 0")
+        return float(n) ** self.beta / (m * self.constant)

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import renewalops
 from renewalops import cli, errors
@@ -37,6 +43,12 @@ class TestConfig:
         f = tmp_path / "bad.cfg"
         f.write_text("nonsense = 1\n")
         assert main(["contour", "--config", str(f), "--out", str(tmp_path)]) == 2
+
+    def test_config_not_utf8_rejected(self, tmp_path, capsys):
+        f = tmp_path / "exp.cfg"
+        f.write_bytes(b"beta = 0.5\n\xff\n")
+        assert main(["contour", "--config", str(f), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_flags_override_file(self, tmp_path):
         f = tmp_path / "exp.cfg"
@@ -105,6 +117,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: assembly on 512 cells"), err
         assert err.endswith(f"; lower grid or {option}\n"), err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["tails", "--n", "5"], "n"),
+        (["dual-ergodic", "--ntrunc", "3", "--nmax", "5"], "ntrunc"),
+        (["kernel", "--ntrunc", "3", "--nmax", "5"], "nmax"),
+        (["kernel", "--ntrunc", "600", "--nmax", "5"], "ntrunc"),
+    ], ids=["tails", "dual-ergodic", "kernel-nmax", "kernel-ntrunc"])
+    def test_mass_deficit_advice_names_the_truncation_option(self, tmp_path, capsys,
+                                                             argv, option):
+        # beta = 1/8: more than the 0.15 bound of invariant mass returns after these
+        # truncations (64 for tails, max(ns) + 1 = 501 or ntrunc for kernel)
+        assert main(argv + ["--alpha", "8", "--grid", "8", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: mass deficit"), err
+        assert err.endswith(f"; raise {option}\n"), err
+
+    def test_lsv0_norming_at_n_1_refused(self, tmp_path, capsys):
+        # a_n = 1 / m(n) with m(n) a multiple of log n: undefined at n = 1
+        argv = ["dual-ergodic", "--family", "lsv0", "--grid", "32", "--ntrunc", "50"]
+        assert main(argv + ["--nmax", "1", "--out", str(tmp_path / "1")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a_n is undefined at n = 1") and err.count("\n") == 1
+        assert not (tmp_path / "1" / "dual_ergodic.csv").exists()
+        assert main(argv + ["--nmax", "2", "--out", str(tmp_path / "2")]) == 0
+        header, row = read(tmp_path / "2" / "dual_ergodic.csv").splitlines()
+        assert header == "n,a_n,sup_error,expansion_residual,error_bar"
+        n, a_n, sup_error, placeholder, error_bar = row.split(",")
+        assert n == "2" and placeholder == "nan"
+        assert float(a_n) == pytest.approx(23.864113019531441, rel=1e-12)
+        assert float(sup_error) == pytest.approx(0.95809607509059358, rel=1e-9)
+        assert float(error_bar) == pytest.approx(0.99999999999965883, rel=1e-12)
+
+    def test_lsv0_kernel_at_nmax_1_runs(self, tmp_path):
+        # kernel reads no norming, and its report times stay at 100 and 500
+        assert main(["kernel", "--family", "lsv0", "--nmax", "1", "--out", str(tmp_path)]) == 0
+        ns = [line.split(",")[1] for line in read(tmp_path / "kernel.csv").splitlines()[1:]]
+        assert ns == ["100", "500"]
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -236,3 +285,86 @@ def test_operator_subcommands_never_load_the_tauberian_layer(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["ok"]
+
+
+# the flags each subcommand reads, besides --out and --config
+READS = {
+    "tails": {"family", "alpha", "grid", "n"},
+    "renewal": {"beta", "nmax"},
+    "dual-ergodic": {"family", "alpha", "grid", "ntrunc", "nmax"},
+    "kernel": {"family", "alpha", "grid", "ntrunc", "nmax", "gamma"},
+    "contour": {"check", "beta", "rho", "gamma", "nmax"},
+    "polys": {"epsilon", "degrees"},
+}
+FLAGS = {f.name for f in fields(ExperimentConfig)} - {"experiment", "out"}
+# columns that hold nan where a quantity is not computed
+PLACEHOLDERS = {"renewal": {"error_bar"}, "dual-ergodic": {"expansion_residual"}}
+PLOTTED = {"tails", "renewal", "dual-ergodic", "kernel"}
+# small sizes, with the edges of each parameter's domain and values just outside it
+VALUES = {
+    "family": st.sampled_from(["lsv", "lsv0"]),
+    "alpha": st.sampled_from([0.5, 1.0, 1.0001, 1.5, 2.0, 8.0, 40.0]) | st.floats(1.0, 10.0),
+    "grid": st.integers(1, 96),
+    "ntrunc": st.integers(1, 400),
+    "nmax": st.integers(1, 400),
+    "n": st.integers(1, 400),
+    "beta": st.sampled_from([-0.1, 0.0, 1e-3, 0.5, 0.5001, 0.75, 0.999, 1.0, 1.5])
+    | st.floats(0.0, 1.0),
+    "gamma": st.sampled_from([0.0, 1e-3, 0.25, 0.4999, 0.5]) | st.floats(1e-3, 0.499),
+    "rho": st.sampled_from([-1.0, 0.0, 1e-3, 0.5, 1.0, 2.0]),
+    "check": st.sampled_from(["B1", "B2", "B3"]),
+    "epsilon": st.sampled_from([-1.0, 0.0, 0.05, 0.1, 0.5, 1.0, 5.0]),
+    "degrees": st.lists(st.sampled_from(["x", "1", "2", "3", "4", "8", "16"]),
+                        max_size=3).map(",".join),
+}
+# errors.BYTE_LIMIT values, from one that refuses every guarded size to 128 MiB
+BYTE_LIMITS = [1 << 10, 1 << 14, 1 << 18, 1 << 22, 1 << 27]
+
+
+@st.composite
+def cli_cases(draw):
+    """A subcommand with every flag it reads, and a byte limit."""
+    sub = draw(st.sampled_from(sorted(READS)))
+    argv = [sub] + [f"--{flag}={draw(VALUES[flag])}" for flag in sorted(READS[sub])]
+    return argv, draw(st.sampled_from(BYTE_LIMITS))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(cli_cases())
+@example((["dual-ergodic", "--family=lsv0", "--alpha=2", "--grid=32", "--ntrunc=50",
+           "--nmax=1"], 1 << 27))
+@example((["tails", "--family=lsv", "--alpha=8", "--grid=8", "--n=5"], 1 << 27))
+def test_cli_configuration_space(case):
+    argv, limit = case
+    sub = argv[0]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(errors, "BYTE_LIMIT", limit):
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(err):
+            code = main(argv + [f"--out={out}"])
+        written = {p.name for p in out.glob("*")}
+        csv = read(out / f"{sub.replace('-', '_')}.csv") if code == 0 else ""
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code:
+        prefix = "error: " if code == 2 else "numeric failure: "
+        assert len(lines) == 1 and lines[0].startswith(prefix), lines
+        _, sep, advice = lines[0].rpartition("; ")
+        named = set(re.findall(r"\w+", advice)) & FLAGS if sep else set()
+        assert named <= READS[sub], (lines[0], named - READS[sub])
+        assert written == set()
+        return
+    assert lines == []
+    name = sub.replace("-", "_")
+    expect = {f"{name}.csv", f"{name}_meta.json"}
+    assert written == (expect | {f"plot_{name}.py"} if sub in PLOTTED else expect)
+    header, *rows = [line.split(",") for line in csv.splitlines()]
+    assert rows
+    for row in rows:
+        for col, cell in zip(header, row, strict=True):
+            assert cell not in ("inf", "-inf"), (col, row)
+            assert cell != "nan" or col in PLACEHOLDERS.get(sub, ()), (col, row)
+    bound = {"renewal": "nmax", "dual-ergodic": "nmax", "tails": "n"}.get(sub)
+    if bound:
+        limit_n = int(next(a for a in argv if a.startswith(f"--{bound}=")).split("=")[1])
+        assert max(int(row[0]) for row in rows) <= limit_n

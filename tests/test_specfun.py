@@ -126,6 +126,13 @@ class TestExpansionOrder:
         if beta > 0.5 + 1e-9:
             assert k >= 1
 
+    def test_refused_past_the_term_cap(self):
+        # the term count grows like beta/(1-beta): 9998 at 0.9999, endless at 1 - 1e-16
+        assert ro.expansion_order(0.9999) == 9998
+        for beta in (0.99995, 1.0 - 1e-16):
+            with pytest.raises(DomainError, match="needs about"):
+                ro.expansion_order(beta)
+
 
 class TestSlowlyVarying:
     @pytest.mark.parametrize("ell", [
