@@ -27,6 +27,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
@@ -56,12 +57,14 @@ __all__ = ["ExperimentConfig", "main", "run"]
 _FLOAT_FMT = "%.17g"
 # values of the choice fields, checked by argparse and by ``validate``
 _CHOICES = {"family": ["lsv", "lsv0"], "check": ["B1", "B2", "B3"]}
+# the config fields' annotations, which are strings under postponed evaluation
+_TYPES = {"int": int, "float": float, "str": str}
 # peak bytes per step n, from tracemalloc: the scalar renewal with its
 # partial sums, and the 41·n float64 arrays of ``kernel_defect_bound``
 _RENEWAL_STEP_BYTES = 120
 _DEFECT_STEP_BYTES = 984
 # a subcommand's result: the CSV header, its rows and the sidecar's extra fields
-_Table = tuple[list[str], list[list], dict]
+_Table = tuple[list[str], Iterable[Sequence], dict]
 # columns that each plotted subcommand's script draws against n
 _PLOTS = {
     "tails": ["tail_prob"],
@@ -132,20 +135,14 @@ class ExperimentConfig:
         return out
 
 
-def _coerce(cfg_cls, overrides: dict) -> ExperimentConfig:
+def _coerce(overrides: dict) -> ExperimentConfig:
+    type_of = {f.name: f.type for f in fields(ExperimentConfig)}
     kwargs = {}
-    type_of = {f.name: f.type for f in fields(cfg_cls)}
     for key, val in overrides.items():
         if key not in type_of:
             raise DomainError(f"unknown config key {key!r}")
-        t = type_of[key]
-        if t in ("int", int):
-            kwargs[key] = int(val)
-        elif t in ("float", float):
-            kwargs[key] = float(val)
-        else:
-            kwargs[key] = str(val)
-    return cfg_cls(**kwargs)
+        kwargs[key] = _TYPES[type_of[key]](val)
+    return ExperimentConfig(**kwargs)
 
 
 def _fmt(x) -> str:
@@ -156,7 +153,7 @@ def _fmt(x) -> str:
     return _FLOAT_FMT % float(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
@@ -194,12 +191,18 @@ fig.savefig({csv_name!r}.replace(".csv", ".png"), dpi=150)
     path.write_text(body, encoding="utf-8")
 
 
-def _assemble(spec: MapSpec, grid: Grid, n_trunc: int, option: str):
-    """``assemble_operator`` whose advice names ``option``, the flag that set n_trunc."""
+def _assemble(spec: MapSpec, grid: Grid, n_trunc: int, option: str, floor: int = 0):
+    """``assemble_operator`` whose advice names ``option``, the flag that set n_trunc.
+
+    An ``option`` below ``floor`` assembles at the floor, where lowering it
+    changes nothing and raising it helps only past the floor: the advice says so.
+    """
     try:
-        return assemble_operator(spec, grid, n_trunc=n_trunc)
+        return assemble_operator(spec, grid, n_trunc=max(n_trunc, floor))
     except NumericalError as exc:
         head, sep, advice = str(exc).rpartition("; ")
+        if n_trunc < floor:
+            advice = advice.replace(" or ntrunc", "").replace("ntrunc", f"ntrunc above {floor}")
         raise NumericalError(head + sep + advice.replace("ntrunc", option)) from None
 
 
@@ -211,23 +214,17 @@ def _assemble(spec: MapSpec, grid: Grid, n_trunc: int, option: str):
 def _cmd_tails(cfg: ExperimentConfig) -> _Table:
     spec = MapSpec(cfg.family, alpha=cfg.alpha)
     n = cfg.n
-    grid = Grid(cfg.grid)
-    op = _assemble(spec, grid, max(n, 64), "n")
-    h = invariant_density(op)
+    op = _assemble(spec, Grid(cfg.grid), n, "n", floor=64)
     tail = tail_sequence(spec, n)
     tm = tail_model_from_operator(op)
-    beta = spec.beta
+    k = np.arange(1, n + 1)
+    x = tail.x_tail
+    probs = return_time_tail(tail, invariant_density(op), k)
+    asym = tm.c * k ** (-spec.beta) if cfg.family == "lsv" else tm.c / np.log(k + 1.0)
     deficit = op.mass_deficit
-    probs = return_time_tail(tail, h, np.arange(1, n + 1))
-    rows = []
-    for k, p in zip(range(1, n + 1), probs.tolist()):
-        if cfg.family == "lsv":
-            asym = tm.c * k ** (-beta)
-        else:
-            asym = tm.c / np.log(k + 1.0)
-        rows.append([k, tail.x_n(k), tail.y_n(k), p, p / asym, deficit])
-    return (["n", "x_n", "y_n", "tail_prob", "asymptote_ratio", "error_bar"], rows,
-            {"c": tm.c, "beta": beta, "mass_deficit": deficit,
+    return (["n", "x_n", "y_n", "tail_prob", "asymptote_ratio", "error_bar"],
+            zip(k, x, 0.5 * (x + 1.0), probs, probs / asym, [deficit] * n),
+            {"c": tm.c, "beta": spec.beta, "mass_deficit": deficit,
              "density_residual": op.density_residual})
 
 
@@ -239,35 +236,26 @@ def _cmd_renewal(cfg: ExperimentConfig) -> _Table:
     dist = ReturnDistribution.from_power_tail(beta, n_max)
     seq = renewal_sequence(dist, n_max)
     norming = Norming(beta=beta, ell=SlowlyVarying("constant", c=1.0))
-    # the higher-order machinery covers (1/2, 1); beta = 1 gets first order only
+    ns = np.unique(np.round(np.logspace(0, np.log10(n_max), 200)).astype(int))
+    first = np.array([norming.return_sequence(n) for n in ns])
+    U = seq.U(ns)
+    extra = {"beta": beta}
+    # the higher-order machinery covers (1/2, 1); other betas get first order only
     if 0.5 < beta < 1.0:
         ch = second_order_constant(beta)
         exp = AsymptoticExpansion(beta=beta, c=1.0, c_h=ch.value)
-        ch_bar = ch.error_bar
+        pred = exp.partial_sum_prediction(ns.astype(float))
+        error_bar = ch.error_bar * ns ** exp.exponents[-1]
+        if n_max >= 10**3:
+            diag = residual_diagnostics(seq, exp, n_lo=max(10**3, n_max // 1000), n_hi=n_max)
+            extra["residual_slope"] = diag["fit"].slope
+            extra["residual_slope_halfwidth"] = diag["fit"].halfwidth
+            extra["c_H"] = exp.c_h
     else:
-        exp = None
-        ch_bar = math.nan
-    ns = np.unique(np.round(np.logspace(0, np.log10(n_max), 200)).astype(int))
-    rows = []
-    for n in ns:
-        first = norming.return_sequence(n)
-        u_n = seq.u[n]
-        U_n = float(seq.U(np.array([n]))[0])
-        row = [int(n), u_n, U_n, first, U_n / first]
-        if exp is not None:
-            pred = float(exp.partial_sum_prediction(np.array([float(n)]))[0])
-            row += [pred, U_n - pred, ch_bar * n ** exp.exponents[-1]]
-        else:
-            row += [first, U_n - first, math.nan]
-        rows.append(row)
-    extra = {"beta": beta}
-    if exp is not None and n_max >= 10**3:
-        diag = residual_diagnostics(seq, exp, n_lo=max(10**3, n_max // 1000), n_hi=n_max)
-        extra["residual_slope"] = diag["fit"].slope
-        extra["residual_slope_halfwidth"] = diag["fit"].halfwidth
-        extra["c_H"] = exp.c_h
+        pred = first
+        error_bar = np.full(ns.size, math.nan)
     return (["n", "u_n", "U_n", "first_order", "ratio", "expansion", "residual", "error_bar"],
-            rows, extra)
+            zip(ns, seq.u[ns], U, first, U / first, pred, U - pred, error_bar), extra)
 
 
 def _cmd_dual_ergodic(cfg: ExperimentConfig) -> _Table:
@@ -278,16 +266,16 @@ def _cmd_dual_ergodic(cfg: ExperimentConfig) -> _Table:
     ns = np.round(np.logspace(1, np.log10(cfg.nmax), 25)).astype(int).tolist()
     ns = sorted({n for n in ns if n <= cfg.nmax} | {cfg.nmax})
     report = dual_ergodic_report(op, np.ones(grid.m), ns)
-    rows = []
-    for row in report.rows():
-        rows.append([row["n"], row["a_n"], row["sup_error"],
-                     row.get("expansion_residual", math.nan), row["error_bar"]])
+    residual = report.expansion_residual
+    residual = np.full(report.n.size, math.nan) if residual is None else residual
     extra = {"c": report.c, "beta": report.beta, "mass_deficit": report.mass_deficit}
     if report.sup_fit is not None:
         extra["sup_error_slope"] = report.sup_fit.slope
     if report.residual_fit is not None:
         extra["expansion_residual_slope"] = report.residual_fit.slope
-    return ["n", "a_n", "sup_error", "expansion_residual", "error_bar"], rows, extra
+    return (["n", "a_n", "sup_error", "expansion_residual", "error_bar"],
+            zip(report.n, report.a_n, report.sup_error, residual,
+                [report.mass_deficit] * report.n.size), extra)
 
 
 def _cmd_kernel(cfg: ExperimentConfig) -> _Table:
@@ -392,7 +380,6 @@ def run(subcommand: str, cfg: ExperimentConfig) -> int:
     return 0
 
 
-_TYPES = {"int": int, "float": float, "str": str}
 # every config field but the experiment name, which the subcommand sets
 _FLAGS = [f for f in fields(ExperimentConfig) if f.name != "experiment"]
 
@@ -416,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     # DomainError, a bad number and a file that is not UTF-8 are all ValueErrors
     try:
         overrides = ExperimentConfig.from_file(Path(args.config)) if args.config else {}
-        cfg = _coerce(ExperimentConfig, overrides | flags)
+        cfg = _coerce(overrides | flags)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

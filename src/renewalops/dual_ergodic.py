@@ -82,7 +82,7 @@ def norming_from_tail(tm: TailModel) -> Norming:
 
 @dataclass
 class DualErgodicReport:
-    """Rows of the uniform dual ergodic check, with slope fits."""
+    """The uniform dual ergodic check at the report times ``n``, with slope fits."""
 
     n: np.ndarray
     a_n: np.ndarray
@@ -94,20 +94,6 @@ class DualErgodicReport:
     c: float
     beta: float
     mass_deficit: float
-
-    def rows(self) -> list[dict]:
-        out = []
-        for i, n in enumerate(self.n):
-            row = {
-                "n": int(n),
-                "a_n": float(self.a_n[i]),
-                "sup_error": float(self.sup_error[i]),
-                "error_bar": float(self.mass_deficit),
-            }
-            if self.expansion_residual is not None:
-                row["expansion_residual"] = float(self.expansion_residual[i])
-            out.append(row)
-        return out
 
 
 def dual_ergodic_report(

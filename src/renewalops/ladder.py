@@ -40,7 +40,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import NumericalError
 from .maps import MapSpec
 
 __all__ = ["BranchLadder", "pullback_rows", "integral_tail_factor"]
@@ -106,9 +106,9 @@ class BranchLadder:
     """Left-branch pullback ladder over a fixed edge array.
 
     ``x_tail[k]`` is the scalar backward orbit (x_1 = 1/2 at index 0) and is
-    tabulated to ``n_rungs + 1`` entries so branch domains [y_n, y_{n-1}]
-    are available for every swept branch.  A ladder over the single edge
-    1/2 is just that orbit (``maps.tail_sequence``).
+    tabulated to ``n_rungs + 1`` entries, so the branch domains, whose ends
+    are ``0.5 * (x_tail + 1)``, are available for every swept branch.  A
+    ladder over the single edge 1/2 is just that orbit (``maps.tail_sequence``).
     """
 
     spec: MapSpec
@@ -169,17 +169,6 @@ class BranchLadder:
         if self._frontier < self.n_rungs:
             next(self._rungs(self.n_rungs, self.n_rungs + 1))
         return self._x
-
-    def x_n(self, n: int) -> float:
-        """n-th element of the backward orbit, x_1 = 1/2."""
-        if not 1 <= n <= self.n_rungs + 1:
-            raise DomainError(f"n={n} outside the tabulated orbit 1..{self.n_rungs + 1}")
-        return float(self.x_tail[n - 1])
-
-    def y_n(self, n: int) -> float:
-        if n == 0:
-            return 1.0
-        return 0.5 * (self.x_n(n) + 1.0)
 
     def sweep(self, j_lo: int, j_hi: int):
         """Yield blocks (j0, G) covering branches j in [j_lo, j_hi).

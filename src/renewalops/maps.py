@@ -110,8 +110,7 @@ def tail_sequence(spec: MapSpec, n: int) -> BranchLadder:
     """Tabulate x_1..x_n, the backward orbit of 1/2 along the left branch.
 
     Returns the one-edge ``BranchLadder`` over [1/2] with n - 1 rungs, its
-    orbit already pulled back: ``x_tail`` is the orbit and ``x_n``/``y_n``
-    read single points.
+    orbit already pulled back: ``x_tail[k]`` is x_{k+1}.
     """
     from .ladder import BranchLadder  # ladder imports this module
 

@@ -16,6 +16,20 @@ from hypothesis import example, given, settings, strategies as st
 import renewalops
 from renewalops import cli, errors
 from renewalops.cli import ExperimentConfig, main
+from renewalops.scalar import AsymptoticExpansion
+
+
+# every subcommand's CSV columns
+HEADERS = {
+    "tails": ["n", "x_n", "y_n", "tail_prob", "asymptote_ratio", "error_bar"],
+    "renewal": ["n", "u_n", "U_n", "first_order", "ratio", "expansion", "residual",
+                "error_bar"],
+    "dual-ergodic": ["n", "a_n", "sup_error", "expansion_residual", "error_bar"],
+    "kernel": ["sequence", "n", "extract", "direct", "rel_err", "quad_err", "defect_bound",
+               "imag_part"],
+    "contour": ["check", "parameter", "computed", "closed_form", "abs_error", "error_bar"],
+    "polys": ["kind", "degree", "gap", "target_or_mgap", "coefficient_sum", "sign_ok"],
+}
 
 
 def read(path: Path) -> str:
@@ -37,7 +51,7 @@ class TestConfig:
         back = ExperimentConfig.from_file(f)
         from renewalops.cli import _coerce
 
-        assert _coerce(ExperimentConfig, back) == cfg
+        assert _coerce(back) == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "bad.cfg"
@@ -58,6 +72,25 @@ class TestConfig:
         assert rc == 0
         meta = json.loads(read(tmp_path / "contour_meta.json"))
         assert meta["config"]["beta"] == 0.5
+
+    def test_file_only_run_writes_the_flag_run_body(self, tmp_path):
+        f = tmp_path / "exp.cfg"
+        f.write_text("family = lsv\nalpha = 2\nn = 40\ngrid = 64\n", encoding="utf-8")
+        assert main(["tails", "--config", str(f), "--out", str(tmp_path / "file")]) == 0
+        assert main(["tails", "--family", "lsv", "--alpha", "2", "--n", "40", "--grid", "64",
+                     "--out", str(tmp_path / "flags")]) == 0
+        assert read(tmp_path / "file" / "tails.csv") == read(tmp_path / "flags" / "tails.csv")
+
+    def test_flag_wins_over_the_file_in_the_csv(self, tmp_path):
+        f = tmp_path / "exp.cfg"
+        f.write_text("beta = 0.9\nnmax = 3000\n", encoding="utf-8")
+        assert main(["renewal", "--config", str(f), "--nmax", "200",
+                     "--out", str(tmp_path / "both")]) == 0
+        assert main(["renewal", "--beta", "0.9", "--nmax", "200",
+                     "--out", str(tmp_path / "flags")]) == 0
+        body = read(tmp_path / "both" / "renewal.csv")
+        assert body == read(tmp_path / "flags" / "renewal.csv")
+        assert body.splitlines()[-1].startswith("200,")
 
 
 class TestExitCodes:
@@ -119,11 +152,13 @@ class TestExitCodes:
         assert err.endswith(f"; lower grid or {option}\n"), err
 
     @pytest.mark.parametrize("argv, option", [
-        (["tails", "--n", "5"], "n"),
+        (["tails", "--n", "64"], "n"),
+        # tails assembles at n_trunc = 64 for any n up to 64
+        (["tails", "--n", "5"], "n above 64"),
         (["dual-ergodic", "--ntrunc", "3", "--nmax", "5"], "ntrunc"),
         (["kernel", "--ntrunc", "3", "--nmax", "5"], "nmax"),
         (["kernel", "--ntrunc", "600", "--nmax", "5"], "ntrunc"),
-    ], ids=["tails", "dual-ergodic", "kernel-nmax", "kernel-ntrunc"])
+    ], ids=["tails", "tails-below-floor", "dual-ergodic", "kernel-nmax", "kernel-ntrunc"])
     def test_mass_deficit_advice_names_the_truncation_option(self, tmp_path, capsys,
                                                              argv, option):
         # beta = 1/8: more than the 0.15 bound of invariant mass returns after these
@@ -132,6 +167,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: mass deficit"), err
         assert err.endswith(f"; raise {option}\n"), err
+
+    def test_tails_size_advice_below_the_floor_leaves_n_out(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the 32 KiB block sum of grid 64 is above 16 KiB; lowering n below 64 frees nothing
+        monkeypatch.setattr(errors, "BYTE_LIMIT", 1 << 14)
+        assert main(["tails", "--n", "5", "--grid", "64", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: assembly on 64 cells"), err
+        assert err.endswith("; lower grid\n"), err
 
     def test_lsv0_norming_at_n_1_refused(self, tmp_path, capsys):
         # a_n = 1 / m(n) with m(n) a multiple of log n: undefined at n = 1
@@ -218,6 +262,30 @@ class TestOutputs:
         ns = [int(line.split(",")[0])
               for line in read(tmp_path / "dual_ergodic.csv").splitlines()[1:]]
         assert ns[-1] == 3 and max(ns) <= 3
+
+    @pytest.mark.parametrize("argv", [
+        ["tails", "--n", "20", "--grid", "64"],
+        ["renewal", "--beta", "0.75", "--nmax", "100"],
+        ["dual-ergodic", "--grid", "32", "--ntrunc", "200", "--nmax", "50"],
+        ["kernel", "--family", "lsv0", "--nmax", "10"],
+        ["contour", "--check", "B2"],
+        ["polys", "--epsilon", "0.5", "--degrees", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_csv_header(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        header = read(tmp_path / f"{argv[0].replace('-', '_')}.csv").splitlines()[0]
+        assert header == ",".join(HEADERS[argv[0]])
+
+    def test_renewal_evaluates_the_expansion_once(self, tmp_path):
+        # 9,998 terms at beta = 0.9999: one evaluation over every report time
+        # autospec binds self; its mock calls the real method through side_effect
+        with mock.patch.object(AsymptoticExpansion, "eval_raw", autospec=True,
+                               side_effect=AsymptoticExpansion.eval_raw) as spy:
+            assert main(["renewal", "--beta", "0.9999", "--nmax", "300",
+                         "--out", str(tmp_path)]) == 0
+        assert spy.call_count == 1
+        rows = read(tmp_path / "renewal.csv").splitlines()[1:]
+        assert len(spy.call_args.args[1]) == len(rows)
 
     def test_renewal_float_format(self, tmp_path):
         main(["renewal", "--beta", "0.6", "--nmax", "2000", "--out", str(tmp_path)])
@@ -323,23 +391,38 @@ BYTE_LIMITS = [1 << 10, 1 << 14, 1 << 18, 1 << 22, 1 << 27]
 
 @st.composite
 def cli_cases(draw):
-    """A subcommand with every flag it reads, and a byte limit."""
+    """A subcommand, every flag it reads split between argv and a config file, and a byte limit.
+
+    ``entries`` holds the file's ``key = value`` lines; with none, no file is passed.
+    """
     sub = draw(st.sampled_from(sorted(READS)))
-    argv = [sub] + [f"--{flag}={draw(VALUES[flag])}" for flag in sorted(READS[sub])]
-    return argv, draw(st.sampled_from(BYTE_LIMITS))
+    argv, entries = [sub], []
+    for flag in sorted(READS[sub]):
+        value = draw(VALUES[flag])
+        if draw(st.booleans()):
+            entries.append(f"{flag} = {value}")
+        else:
+            argv.append(f"--{flag}={value}")
+    return argv, entries, draw(st.sampled_from(BYTE_LIMITS))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(cli_cases())
 @example((["dual-ergodic", "--family=lsv0", "--alpha=2", "--grid=32", "--ntrunc=50",
-           "--nmax=1"], 1 << 27))
-@example((["tails", "--family=lsv", "--alpha=8", "--grid=8", "--n=5"], 1 << 27))
+           "--nmax=1"], [], 1 << 27))
+@example((["tails", "--family=lsv", "--alpha=8", "--grid=8", "--n=5"], [], 1 << 27))
+@example((["tails", "--n=5"], ["family = lsv", "alpha = 8", "grid = 64"], 1 << 14))
 def test_cli_configuration_space(case):
-    argv, limit = case
+    argv, entries, limit = case
     sub = argv[0]
+    drawn = dict(a[2:].split("=", 1) for a in argv[1:]) | dict(e.split(" = ", 1) for e in entries)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(errors, "BYTE_LIMIT", limit):
         out = Path(tmp) / "out"
+        if entries:
+            config = Path(tmp) / "exp.cfg"
+            config.write_text("\n".join(entries) + "\n", encoding="utf-8")
+            argv = argv + [f"--config={config}"]
         with contextlib.redirect_stderr(err):
             code = main(argv + [f"--out={out}"])
         written = {p.name for p in out.glob("*")}
@@ -359,6 +442,7 @@ def test_cli_configuration_space(case):
     expect = {f"{name}.csv", f"{name}_meta.json"}
     assert written == (expect | {f"plot_{name}.py"} if sub in PLOTTED else expect)
     header, *rows = [line.split(",") for line in csv.splitlines()]
+    assert header == HEADERS[sub]
     assert rows
     for row in rows:
         for col, cell in zip(header, row, strict=True):
@@ -366,5 +450,4 @@ def test_cli_configuration_space(case):
             assert cell != "nan" or col in PLACEHOLDERS.get(sub, ()), (col, row)
     bound = {"renewal": "nmax", "dual-ergodic": "nmax", "tails": "n"}.get(sub)
     if bound:
-        limit_n = int(next(a for a in argv if a.startswith(f"--{bound}=")).split("=")[1])
-        assert max(int(row[0]) for row in rows) <= limit_n
+        assert max(int(row[0]) for row in rows) <= int(drawn[bound])

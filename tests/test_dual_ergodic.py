@@ -57,11 +57,6 @@ class TestReport:
         with pytest.raises(DomainError, match="at least one"):
             dual_ergodic_report(lsv2_small, np.ones(lsv2_small.grid.m), ns)
 
-    def test_rows_schema(self, lsv2_small):
-        rep = dual_ergodic_report(lsv2_small, np.ones(lsv2_small.grid.m), [10, 100])
-        rows = rep.rows()
-        assert {"n", "a_n", "sup_error", "error_bar"} <= set(rows[0])
-
     @pytest.mark.slow
     def test_higher_order_residual_slope(self):
         # after removing the full expansion, what is left grows slower than

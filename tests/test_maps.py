@@ -66,9 +66,9 @@ class TestTailSequence:
     def test_short_orbit(self):
         spec = ro.MapSpec("lsv", alpha=2.0)
         ts = ro.tail_sequence(spec, 2)
-        assert ts.x_n(1) == 0.5
-        assert ts.x_n(2) == pytest.approx(bisect_left_branch(spec, 0.5), abs=1e-12)
-        assert ts.y_n(1) == pytest.approx(0.75)
+        assert ts.n_rungs == 1 and ts.x_tail.shape == (2,)
+        assert ts.x_tail[0] == 0.5
+        assert ts.x_tail[1] == pytest.approx(bisect_left_branch(spec, 0.5), abs=1e-12)
 
     def test_strictly_decreasing(self):
         ts = ro.tail_sequence(ro.MapSpec("lsv", alpha=2.0), 500)
@@ -76,22 +76,12 @@ class TestTailSequence:
         assert np.all(np.diff(ts.x_tail) < 0)
         assert np.all(np.diff(ys) < 0) and ys[-1] > 0.5
 
-    def test_orbit_index_outside_table_raises(self):
-        ts = ro.tail_sequence(ro.MapSpec("lsv", alpha=2.0), 10)
-        assert ts.n_rungs == 9 and ts.x_n(10) == ts.x_tail[-1]
-        assert ts.y_n(0) == 1.0
-        for n in (0, ts.n_rungs + 2):
-            with pytest.raises(DomainError):
-                ts.x_n(n)
-        with pytest.raises(DomainError):
-            ts.y_n(ts.n_rungs + 2)
-
     def test_power_law_ratio(self):
         # the recursion is its own oracle; relative correction is O(1/n)
         spec = ro.MapSpec("lsv", alpha=2.0)
         ts = ro.tail_sequence(spec, 10**4)
         n = 10**4
-        ratio = ts.x_n(n) / (0.5 * 0.5**0.5 * n**-0.5)
+        ratio = ts.x_tail[n - 1] / (0.5 * 0.5**0.5 * n**-0.5)
         assert 0.99 <= ratio <= 1.01
 
     def test_increment_scaling(self):
