@@ -16,8 +16,8 @@ import numpy as np
 
 from .diagnostics import SlopeFit, slope_fit
 from .errors import DomainError
-from .induced import InducedOperator, invariant_density
-from .maps import TailModel, return_time_tail
+from .induced import InducedOperator
+from .maps import TailModel
 from .renewal_engine import renewal_action
 from .scalar import AsymptoticExpansion, ReturnDistribution, second_order_constant
 from .specfun import Norming, SlowlyVarying
@@ -43,7 +43,7 @@ def tail_model_from_operator(op: InducedOperator) -> TailModel:
     """Return-time tail model with constants read off the computed density.
 
     For the polynomial family the tail constant is beta**beta h(1/2) / 4
-    and the correction H is tabulated from the density integral; for the
+    and the correction H is tabulated from the operator's tail table; for the
     log family the tail is the reciprocal of a slowly varying function with
     scale 2 / h(1/2).
     """
@@ -53,24 +53,19 @@ def tail_model_from_operator(op: InducedOperator) -> TailModel:
         return TailModel(beta=0.0, c=c, ell=SlowlyVarying("log_power", c=1.0 / c, p=1.0))
     beta = op.spec.beta
     c = 0.25 * beta**beta * h_half
-    n = np.arange(1, op.n_trunc + 1)
-    tails = return_time_tail(op.ladder, invariant_density(op), n)
-    h_table = tails / c - n ** (-beta)
+    h_table = op.tails[1:] / c - np.arange(1, op.n_trunc + 1) ** (-beta)
     return TailModel(beta=beta, c=c, h_table=h_table)
 
 
 def return_distribution_from_operator(op: InducedOperator) -> ReturnDistribution:
-    """Lifetime distribution f_j = measure of {return time = j}."""
+    """Lifetimes f_j = measure of {return time = j}: the differences of ``op.tails``."""
     if op.spec.family == "lsv0":
         raise DomainError(
             "log-family return times carry no invariant mass at desk-scale "
             "truncations (the density is supported left of the short-return "
             "level sets); a scalar coupling would be identically degenerate"
         )
-    mass = op.branch_mass()
-    f = np.concatenate([[0.0], mass])
-    tm = tail_model_from_operator(op)
-    return ReturnDistribution(f, tail=lambda n: tm.tail(n))
+    return ReturnDistribution(np.concatenate([[0.0], -np.diff(op.tails)]), op.mass_deficit)
 
 
 def norming_from_tail(tm: TailModel) -> Norming:
@@ -87,7 +82,6 @@ class DualErgodicReport:
     n: np.ndarray
     a_n: np.ndarray
     sup_error: np.ndarray
-    integral_v: float
     expansion_residual: np.ndarray | None
     sup_fit: SlopeFit | None
     residual_fit: SlopeFit | None
@@ -137,7 +131,7 @@ def dual_ergodic_report(
             resid_fit = slope_fit(np.array(ns, float), resid)
     sup_fit = slope_fit(np.array(ns, float), sup_err) if len(ns) >= 3 else None
     return DualErgodicReport(
-        n=np.array(ns), a_n=a_n, sup_error=sup_err, integral_v=int_v,
+        n=np.array(ns), a_n=a_n, sup_error=sup_err,
         expansion_residual=resid, sup_fit=sup_fit, residual_fit=resid_fit,
         c=tm.c, beta=beta, mass_deficit=op.mass_deficit,
     )

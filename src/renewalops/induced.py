@@ -12,8 +12,9 @@ edges, i.e. from the pullback ladder.
 The block sum over all return times is completed beyond the tabulated
 ladder by an integral-tail estimate, so its Ulam matrix conserves mass to
 machine precision and its fixed point is a clean invariant density, which
-assembly solves before it drops the sum.  The blocks also feed the renewal
-recursion as a stacked sparse matrix for short return times and
+assembly solves, then integrates once up to the ladder's orbit for the
+return-time tails, before it drops the sum.  The blocks also feed the
+renewal recursion as a stacked sparse matrix for short return times and
 per-source-cell convolution kernels for long ones.
 
 Every consumer walks the ladder a block of up to 128 branches at a time:
@@ -94,9 +95,10 @@ class InducedOperator:
     per-source-cell band pieces of convolution kernels (all as
     ``FastLayout`` lays them out).  ``density`` is the fixed point of the
     full block sum (completed beyond the truncation), which is not kept,
-    and ``density_residual`` its L1 residual.  ``spec`` and ``ladder`` are
-    the map and the pullback ladder the blocks were swept from; the branch
-    masses, the deficit and ``branch_matrices`` read them.
+    and ``density_residual`` its L1 residual.  ``tails[n]`` is its mass of
+    {return time > n}, n = 0..n_trunc, which every tail consumer reads.
+    ``spec`` and ``ladder`` are the map and the pullback ladder the blocks
+    were swept from; only ``branch_matrices`` reads the ladder.
     """
 
     spec: MapSpec
@@ -108,6 +110,7 @@ class InducedOperator:
     groups: list[KernelGroup]
     density: np.ndarray
     density_residual: float
+    tails: np.ndarray
     ladder: BranchLadder
 
     # -- density ---------------------------------------------------------
@@ -120,13 +123,7 @@ class InducedOperator:
     @property
     def mass_deficit(self) -> float:
         """Invariant mass of {return time > n_trunc}."""
-        return return_time_tail(self.ladder, invariant_density(self), self.n_trunc)
-
-    def branch_mass(self) -> np.ndarray:
-        """Invariant measure of {return time = j}, j = 1..n_trunc."""
-        tails = return_time_tail(self.ladder, invariant_density(self),
-                                 np.arange(self.n_trunc + 1))
-        return -np.diff(tails)
+        return float(self.tails[-1])
 
     # -- branch access ----------------------------------------------------
 
@@ -188,18 +185,17 @@ def assemble_operator(
                 f"orbit and kernel bands)", "lower grid or ntrunc")
     ladder = BranchLadder(spec, grid.edges, n_rungs=k_ladder)
     density, residual = _power_density(_swept_block_sum(ladder, grid, layout), delta)
+    tails = return_time_tail(ladder, GridObservable(grid, density), np.arange(n_trunc + 1))
+    if tails[-1] > deficit_bound:
+        raise NumericalError(
+            f"mass deficit {tails[-1]:.3g} exceeds {deficit_bound}; raise ntrunc"
+        )
     stacked, window = layout.stacked()
-    op = InducedOperator(
+    return InducedOperator(
         spec=spec, grid=grid, n_trunc=n_trunc, j_direct=layout.j_direct,
         stacked=stacked, window=window, groups=layout.groups(),
-        density=density, density_residual=residual, ladder=ladder,
+        density=density, density_residual=residual, tails=tails, ladder=ladder,
     )
-    deficit = op.mass_deficit
-    if deficit > deficit_bound:
-        raise NumericalError(
-            f"mass deficit {deficit:.3g} exceeds {deficit_bound}; raise ntrunc"
-        )
-    return op
 
 
 def _swept_block_sum(ladder: BranchLadder, grid: Grid, layout) -> np.ndarray:

@@ -128,7 +128,8 @@ def return_time_tail(tail: BranchLadder, density: GridObservable, n):
     integral of the density up to y_n, read off the orbit of ``tail`` (a
     ``tail_sequence`` or an assembly ladder) with y_0 = 1: n = 0 gives the
     full mass.  ``n`` may be an array of times in 0..n_rungs + 1: the
-    result has its shape and comes from one ``cumulative_at``.
+    result has its shape and comes from one ``cumulative_at``.  Assembly
+    calls it once, for ``InducedOperator.tails``.
     """
     n = np.asarray(n)
     if (n < 0).any() or (n > tail.n_rungs + 1).any():
@@ -140,12 +141,12 @@ def return_time_tail(tail: BranchLadder, density: GridObservable, n):
 
 @dataclass
 class TailModel:
-    """Model of the return-time tail: c*(n**-beta + H(n)) or 1/ell(n).
+    """Constants of the return-time tail c*(n**-beta + H(n)) or 1/ell(n).
 
-    For the power form, H is carried as a tabulated array (index n = 1..N)
-    with an O(n**-2beta) power extrapolation beyond the table, the decay
-    under which the second-order constant converges.
-    For the slowly varying form (beta = 0), the tail is 1/ell(n).
+    The tail's values are ``InducedOperator.tails``.  For the power form,
+    H is carried as a tabulated array (index n = 1..N) with an
+    O(n**-2beta) power extrapolation beyond the table, the decay under
+    which the second-order constant converges.
     """
 
     beta: float
@@ -171,13 +172,3 @@ class TailModel:
         out[~inside] = self.h_table[-1] * (n[~inside] / N) ** (-2.0 * self.beta)
         return out
 
-    def tail(self, n) -> np.ndarray:
-        """mu(return time > n); n = 0 gives 1."""
-        n = np.atleast_1d(np.asarray(n, dtype=float))
-        out = np.ones_like(n)
-        pos = n >= 1
-        if self.ell is not None:
-            out[pos] = 1.0 / np.asarray(self.ell(n[pos]), dtype=float)
-        else:
-            out[pos] = self.c * (n[pos] ** (-self.beta) + self.H(n[pos]))
-        return out

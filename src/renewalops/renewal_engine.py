@@ -206,7 +206,6 @@ class RenewalAccumulator:
     measure-normalized partial sum S_n = sum_{j<=n} T_j v on the grid.
     """
 
-    n_max: int
     tn_integral: np.ndarray
     snapshots: dict[int, np.ndarray]
 
@@ -348,4 +347,4 @@ def renewal_action(
         s_sum += s
         if n in snap_set:
             snaps[n] = s_sum / h  # back to measure-normalized form
-    return RenewalAccumulator(n_max=n_max, tn_integral=tn, snapshots=snaps)
+    return RenewalAccumulator(tn_integral=tn, snapshots=snaps)

@@ -35,6 +35,7 @@ this recursion does not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -58,15 +59,14 @@ _FFT_BASE = 1024
 
 @dataclass
 class ReturnDistribution:
-    """Lifetime probabilities f_j (index j, f[0] = 0) plus an analytic tail.
+    """Lifetime probabilities f_j (index j, f[0] = 0) plus the mass beyond them.
 
-    ``tail`` evaluates sum_{j>n} f_j; beyond the stored probabilities the
-    analytic tail carries the remaining mass, so stored mass plus tail(N)
-    must equal 1.
+    ``tail_mass`` is sum_{j>N} f_j for the last stored index N, so stored
+    mass plus ``tail_mass`` must equal 1.
     """
 
     f: np.ndarray
-    tail: Callable[[np.ndarray], np.ndarray] | None = None
+    tail_mass: float = 0.0
 
     def __post_init__(self):
         self.f = np.asarray(self.f, dtype=float)
@@ -76,18 +76,13 @@ class ReturnDistribution:
             raise DomainError("lifetimes are positive: f[0] must be 0")
         if np.any(self.f < -1e-15):
             raise DomainError("negative lifetime probability")
-        total = self.f.sum() + self.tail_mass()
+        total = self.f.sum() + self.tail_mass
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"total mass {total} != 1")
 
     @property
     def n_stored(self) -> int:
         return len(self.f) - 1
-
-    def tail_mass(self) -> float:
-        if self.tail is None:
-            return 0.0
-        return float(np.atleast_1d(self.tail(np.array([self.n_stored])))[0])
 
     @classmethod
     def from_power_tail(cls, beta: float, n_max: int) -> "ReturnDistribution":
@@ -99,7 +94,7 @@ class ReturnDistribution:
         tails[1:] = n[1:] ** (-beta)
         f = np.zeros(n_max + 1)
         f[1:] = tails[:-1] - tails[1:]
-        return cls(f, tail=lambda m: np.asarray(m, dtype=float) ** (-beta))
+        return cls(f, tails[-1])
 
 
 @dataclass
@@ -115,11 +110,9 @@ class ScalarRenewal:
     def n_max(self) -> int:
         return len(self.u) - 1
 
-    @property
+    @cached_property
     def partial_sums(self) -> np.ndarray:
-        if not hasattr(self, "_cum"):
-            self._cum = np.cumsum(self.u)
-        return self._cum
+        return np.cumsum(self.u)
 
     def U(self, n) -> np.ndarray:
         return self.partial_sums[np.asarray(n, dtype=int)]
@@ -184,7 +177,7 @@ def renewal_sequence(dist: ReturnDistribution, n_max: int) -> ScalarRenewal:
     """Renewal sequence to n_max (``_renewal_fft``)."""
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    if n_max > dist.n_stored and dist.tail_mass() > 1e-12:
+    if n_max > dist.n_stored and dist.tail_mass > 1e-12:
         raise DomainError(
             f"probabilities stored to {dist.n_stored} but n_max={n_max} needs more"
         )

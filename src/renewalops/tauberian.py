@@ -47,6 +47,7 @@ __all__ = [
     "kernel_extract",
     "phi_from_sequence",
     "kernel_defect_bound",
+    "ContourCheck",
     "rotated_gamma_integral",
     "line_power_integral",
     "window_power_integral",
@@ -499,13 +500,23 @@ def kernel_extract(
 # ---------------------------------------------------------------------------
 
 
-def rotated_gamma_integral(beta: float, u: float, theta: float,
-                           r_hi: float) -> tuple[complex, float]:
+@dataclass(frozen=True)
+class ContourCheck:
+    """A contour integral against its closed form: the check is abs_error <= error_bar."""
+
+    value: complex | float
+    closed_form: float
+    abs_error: float
+    error_bar: float
+
+
+def rotated_gamma_integral(beta: float, u: float, theta: float, r_hi: float) -> ContourCheck:
     """integral_0^R e^{-wx} (wx)^{-beta} w dx with w = u - i theta.
 
-    Converges to Gamma(1-beta) as R grows, with deviation O(R^-beta).  The
-    endpoint singularity is removed by the substitution x = s^{1/(1-beta)}
-    on an initial segment; the oscillatory remainder is panel-integrated.
+    Converges to Gamma(1-beta) as R grows, with deviation O(R^-beta), the
+    error bar's truncation term; ``value`` is complex.  The endpoint
+    singularity is removed by the substitution x = s^{1/(1-beta)} on an
+    initial segment; the oscillatory remainder is panel-integrated.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
@@ -530,7 +541,10 @@ def rotated_gamma_integral(beta: float, u: float, theta: float,
         tail_val, err = adaptive_oscillatory_quad(
             f_osc, x_cut, r_hi, freq=abs(theta), tol=_CONTOUR_TOL
         )
-    return head + tail_val, float(err)
+    value = head + tail_val
+    closed = math.gamma(1.0 - beta)
+    return ContourCheck(value=value, closed_form=closed, abs_error=abs(value - closed),
+                        error_bar=float(err) + r_hi ** (-beta))
 
 
 def _finite_line_integral(nu: float, s_hi: float) -> tuple[float, float]:
@@ -560,18 +574,7 @@ def _upper_tail_ibp(nu: float, s_hi: float) -> complex:
     return total
 
 
-@dataclass(frozen=True)
-class LineIntegralResult:
-    value: float
-    closed_form: float
-    error_bar: float
-
-    @property
-    def abs_error(self) -> float:
-        return abs(self.value - self.closed_form)
-
-
-def line_power_integral(beta: float) -> LineIntegralResult:
+def line_power_integral(beta: float) -> ContourCheck:
     """integral over the real line of (1 - i s)^{-(beta+1)} e^{-i s} ds.
 
     Equals 2 pi / (e Gamma(1+beta)).  The quadrature runs over |s| <= S =
@@ -585,26 +588,19 @@ def line_power_integral(beta: float) -> LineIntegralResult:
     s_hi = 1e5
     core, quad_err = _finite_line_integral(nu, s_hi)
     tail = _upper_tail_ibp(nu, s_hi)
-    total = core + 2.0 * tail.real  # left tail is the conjugate of the right
+    total = float(core + 2.0 * tail.real)  # left tail is the conjugate of the right
     closed = 2.0 * math.pi / math.e / gamma(1.0 + beta)
     bar = float(quad_err) + 2.0 * s_hi ** (-beta) / beta
-    return LineIntegralResult(value=float(total), closed_form=closed, error_bar=bar)
+    return ContourCheck(value=total, closed_form=closed, abs_error=abs(total - closed),
+                        error_bar=bar)
 
 
-@dataclass(frozen=True)
-class WindowIntegralResult:
-    value: float
-    main_term: float
-    deviation: float
-    quad_error: float
-
-
-def window_power_integral(rho: float, gamma_exp: float, n: int) -> WindowIntegralResult:
+def window_power_integral(rho: float, gamma_exp: float, n: int) -> ContourCheck:
     """integral_{-n^-g}^{n^-g} e^{-i n t} (1/n - i t)^{-(rho+1)} dt.
 
     Rescaling s = n t reduces it to the line-power integral truncated at
-    n^{1-g}; the main term is 2 pi n^rho / (e Gamma(1+rho)) and the
-    deviation from it is O(n^{rho g}).
+    n^{1-g}; the closed form is the main term 2 pi n^rho / (e Gamma(1+rho))
+    and the deviation from it O(n^{rho g}), the error bar's remainder term.
     """
     if rho <= 0 or not 0.0 < gamma_exp < 1.0 or n < 10:
         raise DomainError("need rho > 0, gamma in (0, 1), n >= 10")
@@ -612,7 +608,5 @@ def window_power_integral(rho: float, gamma_exp: float, n: int) -> WindowIntegra
     core, quad_err = _finite_line_integral(rho + 1.0, s_hi)
     value = float(n) ** rho * core
     main = 2.0 * math.pi / math.e * float(n) ** rho / gamma(1.0 + rho)
-    return WindowIntegralResult(
-        value=value, main_term=main,
-        deviation=abs(value - main), quad_error=float(quad_err) * float(n) ** rho,
-    )
+    return ContourCheck(value=value, closed_form=main, abs_error=abs(value - main),
+                        error_bar=float(quad_err) * float(n) ** rho + n ** (rho * gamma_exp))

@@ -104,7 +104,7 @@ def synthetic_operator(grid, branch_mats, density=None) -> ro.InducedOperator:
     return ro.InducedOperator(
         spec=None, grid=grid, n_trunc=n, j_direct=layout.j_direct,
         stacked=stacked, window=window, groups=layout.groups(),
-        density=density, density_residual=residual, ladder=None,
+        density=density, density_residual=residual, tails=None, ladder=None,
     )
 
 

@@ -173,7 +173,7 @@ def test_criterion_06_kernel_extraction():
 def test_criterion_07_uniform_dual_ergodicity():
     t0 = time.time()
     spec = ro.MapSpec("lsv", alpha=1.0 / 0.6)
-    op = ro.assemble_operator(spec, ro.Grid(2048), n_trunc=10**4, j_direct=512)
+    op = ro.assemble_operator(spec, ro.Grid(2048), n_trunc=10**4)
     rep = dual_ergodic_report(op, np.ones(2048), [10**2, 10**3, 10**4])
     elapsed = time.time() - t0
     e = rep.sup_error

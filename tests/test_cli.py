@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import renewalops
 from renewalops import cli, errors
 from renewalops.cli import ExperimentConfig, main
+from renewalops.grid import GridObservable
 from renewalops.scalar import AsymptoticExpansion
 
 
@@ -286,6 +287,25 @@ class TestOutputs:
         assert spy.call_count == 1
         rows = read(tmp_path / "renewal.csv").splitlines()[1:]
         assert len(spy.call_args.args[1]) == len(rows)
+
+    @pytest.mark.parametrize("argv, evaluations", [
+        (["dual-ergodic", "--grid", "64", "--ntrunc", "200", "--nmax", "100"], 1),
+        (["kernel", "--family", "lsv", "--grid", "64", "--nmax", "500"], 1),
+        # the assembly's table and the CLI's own orbit
+        (["tails", "--family", "lsv", "--grid", "64", "--n", "100"], 2),
+    ], ids=["dual-ergodic", "kernel", "tails"])
+    def test_tail_table_is_evaluated_once_per_assembly(self, tmp_path, argv, evaluations):
+        with mock.patch.object(GridObservable, "cumulative_at", autospec=True,
+                               side_effect=GridObservable.cumulative_at) as spy:
+            assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert spy.call_count == evaluations
+
+    @pytest.mark.parametrize("check", ["B1", "B2", "B3"])
+    def test_contour_error_bar_covers_the_error_at_the_defaults(self, tmp_path, check):
+        assert main(["contour", "--check", check, "--out", str(tmp_path)]) == 0
+        row = dict(zip(*(line.split(",") for line in
+                         read(tmp_path / "contour.csv").splitlines())))
+        assert float(row["abs_error"]) <= float(row["error_bar"])
 
     def test_renewal_float_format(self, tmp_path):
         main(["renewal", "--beta", "0.6", "--nmax", "2000", "--out", str(tmp_path)])

@@ -34,7 +34,12 @@ class TestTailModelExtraction:
 class TestReturnDistribution:
     def test_total_mass(self, lsv2_mid):
         dist = return_distribution_from_operator(lsv2_mid)
-        assert dist.f.sum() + dist.tail_mass() == pytest.approx(1.0, abs=1e-12)
+        assert dist.f.sum() + dist.tail_mass == pytest.approx(1.0, abs=1e-12)
+
+    def test_lifetimes_are_the_tail_table_differences(self, lsv2_small):
+        dist = return_distribution_from_operator(lsv2_small)
+        assert np.array_equal(dist.f[1:], -np.diff(lsv2_small.tails))
+        assert dist.tail_mass == lsv2_small.mass_deficit
 
     def test_log_family_rejected(self, lsv0_small):
         with pytest.raises(DomainError):

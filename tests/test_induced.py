@@ -131,9 +131,16 @@ class TestAssembly:
 
     def test_branch_mass_conservation(self, lsv2_small):
         # per-branch invariant mass integrates the density over the level set
-        mass = lsv2_small.branch_mass()
+        mass = -np.diff(lsv2_small.tails)
         assert mass.min() >= 0
         assert mass.sum() == pytest.approx(1.0 - lsv2_small.mass_deficit, abs=1e-10)
+
+    def test_tail_table(self, lsv2_small):
+        tails = lsv2_small.tails
+        assert tails.shape == (lsv2_small.n_trunc + 1,)
+        assert tails[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(tails) <= 0.0)
+        assert lsv2_small.mass_deficit == tails[-1]
 
     def test_constant_function_mass(self, lsv2_small):
         # sum_n integral of R_n(c) against the measure = c (1 - deficit)

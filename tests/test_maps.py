@@ -162,12 +162,6 @@ def monotone_summable_split(h):
 
 
 class TestTailModel:
-    def test_tail_values(self):
-        tm = ro.TailModel(beta=0.5, c=1.0)
-        n = np.array([1.0, 4.0, 100.0])
-        assert np.allclose(tm.tail(n), n**-0.5)
-        assert tm.tail(np.array([0.0]))[0] == 1.0
-
     def test_split_check_reports(self):
         h = -np.arange(1, 50, dtype=float) ** -1.2
         tm = ro.TailModel(beta=0.6, c=1.0, h_table=h)

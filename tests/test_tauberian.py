@@ -317,20 +317,20 @@ class TestPhiFromSequence:
 
 class TestContourIntegrals:
     def test_rotated_gamma_value(self):
-        val, err = tb.rotated_gamma_integral(0.5, 1.0, 1.0, 1e3)
-        assert abs(val - math.sqrt(math.pi)) <= 1e3**-0.5
-        assert abs(val.imag) < 1e-7
+        res = tb.rotated_gamma_integral(0.5, 1.0, 1.0, 1e3)
+        assert res.closed_form == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+        assert abs(res.value - math.sqrt(math.pi)) <= 1e3**-0.5
+        assert abs(res.value.imag) < 1e-7
 
     def test_rotated_gamma_small_index(self):
-        val, _ = tb.rotated_gamma_integral(0.05, 1.0, 1.0, 1e3)
-        assert abs(val - math.gamma(0.95)) < 1e-6
+        res = tb.rotated_gamma_integral(0.05, 1.0, 1.0, 1e3)
+        assert abs(res.value - math.gamma(0.95)) < 1e-6
 
     def test_rotated_gamma_tail_trend(self):
         # in the oscillation-dominated regime the deviation decays like R^-beta
         devs = {}
         for r_hi in (1e2, 1e4):
-            val, _ = tb.rotated_gamma_integral(0.5, 1e-6, 1.0, r_hi)
-            devs[r_hi] = abs(val - math.gamma(0.5))
+            devs[r_hi] = tb.rotated_gamma_integral(0.5, 1e-6, 1.0, r_hi).abs_error
         ratio = devs[1e2] / devs[1e4]
         assert 3.0 < ratio < 33.0  # 10^{2 beta} = 10 up to oscillation envelope
 
@@ -360,16 +360,16 @@ class TestContourIntegrals:
     def test_window_power_main_term(self):
         res = tb.window_power_integral(0.5, 0.25, 10**4)
         expect = 2.0 * math.pi / math.e * 100.0 / math.gamma(1.5)
-        assert res.main_term == pytest.approx(expect, rel=1e-12)
-        assert res.deviation <= (10**4) ** (0.5 * 0.25)
+        assert res.closed_form == pytest.approx(expect, rel=1e-12)
+        assert res.abs_error <= (10**4) ** (0.5 * 0.25)
 
     def test_window_power_deviation_bounded_by_stated_rate(self):
         devs = []
         ns = (10**2, 10**3, 10**4)
         for n in ns:
             res = tb.window_power_integral(0.5, 0.25, n)
-            devs.append(res.deviation)
-            assert res.deviation <= n ** (0.5 * 0.25)
+            devs.append(res.abs_error)
+            assert res.abs_error <= n ** (0.5 * 0.25)
         fit = ro.slope_fit(np.array(ns, float), np.array(devs))
         assert fit.slope <= 0.5 * 0.25 + 0.1
 
@@ -379,4 +379,4 @@ class TestContourIntegrals:
         res = tb.window_power_integral(1.0, g, n)
         core, _ = tb._finite_line_integral(2.0, float(n) ** (1 - g))
         assert res.value == pytest.approx(n * core, rel=1e-9)
-        assert abs(res.value.real - res.main_term) <= 2.0 * n ** (1.0 * g)
+        assert abs(res.value.real - res.closed_form) <= 2.0 * n ** (1.0 * g)
