@@ -20,11 +20,17 @@ per-source-cell convolution kernels for long ones.
 Every consumer walks the ladder a block of up to 128 branches at a time:
 one vectorized pass extracts the block's Ulam entries in branch order, with
 one source-cell lookup per branch row, and assembly scatters them straight
-into the dense block sum and hands them to the renewal engine's
-``FastLayout``, which owns the window's columns, the kernel bands and their
-pieces; this module does not know that layout.  The scatter adds the
-entries one by one in branch order, so the sum rounds exactly as a
-branch-by-branch pass would.
+into the block sum and hands them to the renewal engine's ``FastLayout``,
+which owns the window's columns, the kernel bands and their pieces; this
+module does not know that layout.  The scatter adds the entries one by one
+in branch order, so the sum rounds exactly as a branch-by-branch pass would.
+
+The block sum is held banded.  Every branch but the first maps into
+[1/2, sup of the left branch], so only branch 1 reaches the rows from
+``row_hi`` on, with at most two entries a row: those rows are a CSR, and
+the rows below ``row_hi`` a dense band.  For lsv the sup is 1, the band is
+the whole m x m sum and the CSR has no rows; for lsv0 at grid 1024 the band
+is 71 rows.
 """
 
 from __future__ import annotations
@@ -157,7 +163,7 @@ def assemble_operator(
     ``n_trunc`` bounds the return times carried by the renewal machinery;
     ``k_ladder`` extends the pullback ladder further so the density solve
     sees an (integral-tail completed) operator with essentially no missing
-    mass.  Raises before building the ladder when the dense block sum, the
+    mass.  Raises before building the ladder when the banded block sum, the
     ladder's orbit and the least bytes of the kernel bands would take more
     than ``errors.BYTE_LIMIT``.  Raises after assembly when the invariant
     mass beyond ``n_trunc`` exceeds ``deficit_bound``.  Both messages end in
@@ -177,14 +183,15 @@ def assemble_operator(
     k_ladder = max(k_ladder, n_trunc)
 
     m, delta = grid.m, grid.width
-    sup = min(spec.left_image_sup, 1.0)
-    row_hi = min(m, grid.cell_of(sup * (1 - 1e-12)) + 2)
+    row_hi = _image_rows(spec, grid)
     layout = FastLayout(m, n_trunc, j_direct, row_hi)
-    check_bytes(8 * m * m + 8 * (k_ladder + 1) + layout.kernel_floor,
-                f"assembly on {m} cells with a {k_ladder}-rung ladder (dense block sum, "
+    # the block sum: a dense band of row_hi rows, and at most two entries
+    # (8-byte value and index) and a row pointer on each row from row_hi on
+    check_bytes(8 * row_hi * m + 40 * (m - row_hi) + 8 * (k_ladder + 1) + layout.kernel_floor,
+                f"assembly on {m} cells with a {k_ladder}-rung ladder (block sum, "
                 f"orbit and kernel bands)", "lower grid or ntrunc")
     ladder = BranchLadder(spec, grid.edges, n_rungs=k_ladder)
-    density, residual = _power_density(_swept_block_sum(ladder, grid, layout), delta)
+    density, residual = _power_density(*_swept_block_sum(ladder, grid, layout), delta)
     tails = return_time_tail(ladder, GridObservable(grid, density), np.arange(n_trunc + 1))
     if tails[-1] > deficit_bound:
         raise NumericalError(
@@ -198,23 +205,41 @@ def assemble_operator(
     )
 
 
-def _swept_block_sum(ladder: BranchLadder, grid: Grid, layout) -> np.ndarray:
+def _image_rows(spec: MapSpec, grid: Grid) -> int:
+    """Rows below the first cell past [1/2, sup of the left branch], with one cell of margin.
+
+    Every branch but the first, and the integral tail, writes only these.
+    """
+    sup = min(spec.left_image_sup, 1.0)
+    return min(grid.m, grid.cell_of(sup * (1 - 1e-12)) + 2)
+
+
+def _swept_block_sum(ladder: BranchLadder, grid: Grid, layout):
     """Block sum of all ladder branches plus the integral tail; entries go to ``layout.add``.
 
-    The tail is added on the columns it reads only: elsewhere it is +0.0.
+    Returns the sum as its dense rows below ``layout.row_hi`` and a CSR of
+    the rows from there on, which only branch 1 reaches (at most two
+    entries a row): every later branch, and the tail, maps into [1/2, sup
+    of the left branch].  The tail is added on the columns it reads and the
+    rows where its profile is nonzero only: elsewhere it is +0.0.
     """
-    m, delta, edges = grid.m, grid.width, grid.edges
-    r1 = np.zeros((m, m))
+    m, delta, edges, row_hi = grid.m, grid.width, grid.edges, layout.row_hi
+    band = np.zeros((row_hi, m))
+    beyond = []
     for j0, G in ladder.sweep(1, ladder.n_rungs + 2):
         brow, rows, cols, w = _branch_entries(edges, G, m, delta)
-        np.add.at(r1.ravel(), rows * m + cols, w)
+        inside = rows < row_hi
+        np.add.at(band.ravel(), rows[inside] * m + cols[inside], w[inside])
+        beyond.append((rows[~inside] - row_hi, cols[~inside], w[~inside]))
         layout.add(j0, brow, rows, cols, w)
+        del brow, rows, cols, w, inside  # free before the next block's entries exist
     tail = _tail_completion(ladder, edges, delta)
     if tail is not None:
         profile, read = tail
-        cols = np.flatnonzero(read)
-        r1[:, cols] += np.outer(profile, read[cols])
-    return r1
+        rows, cols = np.flatnonzero(profile), np.flatnonzero(read)
+        band[np.ix_(rows, cols)] += np.outer(profile[rows], read[cols])
+    rows, cols, w = (np.concatenate(x) for x in zip(*beyond))
+    return band, sp.csr_matrix((w, (rows, cols)), shape=(m - row_hi, m))
 
 
 def _tail_completion(ladder: BranchLadder, edges: np.ndarray, delta: float):
@@ -237,18 +262,21 @@ def _tail_completion(ladder: BranchLadder, edges: np.ndarray, delta: float):
     return profile, read
 
 
-def _power_density(r1: np.ndarray, delta: float):
+def _power_density(band: np.ndarray, beyond: sp.csr_matrix, delta: float):
     """Fixed point of the completed block sum, normalized to unit mass.
 
-    Power iteration until successive iterates differ by less than 1e-12 in
-    L1; raises after 20000 iterations.
+    The sum is given as its dense leading rows ``band`` and the CSR
+    ``beyond`` of the rows after them.  Power iteration until successive
+    iterates differ by less than 1e-12 in L1; raises after 20000 iterations.
     """
-    m = r1.shape[0]
-    v = np.ones(m)
+    def apply(v):
+        return np.concatenate((band @ v, beyond @ v))
+
+    v = np.ones(band.shape[1])
     v /= v.sum() * delta
     res = np.inf
     for _ in range(20000):
-        w = r1 @ v
+        w = apply(v)
         w /= w.sum() * delta
         res = float(np.abs(w - v).sum() * delta)
         v = w
@@ -256,7 +284,7 @@ def _power_density(r1: np.ndarray, delta: float):
             break
     else:
         raise NumericalError(f"density power iteration stalled at residual {res:.3e}")
-    final = float(np.abs(r1 @ v - v).sum() * delta)
+    final = float(np.abs(apply(v) - v).sum() * delta)
     return v, final
 
 

@@ -12,7 +12,10 @@ cell's kernel is stored only over its band of lags, cut into dyadic pieces
 whose transforms are sized to the piece; pieces of equal block length
 share their launches and one inverse transform per launch (the relaxed
 multiplication of van der Hoeven, *Relax, but don't be too lazy*, 2002).
-The result is the literal sum_j R_j s_{n-j} up to floating-point ordering.
+A launch runs over ranges of the kernels' rows, so its products, sum and
+inverse transform take about ``_LAUNCH_BYTES`` at a time however tall the
+kernels are; each row's arithmetic is the same in any range.  The result
+is the literal sum_j R_j s_{n-j} up to floating-point ordering.
 
 This module alone owns the fast path's layout.  ``FastLayout`` takes the
 Ulam entries of the branches in order and decides the ``j_direct`` split,
@@ -42,6 +45,15 @@ __all__ = ["FastLayout", "KernelGroup", "RenewalAccumulator", "renewal_action"]
 
 # cap on a kernel piece's lag span, so a block's FFT stays short
 _SPAN_CAP = 1024
+
+# bytes of one row range's spectra in a launch: a launch multiplies, sums and
+# inverts its group's spectra one range of kernel rows at a time, so its
+# temporaries stay near this size however tall the kernels.  A range's
+# product, sum and inverse transform then fit a 2 MiB L2 cache together: at
+# criterion 7 the engine took 0.86 of the all-rows time at 512 KiB and 0.94
+# at 3 MiB (2-vCPU x86, one BLAS thread).  lsv0's launches at grid 1024
+# (71 rows, blocks up to 256) stay one range.
+_LAUNCH_BYTES = 1 << 19
 
 # floor on a group's block length where the first lag allows it, so short
 # pieces do not launch a transform pair every few steps
@@ -220,8 +232,10 @@ class _FastRun:
     Traces before time 0 are ``pad`` zero rows, ``pad`` being the largest
     live block; ``cells`` are the source cells whose traces are read and
     ``row_hi`` the kernels' rows (0 when no piece is live).  ``nbytes``
-    counts what the run allocates: spectra, output ring, window history
-    and traces in ``steps``, and the per-step integrals of ``renewal_action``.
+    counts what the run holds throughout: spectra, output ring, the window
+    history's jd x m ring and traces in ``steps``, and the per-step
+    integrals of ``renewal_action``.  A launch's temporaries, one row
+    range of ``_LAUNCH_BYTES`` or so each, come and go and are not counted.
     """
 
     def __init__(self, op, n_max: int):
@@ -241,7 +255,7 @@ class _FastRun:
                          [k for _, _, k in pieces]) for L, pieces in live]
         self.nbytes = (16 * self.row_hi * sum((L + 1) * len(ks) for L, *_, ks in self._groups)
                        + 8 * 2 * self.pad * self.row_hi  # output ring
-                       + 8 * 2 * (op.j_direct - 1) * op.grid.m  # window history
+                       + 8 * (op.j_direct - 1) * op.grid.m  # window history
                        + 8 * (self.pad + n_max + 1) * len(self.cells)  # traces
                        + 8 * (n_max + 1))  # per-step integrals
 
@@ -249,19 +263,22 @@ class _FastRun:
         """Generator of s_n: the stacked window plus blocked FFT convolutions.
 
         ``op.stacked`` multiplies the columns ``op.window`` of the history
-        [s_{n-jd}, ..., s_{n-1}] (jd = j_direct - 1).  Every spectrum is
-        taken once, before the first step.  A group launches after each step
+        [s_{n-jd}, ..., s_{n-1}] (jd = j_direct - 1), gathered from a ring
+        of jd rows that holds s_k in row k % jd.  Every spectrum is taken
+        once, before the first step.  A group launches after each step
         t - 1 with t a multiple of its block, from its first piece's first
         block while t <= n_max.  A launch after step n writes outputs n + 1
         .. n + 2·block - 1, only in the rows below ``row_hi``, so the pending
-        outputs fit a ring of 2·pad rows.
+        outputs fit a ring of 2·pad rows.  It runs over ranges of those rows
+        whose spectra take at most ``_LAUNCH_BYTES`` (at least one row);
+        each row's arithmetic does not depend on the range it falls in.
         """
         op, n_max, pad, row_hi = self.op, self.n_max, self.pad, self.row_hi
         stacked, window = op.stacked, op.window
         m = s0.shape[0]
         jd = op.j_direct - 1
-        hist2 = np.zeros((2 * jd, m))
-        flat = hist2.ravel()
+        hist = np.zeros((jd, m))
+        flat = hist.ravel()
         ring_len = max(2 * pad, 1)
         ring = np.zeros((ring_len, row_hi))
         traces = np.zeros((pad + n_max + 1, len(self.cells)))  # row pad + n holds time n
@@ -282,11 +299,9 @@ class _FastRun:
                 s = np.zeros(m)
                 s[:row_hi] = ring[slot]
                 ring[slot] = 0.0
-                s += stacked @ flat[(n % jd) * m:].take(window)
+                s += stacked @ flat.take(window + (n % jd) * m, mode="wrap")
             # record history for the stacked window and the kernel traces
-            r = n % jd
-            hist2[r] = s
-            hist2[jd + r] = s
+            hist[n % jd] = s
             traces[pad + n] = s[cells]
             yield n, s
 
@@ -298,14 +313,17 @@ class _FastRun:
                 f = 2 * L
                 k = int(first.searchsorted(t, "right"))
                 a_hat = np.fft.rfft(traces[rows0[:k] + np.arange(t, t + L), cols[:k]], n=f, axis=1)
-                acc = spectra[0] * a_hat[0]
-                for k_hat, a in zip(spectra[1:k], a_hat[1:]):
-                    acc += k_hat * a
-                out_t = np.fft.irfft(acc, n=f, axis=1)[:, : f - 1].T
                 start = t % ring_len
-                head = min(len(out_t), ring_len - start)
-                ring[start: start + head] += out_t[:head]
-                ring[: len(out_t) - head] += out_t[head:]
+                head = min(f - 1, ring_len - start)
+                height = max(1, _LAUNCH_BYTES // (16 * (L + 1)))
+                for r0 in range(0, row_hi, height):
+                    rs = slice(r0, r0 + height)
+                    acc = spectra[0][rs] * a_hat[0]
+                    for k_hat, a in zip(spectra[1:k], a_hat[1:]):
+                        acc += k_hat[rs] * a
+                    out_t = np.fft.irfft(acc, n=f, axis=1)[:, : f - 1].T
+                    ring[start: start + head, rs] += out_t[:head]
+                    ring[: f - 1 - head, rs] += out_t[head:]
                 if t + L <= n_max:
                     launches.setdefault(n + L, []).append(run)
 

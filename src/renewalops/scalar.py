@@ -216,20 +216,17 @@ def second_order_constant(
         raise DomainError("c must be positive")
     cutoff = 10**6
 
-    def staircase(x_hi: int) -> float:
-        n = np.arange(1, x_hi + 1, dtype=float)
-        steps = n ** (-beta) - ((n + 1) ** (1 - beta) - n ** (1 - beta)) / (1 - beta)
-        return float(steps.sum())
-
-    s_half = staircase(cutoff // 2)
-    s_full = staircase(cutoff)
+    n = np.arange(1, cutoff + 1, dtype=float)
+    steps = n ** (-beta) - ((n + 1) ** (1 - beta) - n ** (1 - beta)) / (1 - beta)
+    # a prefix sums pairwise as the same values would on their own
+    s_half = float(steps[: cutoff // 2].sum())
+    s_full = float(steps.sum())
     r = 2.0 ** (-beta)
     extrap = s_full + (s_full - s_half) * r / (1.0 - r)
     # leading error of the extrapolated tail is one power of 1/cutoff down
     richardson_err = abs(extrap - s_full) / cutoff ** (1 - beta) + abs(s_full - s_half) / cutoff
     h_tail = 0.0
     if H is not None:
-        n = np.arange(1, cutoff + 1, dtype=float)
         extrap += float(np.sum(np.asarray(H(n), dtype=float)))
         h_last = abs(float(np.atleast_1d(H(np.array([float(cutoff)])))[0]))
         h_tail = h_last * cutoff / (2 * beta - 1)

@@ -281,8 +281,22 @@ def _dct_prepare(padded: np.ndarray) -> np.ndarray:
 
 
 def _cheb_basis(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T_k(2x - 1), a row per k = 0..m, and T_k(-1) = (-1)**k, the basis at x = 0."""
-    vals = np.stack([ncheb.chebval(2.0 * x - 1.0, np.eye(m + 1)[k]) for k in range(m + 1)])
+    """T_k(2x - 1), a row per k = 0..m, and T_k(-1) = (-1)**k, the basis at x = 0.
+
+    Each row is bit for bit ``chebval(2x - 1, e_k)``: on a unit coefficient
+    vector, Clenshaw's recurrence reaches the state (c0, c1) = (0, 1) and
+    then takes k - 1 more steps that all rows share, so one pass yields them
+    all.  Rows 0 and 1 are written as ``chebval`` ends them.
+    """
+    y = 2.0 * x - 1.0
+    y2 = 2 * y
+    vals = np.empty((m + 1,) + y.shape)
+    vals[0] = 1.0 + 0 * y
+    vals[1] = 0.0 + 1.0 * y
+    c0, c1 = 0.0, 1.0
+    for k in range(2, m + 1):
+        c0, c1 = 0.0 - c1, c0 + c1 * y2
+        vals[k] = c0 + c1 * y
     return vals, np.array([(-1.0) ** k for k in range(m + 1)])
 
 

@@ -7,8 +7,8 @@ import scipy.sparse as sp
 
 import renewalops as ro
 from renewalops.errors import DomainError, NumericalError
-from renewalops.induced import (_branch_entries, _power_density, _swept_block_sum,
-                                _tail_completion)
+from renewalops.induced import (_branch_entries, _image_rows, _power_density,
+                                _swept_block_sum, _tail_completion)
 from renewalops.ladder import _MAX_ITER, _TOL, pullback_rows
 from renewalops.renewal_engine import FastLayout, _FastRun
 
@@ -97,7 +97,7 @@ def synthetic_operator(grid, branch_mats, density=None) -> ro.InducedOperator:
     if density is None:
         r1 = np.zeros((m, m))
         np.add.at(r1.ravel(), rows * m + cols, w)
-        density, residual = _power_density(r1, grid.width)
+        density, residual = _power_density(r1, sp.csr_matrix((0, m)), grid.width)
     else:
         residual = 0.0
     stacked, window = layout.stacked()
@@ -109,12 +109,15 @@ def synthetic_operator(grid, branch_mats, density=None) -> ro.InducedOperator:
 
 
 def completed_block_sum(ladder, grid) -> np.ndarray:
-    """The tail-completed block sum whose fixed point is the density.
+    """The tail-completed block sum whose fixed point is the density, as one dense matrix.
 
-    Assembly drops it once the density is solved; this rebuilds it by the
-    sweep that assembly calls, handing the entries to no layout.
+    Assembly drops it once the density is solved; this rebuilds its band
+    and the rows beyond by the sweep that assembly calls, handing the
+    entries to no layout.
     """
-    return _swept_block_sum(ladder, grid, SimpleNamespace(add=lambda *entries: None))
+    layout = SimpleNamespace(add=lambda *entries: None, row_hi=_image_rows(ladder.spec, grid))
+    band, beyond = _swept_block_sum(ladder, grid, layout)
+    return np.vstack((band, beyond.toarray()))
 
 
 def literal_exact_steps(branches, s0, n_max):

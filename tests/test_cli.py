@@ -324,6 +324,9 @@ class TestOutputs:
      "dual_ergodic.csv"),
     # the majorant's gap sums 16,385 Chebyshev terms
     (["polys", "--epsilon", "0.1", "--degrees", "4"], "polys.csv"),
+    # the 1,024-lag groups launch over several row ranges of their 512 rows
+    (["dual-ergodic", "--alpha", "1.6667", "--grid", "512", "--ntrunc", "2500",
+      "--nmax", "2500"], "dual_ergodic.csv"),
 ])
 def test_csv_bodies_do_not_depend_on_thread_count(tmp_path, argv, csv):
     src = str(Path(renewalops.__file__).resolve().parents[1])

@@ -169,17 +169,17 @@ class TestAssembly:
         row_hi = renewal_engine._FastRun(op, n_trunc).row_hi
         # the default k_ladder is 2 n_trunc; every kernel branch holds a column of row_hi
         need = 8 * m * m + 8 * (2 * n_trunc + 1) + 8 * row_hi * (n_trunc + 1 - op.j_direct)
-        built = []
-        ladder = induced.BranchLadder
-        monkeypatch.setattr(induced, "BranchLadder",
-                            lambda *a, **k: built.append(1) or ladder(*a, **k))
-        monkeypatch.setattr(errors, "BYTE_LIMIT", need - 1)
-        with pytest.raises(NumericalError, match="lower grid or ntrunc"):
-            ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
-        assert built == []
-        monkeypatch.setattr(errors, "BYTE_LIMIT", need)
-        ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
-        assert built
+        assert_size_guard_is_exact(monkeypatch, spec, m, n_trunc, need)
+
+    def test_size_guard_counts_the_band_on_lsv0(self, monkeypatch):
+        spec, m, n_trunc = ro.MapSpec("lsv0"), 256, 200
+        op = ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
+        row_hi = renewal_engine._FastRun(op, n_trunc).row_hi
+        assert row_hi < m
+        # the band, 40 bytes a row beyond it, the default 10 n_trunc rungs and kernel columns
+        need = (8 * row_hi * m + 40 * (m - row_hi) + 8 * (10 * n_trunc + 1)
+                + 8 * row_hi * (n_trunc + 1 - op.j_direct))
+        assert_size_guard_is_exact(monkeypatch, spec, m, n_trunc, need)
 
     def test_doubling_first_return_only(self, doubling_op):
         assert doubling_op.n_trunc == 1
@@ -205,6 +205,21 @@ class TestAssembly:
         profile, read = induced._tail_completion(ladder, grid.edges, grid.width)
         assert 0 < np.count_nonzero(read) < m
         assert np.array_equal(completed_block_sum(ladder, grid), raw + np.outer(profile, read))
+
+
+def assert_size_guard_is_exact(monkeypatch, spec, m, n_trunc, need):
+    """Assembly raises before building a ladder at a byte limit of need - 1, and runs at need."""
+    built = []
+    ladder = induced.BranchLadder
+    monkeypatch.setattr(induced, "BranchLadder",
+                        lambda *a, **k: built.append(1) or ladder(*a, **k))
+    monkeypatch.setattr(errors, "BYTE_LIMIT", need - 1)
+    with pytest.raises(NumericalError, match="lower grid or ntrunc"):
+        ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
+    assert built == []
+    monkeypatch.setattr(errors, "BYTE_LIMIT", need)
+    ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
+    assert built
 
 
 class TestInvariantDensity:

@@ -165,6 +165,26 @@ class TestFastPath:
         for n in ns:
             np.testing.assert_allclose(got.snapshots[n], want.snapshots[n], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("spec, m, n_trunc", [(ro.MapSpec("lsv", alpha=2.0), 64, 600),
+                                                  (ro.MapSpec("lsv0"), 256, 2000)],
+                             ids=["lsv-2", "lsv0"])
+    def test_launch_row_ranges_do_not_change_any_step(self, monkeypatch, spec, m, n_trunc):
+        """A launch gives the same bits in ranges of one row, a few rows, or all rows."""
+        op = ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
+        row_hi = renewal_engine._FastRun(op, n_trunc).row_hi
+        assert op.groups and 1 < row_hi and (spec.family == "lsv") == (row_hi == m)
+        v = np.random.default_rng(5).uniform(0.5, 1.5, m)
+        ns = list(range(0, n_trunc + 1, 7))
+        runs = []
+        # one row; 11 rows at block 16 and one at block 128 and up; all rows
+        for launch_bytes in (1, 3000, 16 * row_hi * (renewal_engine._SPAN_CAP + 1)):
+            monkeypatch.setattr(renewal_engine, "_LAUNCH_BYTES", launch_bytes)
+            runs.append(ro.renewal_action(op, v, n_trunc, snapshot_ns=ns))
+        for got in runs[:-1]:
+            assert np.array_equal(got.tn_integral, runs[-1].tn_integral)
+            for n in ns:
+                assert np.array_equal(got.snapshots[n], runs[-1].snapshots[n]), n
+
     def test_size_guard_raises_before_any_spectrum(self, monkeypatch):
         op = ro.assemble_operator(ro.MapSpec("lsv", alpha=2.0), ro.Grid(32), n_trunc=200,
                                   j_direct=16)
