@@ -99,9 +99,11 @@ class InducedOperator:
     columns ``window`` of a rolling history window (no columns when that
     window holds no entry); ``groups`` hold the longer return times as
     per-source-cell band pieces of convolution kernels (all as
-    ``FastLayout`` lays them out).  ``density`` is the fixed point of the
-    full block sum (completed beyond the truncation), which is not kept,
-    and ``density_residual`` its L1 residual.  ``tails[n]`` is its mass of
+    ``FastLayout`` lays them out), each piece as its band until a renewal
+    run reaches it and as the band's spectrum from then on.  ``density``
+    is the fixed point of the full block sum (completed beyond the
+    truncation), which is not kept, and ``density_residual`` its L1
+    residual.  ``tails[n]`` is its mass of
     {return time > n}, n = 0..n_trunc, which every tail consumer reads.
     ``spec`` and ``ladder`` are the map and the pullback ladder the blocks
     were swept from; only ``branch_matrices`` reads the ladder.

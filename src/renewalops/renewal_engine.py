@@ -21,9 +21,12 @@ This module alone owns the fast path's layout.  ``FastLayout`` takes the
 Ulam entries of the branches in order and decides the ``j_direct`` split,
 the window's columns and the kernel bands and pieces.  ``_FastRun`` plans
 one run from them and sizes it, so ``renewal_action`` checks the size
-before anything is allocated; its ``steps`` takes every piece's spectrum
-once, before the first step, and launches the blocks from a schedule keyed
-by step.  Operator assembly just feeds the layout entries.
+before anything is allocated.  Its ``steps`` hands each piece it reaches
+over from band to spectrum before the first step (the spectrum stays on
+the operator for later runs, the band is freed), keeps each read cell's
+trace in a ring as deep as that cell's largest first lag, and launches the
+blocks from a schedule keyed by step.  Operator assembly just feeds the
+layout entries.
 
 Everything here acts in Lebesgue form (fixed point of the block sum is the
 invariant density).  Conversion to the measure-normalized form used in the
@@ -34,6 +37,7 @@ by the callers at entry and exit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,6 +63,10 @@ _LAUNCH_BYTES = 1 << 19
 # pieces do not launch a transform pair every few steps
 _BLOCK_MIN = 16
 
+# steps whose trace-ring slots a run computes at once, so each step writes
+# its traces through a precomputed row of slots with no arithmetic of its own
+_SLOT_STEPS = 16
+
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1).bit_length())
@@ -71,15 +79,20 @@ class KernelGroup:
     ``kernels[(i, p)]`` holds the columns of R_p, ..., R_{p+span-1} that
     read source cell i, shape (row_hi, span) with span <= block <= p; rows
     above the layout's ``row_hi`` are identically zero (the branch image is
-    [1/2, sup of the left branch]).  All pieces share launches at the
-    multiples t of ``block`` and one inverse transform per launch: launched
-    after step t - 1, piece (i, p) convolves the traces s_{t-p}[i], ...,
+    [1/2, sup of the left branch]).  The first run that reaches a piece
+    hands its band over to its spectrum: it moves the band's rfft at
+    length 2·block, shape (row_hi, block + 1), into ``spectra[(i, p)]`` and
+    drops the band, so the operator never holds both and later runs take
+    no transform.  All pieces share launches at the multiples t of
+    ``block`` and one inverse transform per launch: launched after step
+    t - 1, piece (i, p) convolves the traces s_{t-p}[i], ...,
     s_{t-p+block-1}[i], complete since block <= p, into outputs t, ...,
     t + 2·block - 2.
     """
 
     block: int
     kernels: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    spectra: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
 
 class _Piece:
@@ -225,38 +238,56 @@ class RenewalAccumulator:
 class _FastRun:
     """One fast-path run to ``n_max``: planned and sized when built, allocated by ``steps``.
 
-    A group's live pieces are those with first lag <= ``n_max``, in order of
-    first launch (stable, so ties keep the kernels' dict order).  The first
-    block of a piece at lag p is the one whose inputs reach time 0, launched
-    for t = block * (p // block), so a launch convolves a prefix of them.
-    Traces before time 0 are ``pad`` zero rows, ``pad`` being the largest
-    live block; ``cells`` are the source cells whose traces are read and
-    ``row_hi`` the kernels' rows (0 when no piece is live).  ``nbytes``
-    counts what the run holds throughout: spectra, output ring, the window
-    history's jd x m ring and traces in ``steps``, and the per-step
-    integrals of ``renewal_action``.  A launch's temporaries, one row
+    A group's live pieces are those with first lag <= ``n_max``, held as
+    spectrum or band.  They run in order of first launch, ties in the
+    layout's order (cells by their first lag, then index) whichever of them
+    earlier runs handed over, so a launch sums them as on a fresh operator.
+    The first block of a piece at lag p is the one whose inputs reach time
+    0, launched for t = block * (p // block), so a launch convolves a
+    prefix of them.
+    ``cells`` are the source cells whose traces are read; cell c keeps its
+    trace in a ring of ``depth[c]`` steps, the largest first lag of its
+    live pieces, at ``offset[c]`` of one flat array.  ``row_hi`` is the
+    kernels' rows (0 when no piece is live).  ``nbytes`` counts what the
+    run holds throughout: the spectra it still has to take (not those an
+    earlier run stored on the operator), the trace rings with their slots,
+    the output ring and the window history's jd x m ring in ``steps``, and
+    the per-step integrals of ``renewal_action``.  The run frees each live
+    band as it takes the band's spectrum.  A launch's temporaries, one row
     range of ``_LAUNCH_BYTES`` or so each, come and go and are not counted.
     """
 
     def __init__(self, op, n_max: int):
         self.op, self.n_max = op, n_max
-        live = [(g.block, sorted(((i, p, k) for (i, p), k in g.kernels.items() if p <= n_max),
-                                 key=lambda e, L=g.block: e[1] // L)) for g in op.groups]
-        live = [(L, pieces) for L, pieces in live if pieces]
-        self.pad = max((L for L, _ in live), default=0)
-        self.cells = sorted({i for _, pieces in live for i, _, _ in pieces})
-        self.row_hi = live[0][1][0][2].shape[0] if live else 0
-        col = {c: k for k, c in enumerate(self.cells)}
-        # per group: block, and per piece its first launch, the trace row of
-        # time t - p at t = 0, its trace column and its kernel
-        self._groups = [(L, np.array([L * (p // L) for _, p, _ in pieces]),
-                         np.array([self.pad - p for _, p, _ in pieces])[:, None],
-                         np.array([col[i] for i, _, _ in pieces])[:, None],
-                         [k for _, _, k in pieces]) for L, pieces in live]
-        self.nbytes = (16 * self.row_hi * sum((L + 1) * len(ks) for L, *_, ks in self._groups)
-                       + 8 * 2 * self.pad * self.row_hi  # output ring
+        # each cell's first lag: of the reverse-sorted (cell, lag) pairs, the last
+        first = dict(sorted((e for g in op.groups for e in chain(g.spectra, g.kernels)),
+                            reverse=True))
+        live = [(g, sorted((e for e in chain(g.spectra, g.kernels) if e[1] <= n_max),
+                           key=lambda e, L=g.block: (e[1] // L, first[e[0]], e)))
+                for g in op.groups]
+        live = [(g, keys) for g, keys in live if keys]
+        self.row_hi = next((a.shape[0] for g, _ in live
+                            for a in chain(g.spectra.values(), g.kernels.values())), 0)
+        # each read cell's largest live lag: of the sorted (cell, lag) pairs, the last
+        depth = dict(sorted(e for _, keys in live for e in keys))
+        self.cells = np.array(list(depth), dtype=np.int64)
+        self.depth = np.array(list(depth.values()), dtype=np.int64)
+        self.offset = np.cumsum(self.depth) - self.depth
+        # per group: the group, its live pieces, and per piece its first
+        # launch, its lag and its cell's trace ring (offset and depth)
+        self._groups = []
+        for g, keys in live:
+            at = self.cells.searchsorted([i for i, _ in keys])[:, None]
+            self._groups.append((g, keys, np.array([g.block * (p // g.block) for _, p in keys]),
+                                 np.array([p for _, p in keys])[:, None],
+                                 self.offset[at], self.depth[at]))
+        self.ring_len = max(2 * max((g.block for g, _ in live), default=0), 1)
+        to_take = sum((g.block + 1) * sum(e in g.kernels for e in keys) for g, keys in live)
+        self.nbytes = (16 * self.row_hi * to_take  # spectra still to take
+                       + 8 * int(self.depth.sum())  # trace rings
+                       + 8 * _SLOT_STEPS * self.cells.size  # their slots
+                       + 8 * self.ring_len * self.row_hi  # output ring
                        + 8 * (op.j_direct - 1) * op.grid.m  # window history
-                       + 8 * (self.pad + n_max + 1) * len(self.cells)  # traces
                        + 8 * (n_max + 1))  # per-step integrals
 
     def steps(self, s0: np.ndarray):
@@ -264,32 +295,45 @@ class _FastRun:
 
         ``op.stacked`` multiplies the columns ``op.window`` of the history
         [s_{n-jd}, ..., s_{n-1}] (jd = j_direct - 1), gathered from a ring
-        of jd rows that holds s_k in row k % jd.  Every spectrum is taken
-        once, before the first step.  A group launches after each step
-        t - 1 with t a multiple of its block, from its first piece's first
-        block while t <= n_max.  A launch after step n writes outputs n + 1
-        .. n + 2·block - 1, only in the rows below ``row_hi``, so the pending
-        outputs fit a ring of 2·pad rows.  It runs over ranges of those rows
-        whose spectra take at most ``_LAUNCH_BYTES`` (at least one row);
-        each row's arithmetic does not depend on the range it falls in.
+        of jd rows that holds s_k in row k % jd.  Before the first step,
+        every live piece's spectrum is taken, or reused where an earlier run
+        stored it, and the band is dropped.  Step n writes s_n[c] into slot
+        n % depth[c] of cell c's trace ring; the slots of ``_SLOT_STEPS``
+        steps are computed at once.  A group launches after each
+        step t - 1 with t a multiple of its block, from its first piece's
+        first block while t <= n_max; piece (c, p) gathers times t - p + i,
+        i < block, from slots (t - p + i) % depth[c].  A time below 0 reads
+        0: depth[c] >= p >= block, so its slot is next written at a time >= t.
+        A launch after step n writes outputs n + 1 .. n + 2·block - 1, only
+        in the rows below ``row_hi``, so the pending outputs fit a ring of
+        2·(largest block) rows.  It runs over ranges of those rows whose
+        spectra take at most ``_LAUNCH_BYTES`` (at least one row); each
+        row's arithmetic does not depend on the range it falls in.
         """
-        op, n_max, pad, row_hi = self.op, self.n_max, self.pad, self.row_hi
+        op, n_max, row_hi, ring_len = self.op, self.n_max, self.row_hi, self.ring_len
         stacked, window = op.stacked, op.window
         m = s0.shape[0]
         jd = op.j_direct - 1
         hist = np.zeros((jd, m))
         flat = hist.ravel()
-        ring_len = max(2 * pad, 1)
         ring = np.zeros((ring_len, row_hi))
-        traces = np.zeros((pad + n_max + 1, len(self.cells)))  # row pad + n holds time n
-        # the spectra stay a list of rfft outputs: copying them into one
-        # preallocated array raised criterion 7's fresh-process peak RSS by
-        # about 2% (770 -> 785 MB, 2-vCPU x86)
+        cells, offset, depth = self.cells, self.offset, self.depth
+        traces = np.zeros(int(depth.sum()))
+        # one rfft output per piece, which reuses heap the freed bands leave:
+        # copying the spectra into one preallocated array raised criterion
+        # 7's fresh-process peak RSS by about 2% (770 -> 785 MB), and one
+        # array per group lost most of the handoff's gain on lsv0 at grid
+        # 1024 (62.71-62.75 against 61.9-62.0 MB; 2-vCPU x86)
         launches: dict[int, list[tuple]] = {}
-        for L, first, rows0, cols, kernels in self._groups:
-            spectra = [np.fft.rfft(k, n=2 * L, axis=1) for k in kernels]
-            launches.setdefault(int(first[0]) - 1, []).append((L, first, rows0, cols, spectra))
-        cells = np.array(self.cells, dtype=np.int64)
+        for g, keys, first, lag, base, period in self._groups:
+            L = g.block
+            for e in keys:
+                if e not in g.spectra:
+                    g.spectra[e] = np.fft.rfft(g.kernels[e], n=2 * L, axis=1)
+                    del g.kernels[e]
+            spectra = [g.spectra[e] for e in keys]
+            launches.setdefault(int(first[0]) - 1, []).append(
+                (L, first, lag, base, period, spectra))
 
         for n in range(0, n_max + 1):
             if n == 0:
@@ -302,17 +346,20 @@ class _FastRun:
                 s += stacked @ flat.take(window + (n % jd) * m, mode="wrap")
             # record history for the stacked window and the kernel traces
             hist[n % jd] = s
-            traces[pad + n] = s[cells]
+            if n % _SLOT_STEPS == 0:
+                trace_slots = offset + np.arange(n, n + _SLOT_STEPS)[:, None] % depth
+            traces[trace_slots[n % _SLOT_STEPS]] = s[cells]
             yield n, s
 
             # blocks whose first output is t = n + 1: outputs t .. t + 2·L - 2
             # of the started pieces
             t = n + 1
             for run in launches.pop(n, ()):
-                L, first, rows0, cols, spectra = run
+                L, first, lag, base, period, spectra = run
                 f = 2 * L
                 k = int(first.searchsorted(t, "right"))
-                a_hat = np.fft.rfft(traces[rows0[:k] + np.arange(t, t + L), cols[:k]], n=f, axis=1)
+                times = np.arange(t, t + L) - lag[:k]
+                a_hat = np.fft.rfft(traces[base[:k] + times % period[:k]], n=f, axis=1)
                 start = t % ring_len
                 head = min(f - 1, ring_len - start)
                 height = max(1, _LAUNCH_BYTES // (16 * (L + 1)))

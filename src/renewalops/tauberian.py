@@ -527,10 +527,13 @@ class ContourCheck:
 def rotated_gamma_integral(beta: float, u: float, theta: float, r_hi: float) -> ContourCheck:
     """integral_0^R e^{-wx} (wx)^{-beta} w dx with w = u - i theta.
 
-    Converges to Gamma(1-beta) as R grows, with deviation O(R^-beta), the
-    error bar's truncation term; ``value`` is complex.  The endpoint
-    singularity is removed by the substitution x = s^{1/(1-beta)} on an
-    initial segment; the oscillatory remainder is panel-integrated.
+    Converges to Gamma(1-beta) as R grows; ``value`` is complex.  The
+    deviation is the tail Gamma(1-beta, wR), which integrating along t >= 0
+    from wR bounds by |wR|^-beta e^{-uR} (u > 0).  The error bar's
+    truncation term is the larger of that bound and R^-beta, which bounds it
+    alone for |w| >= 1.  The endpoint singularity is removed by the
+    substitution x = s^{1/(1-beta)} on an initial segment; the oscillatory
+    remainder is panel-integrated.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
@@ -557,8 +560,9 @@ def rotated_gamma_integral(beta: float, u: float, theta: float, r_hi: float) -> 
         )
     value = head + tail_val
     closed = math.gamma(1.0 - beta)
+    tail = max(r_hi ** (-beta), abs(w * r_hi) ** (-beta) * math.exp(-u * r_hi))
     return ContourCheck(value=value, closed_form=closed, abs_error=abs(value - closed),
-                        error_bar=float(err) + r_hi ** (-beta))
+                        error_bar=float(err) + tail)
 
 
 def _finite_line_integral(nu: float, s_hi: float) -> tuple[float, float]:

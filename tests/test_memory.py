@@ -1,5 +1,6 @@
 """Memory guards: the assembly transient per Ulam entry, the block sum's
-lifetime, the kernel bands and the fast engine's single up-front allocation."""
+lifetime, the kernel bands, their handoff to spectra and the fast engine's
+single up-front allocation."""
 
 import gc
 import tracemalloc
@@ -113,23 +114,62 @@ def test_kernel_floor_is_below_kernel_bytes(spec, m, n_trunc):
     assert 0 < floor <= kernel_bytes
 
 
-@pytest.mark.parametrize("spec, m, n_trunc", OPERATORS, ids=["lsv-2", "lsv0"])
-def test_fast_run_allocates_everything_before_its_first_step(spec, m, n_trunc):
-    """Spectra, ring, window history and traces exist once s_0 is out, as sized."""
-    op = ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
-    run = _FastRun(op, n_trunc)
-    if spec.family == "lsv":
-        spectra = sum(16 * run.row_hi * (g.block + 1)
-                      for g in op.groups for (_, p) in g.kernels if p <= n_trunc)
-        assert spectra > run.nbytes / 2
-    else:
-        assert run.row_hi < m
-    s0 = op.density_values.copy()
+def held_after_first_step(run):
+    """Bytes traced from the per-step integrals' allocation until s_0 is out."""
     tracemalloc.start()
     try:
-        steps = run.steps(s0)
+        tn = np.zeros(run.n_max + 1)  # ``renewal_action``'s per-step integrals
+        steps = run.steps(run.op.density_values.copy())
         next(steps)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    del tn, steps
+    return held
+
+
+@pytest.mark.parametrize("spec, m, n_trunc", OPERATORS, ids=["lsv-2", "lsv0"])
+def test_fast_run_allocates_everything_before_its_first_step(spec, m, n_trunc):
+    """Spectra, rings, window history and integrals exist once s_0 is out, as sized;
+    a second run on the same operator reuses the spectra and plans none."""
+    op = ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
+    run = _FastRun(op, n_trunc)
+    spectra = sum(16 * run.row_hi * (g.block + 1)
+                  for g in op.groups for (_, p) in g.kernels if p <= n_trunc)
+    if spec.family == "lsv":
+        assert spectra > run.nbytes / 2
+    else:
+        assert run.row_hi < m
+    held = held_after_first_step(run)
     assert abs(held - run.nbytes) <= 0.02 * run.nbytes
+    rerun = _FastRun(op, n_trunc)
+    assert rerun.nbytes == run.nbytes - spectra
+    held = held_after_first_step(rerun)
+    assert abs(held - rerun.nbytes) <= 0.02 * rerun.nbytes
+
+
+@pytest.mark.parametrize("spec, m, n_trunc", OPERATORS, ids=["lsv-2", "lsv0"])
+def test_trace_rings_do_not_grow_with_n_max(spec, m, n_trunc):
+    """Beyond n_trunc every piece is live: only the per-step integrals grow."""
+    op = ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
+    grown = _FastRun(op, 4 * n_trunc).nbytes - _FastRun(op, n_trunc).nbytes
+    assert grown == 8 * 3 * n_trunc
+
+
+def test_a_run_hands_live_bands_over_to_their_spectra():
+    """After a run, the operator holds no band of a piece it reached, and
+    a spectrum of each; pieces past n_max keep their bands and get none."""
+    op = ro.assemble_operator(ro.MapSpec("lsv0"), ro.Grid(256), n_trunc=2000)
+    n_max = 1000
+    live = [k for g in op.groups for (_, p), k in g.kernels.items() if p <= n_max]
+    later = {(g.block, key): k for g in op.groups for key, k in g.kernels.items()
+             if key[1] > n_max}
+    assert live and later
+    ro.renewal_action(op, np.ones(256), n_max)
+    reachable = {id(a) for a in reachable_arrays(op)}
+    assert not any(id(k) in reachable for k in live)
+    assert all(id(k) in reachable for k in later.values())
+    for g in op.groups:
+        assert all(p <= n_max for _, p in g.spectra) and all(p > n_max for _, p in g.kernels)
+        assert all(g.kernels[key] is later[g.block, key] for key in g.kernels)
+    assert sum(len(g.spectra) for g in op.groups) == len(live)

@@ -90,6 +90,8 @@ class TestPathAgreement:
     # on two cells, one band runs over lags 2..100: pieces of 2, 4 and 8
     # lags open it, and the 8-lag cap splits the rest
     @example(dict(alpha=2.0, n_trunc=100, j_direct=2, span_cap=8, m=2, seed=1, n_max=140))
+    # n_max >= 3 n_trunc: every cell's trace ring, at most n_trunc deep, wraps twice
+    @example(dict(alpha=None, n_trunc=60, j_direct=4, span_cap=8, m=48, seed=2, n_max=190))
     def test_fast_matches_exact_on_assembled_operators(self, case):
         op, v, n_max = assemble_case(**case)
         exact = exact_history(op, v, n_max)
@@ -200,6 +202,49 @@ class TestFastPath:
         monkeypatch.setattr(errors, "BYTE_LIMIT", need)
         ro.renewal_action(op, v, n_max)
         assert transforms
+
+    def test_second_run_reuses_the_spectra(self, monkeypatch):
+        """A rerun on one operator takes no band's transform and gives the same bits."""
+        op = ro.assemble_operator(ro.MapSpec("lsv", alpha=2.0), ro.Grid(64), n_trunc=300,
+                                  j_direct=16)
+        v, n_max = np.random.default_rng(2).uniform(0.5, 1.5, 64), 250
+        live = sum(p <= n_max for g in op.groups for _, p in g.kernels)
+        assert 0 < live < sum(len(g.kernels) for g in op.groups)
+        rfft = np.fft.rfft
+        runs = []
+        for _ in range(2):
+            transforms = []
+            monkeypatch.setattr(np.fft, "rfft",
+                                lambda *a, **k: transforms.append(1) or rfft(*a, **k))
+            runs.append((ro.renewal_action(op, v, n_max, snapshot_ns=[100, 200]),
+                         len(transforms)))
+        (first, n_first), (second, n_second) = runs
+        # the trace transforms, one per launch, are the same in both runs
+        assert n_first - n_second == live
+        assert np.array_equal(first.tn_integral, second.tn_integral)
+        for n in (100, 200, n_max):
+            assert np.array_equal(first.snapshots[n], second.snapshots[n])
+
+    @pytest.mark.parametrize("n_first", [40, 150, 299])
+    def test_later_run_sums_as_on_a_fresh_operator(self, n_first):
+        """Pieces handed over by a shorter run keep their place in the launches:
+        a run to n_trunc after one to n_first gives a fresh operator's bits."""
+        def assemble():
+            return ro.assemble_operator(ro.MapSpec("lsv", alpha=2.5), ro.Grid(128),
+                                        n_trunc=400, j_direct=4)
+        v, n_max = np.random.default_rng(3).uniform(0.5, 1.5, 128), 400
+        fresh = assemble()
+        # on a fresh operator the launches sum the layout's pieces, stably
+        # sorted by first launch
+        for g, keys, *_ in renewal_engine._FastRun(fresh, n_max)._groups:
+            assert keys == sorted(g.kernels, key=lambda e: e[1] // g.block)
+        want = ro.renewal_action(fresh, v, n_max, snapshot_ns=[200])
+        op = assemble()
+        ro.renewal_action(op, v, n_first)
+        got = ro.renewal_action(op, v, n_max, snapshot_ns=[200])
+        assert np.array_equal(got.tn_integral, want.tn_integral)
+        for n in (200, n_max):
+            assert np.array_equal(got.snapshots[n], want.snapshots[n])
 
     def test_empty_window(self):
         # blocks without entries leave an m x 0 window: s_0 = h v, then zeros

@@ -334,6 +334,20 @@ class TestContourIntegrals:
         ratio = devs[1e2] / devs[1e4]
         assert 3.0 < ratio < 33.0  # 10^{2 beta} = 10 up to oscillation envelope
 
+    @pytest.mark.parametrize("beta, u, theta, r_hi", [(0.5, 1e-6, 0.5, 1e2),
+                                                      (0.7, 1e-6, 0.3, 1e4)])
+    def test_rotated_gamma_bar_covers_error_below_unit_modulus(self, beta, u, theta, r_hi):
+        # |w| < 1: R^-beta alone undercuts the tail |Gamma(1-beta, wR)|
+        res = tb.rotated_gamma_integral(beta, u, theta, r_hi)
+        assert res.abs_error > r_hi ** -beta
+        assert res.abs_error <= res.error_bar
+
+    def test_rotated_gamma_bar_at_unit_rotation_is_unchanged(self):
+        # |w| = sqrt(2) >= 1 (the CLI's B1): the truncation term stays R^-beta,
+        # so the bar keeps its bits from before the |w| < 1 term
+        res = tb.rotated_gamma_integral(0.5, 1.0, 1.0, 1e3)
+        assert res.error_bar == 0.03162277660168398
+
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
     def test_line_power_closed_form(self, beta):
         res = tb.line_power_integral(beta)
