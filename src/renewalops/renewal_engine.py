@@ -21,9 +21,9 @@ This module alone owns the fast path's layout.  ``FastLayout`` takes the
 Ulam entries of the branches in order and decides the ``j_direct`` split,
 the window's columns and the kernel bands and pieces.  ``_FastRun`` plans
 one run from them and sizes it, so ``renewal_action`` checks the size
-before anything is allocated.  Its ``steps`` hands each piece it reaches
-over from band to spectrum before the first step (the spectrum stays on
-the operator for later runs, the band is freed), keeps each read cell's
+before anything is allocated.  Its ``steps`` replaces each piece it
+reaches by the band's spectrum before the first step (the spectrum stays
+on the operator for later runs, the band is freed), keeps each read cell's
 trace in a ring as deep as that cell's largest first lag, and launches the
 blocks from a schedule keyed by step.  Operator assembly just feeds the
 layout entries.
@@ -37,7 +37,6 @@ by the callers at entry and exit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,10 +62,6 @@ _LAUNCH_BYTES = 1 << 19
 # pieces do not launch a transform pair every few steps
 _BLOCK_MIN = 16
 
-# steps whose trace-ring slots a run computes at once, so each step writes
-# its traces through a precomputed row of slots with no arithmetic of its own
-_SLOT_STEPS = 16
-
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1).bit_length())
@@ -80,19 +75,21 @@ class KernelGroup:
     read source cell i, shape (row_hi, span) with span <= block <= p; rows
     above the layout's ``row_hi`` are identically zero (the branch image is
     [1/2, sup of the left branch]).  The first run that reaches a piece
-    hands its band over to its spectrum: it moves the band's rfft at
-    length 2·block, shape (row_hi, block + 1), into ``spectra[(i, p)]`` and
-    drops the band, so the operator never holds both and later runs take
-    no transform.  All pieces share launches at the multiples t of
-    ``block`` and one inverse transform per launch: launched after step
-    t - 1, piece (i, p) convolves the traces s_{t-p}[i], ...,
+    replaces its band by the band's rfft at length 2·block, complex of
+    shape (row_hi, block + 1), in place, so the operator never holds both
+    and later runs take no transform.  That spectrum stays on the operator
+    and is larger than the band: at criterion 7 the spectra take 365.4 MiB
+    against 154.9 MiB of bands, and no size check after the run's own
+    counts them.  The pieces come in launch order, by p // block, and a
+    launch sums them in that order.  All pieces share launches at the
+    multiples t of ``block`` and one inverse transform per launch: launched
+    after step t - 1, piece (i, p) convolves the traces s_{t-p}[i], ...,
     s_{t-p+block-1}[i], complete since block <= p, into outputs t, ...,
     t + 2·block - 2.
     """
 
     block: int
     kernels: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    spectra: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
 
 class _Piece:
@@ -123,8 +120,9 @@ class FastLayout:
     starting at lag p spans at most min(p rounded down to a power of two,
     ``_SPAN_CAP``) lags.  Its block length is the span rounded up to a power
     of two, raised to ``_BLOCK_MIN`` where p allows, so it never exceeds p.
-    Pieces of equal block length form one ``KernelGroup``.  Rows at or above
-    ``row_hi`` must be zero in every kernel branch.
+    Pieces of equal block length form one ``KernelGroup``, in order of first
+    launch, ties by the cell's first lag, then cell, then lag.  Rows at or
+    above ``row_hi`` must be zero in every kernel branch.
 
     Why 128: from lag 51 on, every branch reads at most two source cells
     (lsv alpha = 5/3 and lsv0 at grid 1024, alpha = 2 and 2.5 at grid 512),
@@ -192,7 +190,7 @@ class FastLayout:
                 lo = cut
 
     def groups(self) -> list[KernelGroup]:
-        """The filled pieces, grouped by block length.
+        """The filled pieces, grouped by block length, each group stably sorted by p // block.
 
         Call it once, after the last ``add``: the layout lets go of them.
         """
@@ -205,7 +203,10 @@ class FastLayout:
                 g.kernels[i, piece.p] = piece.kern
                 piece.kern = None
         self._bands = {}
-        return [by_block[b] for b in sorted(by_block)]
+        groups = [by_block[b] for b in sorted(by_block)]
+        for g in groups:
+            g.kernels = dict(sorted(g.kernels.items(), key=lambda kv, L=g.block: kv[0][1] // L))
+        return groups
 
     def stacked(self) -> tuple[sp.csr_matrix, np.ndarray]:
         """The window [R_{jd}, ..., R_1] (jd = j_direct - 1) on its distinct columns.
@@ -239,35 +240,28 @@ class _FastRun:
     """One fast-path run to ``n_max``: planned and sized when built, allocated by ``steps``.
 
     A group's live pieces are those with first lag <= ``n_max``, held as
-    spectrum or band.  They run in order of first launch, ties in the
-    layout's order (cells by their first lag, then index) whichever of them
-    earlier runs handed over, so a launch sums them as on a fresh operator.
-    The first block of a piece at lag p is the one whose inputs reach time
-    0, launched for t = block * (p // block), so a launch convolves a
-    prefix of them.
+    spectrum or band, in the group's order: the order of first launch,
+    which replacing a band by its spectrum keeps, so a launch sums them as
+    on a fresh operator.  The first block of a piece at lag p is the one
+    whose inputs reach time 0, launched for t = block * (p // block), so a
+    launch convolves a prefix of them.
     ``cells`` are the source cells whose traces are read; cell c keeps its
     trace in a ring of ``depth[c]`` steps, the largest first lag of its
     live pieces, at ``offset[c]`` of one flat array.  ``row_hi`` is the
     kernels' rows (0 when no piece is live).  ``nbytes`` counts what the
     run holds throughout: the spectra it still has to take (not those an
-    earlier run stored on the operator), the trace rings with their slots,
-    the output ring and the window history's jd x m ring in ``steps``, and
-    the per-step integrals of ``renewal_action``.  The run frees each live
-    band as it takes the band's spectrum.  A launch's temporaries, one row
-    range of ``_LAUNCH_BYTES`` or so each, come and go and are not counted.
+    earlier run stored on the operator), the trace rings, the output ring
+    and the window history's jd x m ring in ``steps``, and the per-step
+    integrals of ``renewal_action``.  The run frees each live band as it
+    replaces it by its spectrum.  A launch's temporaries, one row range of
+    ``_LAUNCH_BYTES`` or so each, come and go and are not counted.
     """
 
     def __init__(self, op, n_max: int):
         self.op, self.n_max = op, n_max
-        # each cell's first lag: of the reverse-sorted (cell, lag) pairs, the last
-        first = dict(sorted((e for g in op.groups for e in chain(g.spectra, g.kernels)),
-                            reverse=True))
-        live = [(g, sorted((e for e in chain(g.spectra, g.kernels) if e[1] <= n_max),
-                           key=lambda e, L=g.block: (e[1] // L, first[e[0]], e)))
-                for g in op.groups]
+        live = [(g, [e for e in g.kernels if e[1] <= n_max]) for g in op.groups]
         live = [(g, keys) for g, keys in live if keys]
-        self.row_hi = next((a.shape[0] for g, _ in live
-                            for a in chain(g.spectra.values(), g.kernels.values())), 0)
+        self.row_hi = next((g.kernels[keys[0]].shape[0] for g, keys in live), 0)
         # each read cell's largest live lag: of the sorted (cell, lag) pairs, the last
         depth = dict(sorted(e for _, keys in live for e in keys))
         self.cells = np.array(list(depth), dtype=np.int64)
@@ -282,10 +276,10 @@ class _FastRun:
                                  np.array([p for _, p in keys])[:, None],
                                  self.offset[at], self.depth[at]))
         self.ring_len = max(2 * max((g.block for g, _ in live), default=0), 1)
-        to_take = sum((g.block + 1) * sum(e in g.kernels for e in keys) for g, keys in live)
+        to_take = sum((g.block + 1) * sum(g.kernels[e].dtype == float for e in keys)
+                      for g, keys in live)
         self.nbytes = (16 * self.row_hi * to_take  # spectra still to take
                        + 8 * int(self.depth.sum())  # trace rings
-                       + 8 * _SLOT_STEPS * self.cells.size  # their slots
                        + 8 * self.ring_len * self.row_hi  # output ring
                        + 8 * (op.j_direct - 1) * op.grid.m  # window history
                        + 8 * (n_max + 1))  # per-step integrals
@@ -296,10 +290,9 @@ class _FastRun:
         ``op.stacked`` multiplies the columns ``op.window`` of the history
         [s_{n-jd}, ..., s_{n-1}] (jd = j_direct - 1), gathered from a ring
         of jd rows that holds s_k in row k % jd.  Before the first step,
-        every live piece's spectrum is taken, or reused where an earlier run
-        stored it, and the band is dropped.  Step n writes s_n[c] into slot
-        n % depth[c] of cell c's trace ring; the slots of ``_SLOT_STEPS``
-        steps are computed at once.  A group launches after each
+        every live band is replaced by its spectrum in place; spectra an
+        earlier run stored are reused.  Step n writes s_n[c] into slot
+        n % depth[c] of cell c's trace ring.  A group launches after each
         step t - 1 with t a multiple of its block, from its first piece's
         first block while t <= n_max; piece (c, p) gathers times t - p + i,
         i < block, from slots (t - p + i) % depth[c].  A time below 0 reads
@@ -328,10 +321,9 @@ class _FastRun:
         for g, keys, first, lag, base, period in self._groups:
             L = g.block
             for e in keys:
-                if e not in g.spectra:
-                    g.spectra[e] = np.fft.rfft(g.kernels[e], n=2 * L, axis=1)
-                    del g.kernels[e]
-            spectra = [g.spectra[e] for e in keys]
+                if g.kernels[e].dtype == float:
+                    g.kernels[e] = np.fft.rfft(g.kernels[e], n=2 * L, axis=1)
+            spectra = [g.kernels[e] for e in keys]
             launches.setdefault(int(first[0]) - 1, []).append(
                 (L, first, lag, base, period, spectra))
 
@@ -346,9 +338,7 @@ class _FastRun:
                 s += stacked @ flat.take(window + (n % jd) * m, mode="wrap")
             # record history for the stacked window and the kernel traces
             hist[n % jd] = s
-            if n % _SLOT_STEPS == 0:
-                trace_slots = offset + np.arange(n, n + _SLOT_STEPS)[:, None] % depth
-            traces[trace_slots[n % _SLOT_STEPS]] = s[cells]
+            traces[offset + n % depth] = s[cells]
             yield n, s
 
             # blocks whose first output is t = n + 1: outputs t .. t + 2·L - 2

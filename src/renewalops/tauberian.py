@@ -105,9 +105,16 @@ def adaptive_oscillatory_quad(
 
     Panels start at ~4 per oscillation and double until two successive
     refinements agree within tol (relative); raises when the cap of 2**20
-    panels is hit, reporting the achieved tolerance.
+    panels is hit, reporting the last refinement's difference.  A range
+    whose first refinement already passes the cap is refused before any
+    evaluation: every caller's freq·(b - a) grows with the run's nmax.
     """
     n0 = max(8, int(abs(freq) * (b - a) / math.pi) * 2)
+    if 2 * n0 > _MAX_PANELS:
+        raise NumericalError(
+            f"oscillatory quadrature over [{a:.6g}, {b:.6g}] at rate {freq:.6g} needs "
+            f"{2 * n0} panels, above the cap of {_MAX_PANELS}; lower nmax"
+        )
     prev = _panel_quad(f, a, b, n0)
     n = 2 * n0
     while n <= _MAX_PANELS:
@@ -118,9 +125,7 @@ def adaptive_oscillatory_quad(
             return cur, err
         prev = cur
         n *= 2
-    raise NumericalError(
-        f"oscillatory quadrature stalled at {abs(cur - prev):.3e} with {n // 2} panels"
-    )
+    raise NumericalError(f"oscillatory quadrature stalled at {err:.3e} with {n // 2} panels")
 
 
 # ---------------------------------------------------------------------------

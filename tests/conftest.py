@@ -80,11 +80,13 @@ def doubling_branch_matrix(m: int) -> sp.csr_matrix:
     return sp.csr_matrix((w, (rows, cols)), shape=(m, m))
 
 
-def synthetic_operator(grid, branch_mats, density=None) -> ro.InducedOperator:
+def synthetic_operator(grid, branch_mats, density=None, j_direct=None) -> ro.InducedOperator:
     """Operator from explicitly given branch blocks R_1..R_n, without map or ladder.
 
     Its density is the fixed point of the blocks' sum, or ``density`` with
     residual 0 where the caller fixes one (a density solve not under test).
+    All blocks go to the stacked window unless ``j_direct`` sends the
+    branches from there on to kernel pieces.
     """
     mats = [sp.csr_matrix(b) for b in branch_mats]
     n, m = len(mats), grid.m
@@ -92,7 +94,7 @@ def synthetic_operator(grid, branch_mats, density=None) -> ro.InducedOperator:
     brow = np.arange(n).repeat([c.nnz for c in coo])
     rows, cols, w = (np.concatenate([getattr(c, a) for c in coo])
                      for a in ("row", "col", "data"))
-    layout = FastLayout(m, n, n + 1, m)
+    layout = FastLayout(m, n, n + 1 if j_direct is None else j_direct, m)
     layout.add(1, brow, rows, cols, w)
     if density is None:
         r1 = np.zeros((m, m))

@@ -169,6 +169,19 @@ class TestExitCodes:
         assert err.startswith("numeric failure: mass deficit"), err
         assert err.endswith(f"; raise {option}\n"), err
 
+    @pytest.mark.parametrize("argv", [
+        # the first refinement needs 2 * 528,392 panels over [1, 830000] at rate 1
+        ["--check", "B1", "--beta", "0.5", "--nmax", "830000"],
+        # and 2 * 1,451,178 over [0, (3e8)^(3/4)]; the cap is 2**20
+        ["--check", "B3", "--nmax", "300000000"],
+    ], ids=["B1", "B3"])
+    def test_contour_past_the_panel_cap_advises_lower_nmax(self, tmp_path, capsys, argv):
+        assert main(["contour"] + argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: oscillatory quadrature over "), err
+        assert err.endswith("; lower nmax\n") and err.count("\n") == 1, err
+        assert not (tmp_path / "contour.csv").exists()
+
     def test_tails_size_advice_below_the_floor_leaves_n_out(self, tmp_path, capsys,
                                                              monkeypatch):
         # the 32 KiB block sum of grid 64 is above 16 KiB; lowering n below 64 frees nothing
@@ -429,6 +442,7 @@ def cli_cases(draw):
     return argv, entries, draw(st.sampled_from(BYTE_LIMITS))
 
 
+@pytest.mark.slow
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(cli_cases())
 @example((["dual-ergodic", "--family=lsv0", "--alpha=2", "--grid=32", "--ntrunc=50",

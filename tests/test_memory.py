@@ -1,5 +1,5 @@
 """Memory guards: the assembly transient per Ulam entry, the block sum's
-lifetime, the kernel bands, their handoff to spectra and the fast engine's
+lifetime, the kernel bands, their replacement by spectra and the fast engine's
 single up-front allocation."""
 
 import gc
@@ -157,19 +157,22 @@ def test_trace_rings_do_not_grow_with_n_max(spec, m, n_trunc):
 
 
 def test_a_run_hands_live_bands_over_to_their_spectra():
-    """After a run, the operator holds no band of a piece it reached, and
-    a spectrum of each; pieces past n_max keep their bands and get none."""
+    """A run replaces each band it reaches by the band's spectrum in place:
+    the keys keep their order, no live band stays reachable from the
+    operator, and pieces past n_max keep their band objects."""
     op = ro.assemble_operator(ro.MapSpec("lsv0"), ro.Grid(256), n_trunc=2000)
     n_max = 1000
-    live = [k for g in op.groups for (_, p), k in g.kernels.items() if p <= n_max]
-    later = {(g.block, key): k for g in op.groups for key, k in g.kernels.items()
-             if key[1] > n_max}
-    assert live and later
+    row_hi = _FastRun(op, n_max).row_hi
+    keys = [list(g.kernels) for g in op.groups]
+    bands = [dict(g.kernels) for g in op.groups]
+    assert {p <= n_max for g in op.groups for _, p in g.kernels} == {True, False}
     ro.renewal_action(op, np.ones(256), n_max)
+    assert [list(g.kernels) for g in op.groups] == keys
     reachable = {id(a) for a in reachable_arrays(op)}
-    assert not any(id(k) in reachable for k in live)
-    assert all(id(k) in reachable for k in later.values())
-    for g in op.groups:
-        assert all(p <= n_max for _, p in g.spectra) and all(p > n_max for _, p in g.kernels)
-        assert all(g.kernels[key] is later[g.block, key] for key in g.kernels)
-    assert sum(len(g.spectra) for g in op.groups) == len(live)
+    for g, band in zip(op.groups, bands):
+        for (i, p), k in g.kernels.items():
+            if p <= n_max:
+                assert k.dtype == complex and k.shape == (row_hi, g.block + 1)
+                assert id(band[i, p]) not in reachable
+            else:
+                assert k is band[i, p]

@@ -225,19 +225,48 @@ class TestFastPath:
         for n in (100, 200, n_max):
             assert np.array_equal(first.snapshots[n], second.snapshots[n])
 
-    @pytest.mark.parametrize("n_first", [40, 150, 299])
-    def test_later_run_sums_as_on_a_fresh_operator(self, n_first):
-        """Pieces handed over by a shorter run keep their place in the launches:
-        a run to n_trunc after one to n_first gives a fresh operator's bits."""
+    @pytest.mark.parametrize("spec, m, n_trunc", [(ro.MapSpec("lsv", alpha=2.0), 64, 600),
+                                                  (ro.MapSpec("lsv0"), 256, 2000)],
+                             ids=["lsv-2", "lsv0"])
+    def test_groups_hold_their_pieces_in_launch_order(self, spec, m, n_trunc):
+        """A fresh operator's groups list their pieces by first launch p // block,
+        and a run launches them in that order."""
+        op = ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
+        assert len(op.groups) > 1
+        for g in op.groups:
+            launch = [p // g.block for _, p in g.kernels]
+            assert launch == sorted(launch)
+        run = renewal_engine._FastRun(op, n_trunc)
+        assert [keys for _, keys, *_ in run._groups] == [list(g.kernels) for g in op.groups]
+
+    def test_a_late_piece_launches_after_an_earlier_cell(self):
+        """Cell 0 reads lags 16-20 and 64-68, cell 1 lags 20-24.  The layout
+        meets cell 0 first, but its piece at 64 first launches at t = 64,
+        after cell 1's piece at 20 (t = 16): their group lists them by first
+        launch, and a run matches the literal recursion."""
+        m, n = 2, 70
+        blocks = [sp.lil_matrix((m, m)) for _ in range(n)]
+        for cell, lags in [(0, (*range(16, 21), *range(64, 69))), (1, range(20, 25))]:
+            for j in lags:
+                blocks[j - 1][j % m, cell] = 0.05
+        h = np.array([1.0, 2.0])
+        op = synthetic_operator(ro.Grid(m), blocks, density=h, j_direct=2)
+        assert [list(g.kernels) for g in op.groups] == [[(0, 16), (1, 20), (0, 64)]]
+        v = np.array([0.7, 1.3])
+        want = literal_exact_steps([sp.csr_matrix(b) for b in blocks], h * v, 150)
+        assert np.max(np.abs(fast_history(op, v, 150) - want)) < 1e-12
+
+    @pytest.mark.parametrize("spec, n_first",
+                             [(ro.MapSpec("lsv", alpha=2.5), n) for n in (40, 150, 299)]
+                             + [(ro.MapSpec("lsv0"), n) for n in (40, 150, 299)],
+                             ids=["40", "150", "299", "lsv0-40", "lsv0-150", "lsv0-299"])
+    def test_later_run_sums_as_on_a_fresh_operator(self, spec, n_first):
+        """Pieces a shorter run replaced by their spectra keep their place in the
+        launches: a run to n_trunc after one to n_first gives a fresh operator's bits."""
         def assemble():
-            return ro.assemble_operator(ro.MapSpec("lsv", alpha=2.5), ro.Grid(128),
-                                        n_trunc=400, j_direct=4)
+            return ro.assemble_operator(spec, ro.Grid(128), n_trunc=400, j_direct=4)
         v, n_max = np.random.default_rng(3).uniform(0.5, 1.5, 128), 400
         fresh = assemble()
-        # on a fresh operator the launches sum the layout's pieces, stably
-        # sorted by first launch
-        for g, keys, *_ in renewal_engine._FastRun(fresh, n_max)._groups:
-            assert keys == sorted(g.kernels, key=lambda e: e[1] // g.block)
         want = ro.renewal_action(fresh, v, n_max, snapshot_ns=[200])
         op = assemble()
         ro.renewal_action(op, v, n_first)

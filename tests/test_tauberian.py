@@ -104,6 +104,32 @@ class TestPanelQuad:
         assert got == pytest.approx(exact, rel=1e-13)
 
 
+    def test_stall_reports_the_last_refinement_difference(self, monkeypatch):
+        # 1/sqrt(x) converges like n^-1/2: 8, 16, 32 and 64 panels stay far apart
+        monkeypatch.setattr(tb, "_MAX_PANELS", 64)
+
+        def f(x):
+            return 1.0 / np.sqrt(x)
+
+        diff = abs(tb._panel_quad(f, 0.0, 1.0, 64) - tb._panel_quad(f, 0.0, 1.0, 32))
+        assert diff > 1e-3
+        with pytest.raises(NumericalError) as exc:
+            tb.adaptive_oscillatory_quad(f, 0.0, 1.0, freq=0.0)
+        assert str(exc.value) == f"oscillatory quadrature stalled at {diff:.3e} with 64 panels"
+
+    def test_range_past_the_cap_is_refused_before_any_evaluation(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.exp(-1j * x)
+
+        # 4 panels per oscillation over 1e7 / (2 pi) oscillations: 2 * 6,366,196 panels
+        with pytest.raises(NumericalError, match=r"needs 12732392 panels, .*; lower nmax$"):
+            tb.adaptive_oscillatory_quad(f, 0.0, 1e7, freq=1.0)
+        assert calls == []
+
+
 # 8x - 7x**2 and 2x**2 - x in the shifted Chebyshev basis T_k(2x - 1)
 MAJORANT_QUADRATIC = np.array([11 / 8, 1 / 2, -7 / 8])
 MINORANT_QUADRATIC = np.array([1 / 4, 1 / 2, 1 / 4])
