@@ -45,7 +45,7 @@ from .scalar import (
     residual_diagnostics,
     second_order_constant,
 )
-from .specfun import Norming, SlowlyVarying
+from .specfun import Norming, SlowlyVarying, expansion_order
 from .dual_ergodic import (
     dual_ergodic_report,
     return_distribution_from_operator,
@@ -206,6 +206,14 @@ def _assemble(spec: MapSpec, grid: Grid, n_trunc: int, option: str, floor: int =
         raise NumericalError(head + sep + advice.replace("ntrunc", option)) from None
 
 
+def _advised(call, advice: str, *args, **kwargs):
+    """``call(*args, **kwargs)``, whose refusal (a ``DomainError``) ends in ``advice``."""
+    try:
+        return call(*args, **kwargs)
+    except DomainError as exc:
+        raise DomainError(f"{exc}; {advice}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -243,7 +251,7 @@ def _cmd_renewal(cfg: ExperimentConfig) -> _Table:
     # the higher-order machinery covers (1/2, 1); other betas get first order only
     if 0.5 < beta < 1.0:
         ch = second_order_constant(beta)
-        exp = AsymptoticExpansion(beta=beta, c=1.0, c_h=ch.value)
+        exp = _advised(AsymptoticExpansion, "lower beta", beta=beta, c=1.0, c_h=ch.value)
         pred = exp.partial_sum_prediction(ns.astype(float))
         error_bar = ch.error_bar * ns ** exp.exponents[-1]
         if n_max >= 10**3:
@@ -260,12 +268,15 @@ def _cmd_renewal(cfg: ExperimentConfig) -> _Table:
 
 def _cmd_dual_ergodic(cfg: ExperimentConfig) -> _Table:
     spec = MapSpec(cfg.family, alpha=cfg.alpha)
+    if 0.5 < spec.beta < 1.0:  # the report's expansion, refused before assembly
+        _advised(expansion_order, "raise alpha", spec.beta)
     grid = Grid(cfg.grid)
     op = _assemble(spec, grid, cfg.ntrunc, "ntrunc")
     # the log-spaced report times start at 10: keep those within nmax
     ns = np.round(np.logspace(1, np.log10(cfg.nmax), 25)).astype(int).tolist()
     ns = sorted({n for n in ns if n <= cfg.nmax} | {cfg.nmax})
-    report = dual_ergodic_report(op, np.ones(grid.m), ns)
+    # what the report can still refuse is lsv0's norming at its only time n = 1
+    report = _advised(dual_ergodic_report, "raise nmax above 1", op, np.ones(grid.m), ns)
     residual = report.expansion_residual
     residual = np.full(report.n.size, math.nan) if residual is None else residual
     extra = {"c": report.c, "beta": report.beta, "mass_deficit": report.mass_deficit}

@@ -100,7 +100,8 @@ class InducedOperator:
     window holds no entry); ``groups`` hold the longer return times as
     per-source-cell band pieces of convolution kernels (all as
     ``FastLayout`` lays them out), each piece as its band until a renewal
-    run reaches it and as the band's spectrum from then on.  The spectra
+    run reaches it; from then on its group keeps the band's spectrum in one
+    frequency-major array with its other pieces' spectra.  The spectra
     outweigh the bands (365.4 against 154.9 MiB at criterion 7), and no
     size check counts what an operator keeps after its first run.
     ``density`` is the fixed point of the full block sum (completed beyond

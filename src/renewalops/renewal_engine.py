@@ -12,21 +12,24 @@ cell's kernel is stored only over its band of lags, cut into dyadic pieces
 whose transforms are sized to the piece; pieces of equal block length
 share their launches and one inverse transform per launch (the relaxed
 multiplication of van der Hoeven, *Relax, but don't be too lazy*, 2002).
-A launch runs over ranges of the kernels' rows, so its products, sum and
-inverse transform take about ``_LAUNCH_BYTES`` at a time however tall the
-kernels are; each row's arithmetic is the same in any range.  The result
-is the literal sum_j R_j s_{n-j} up to floating-point ordering.
+A group keeps its pieces' spectra in one frequency-major array, so a
+launch multiplies the started pieces into it with one batched BLAS product
+and inverts along time straight into the output ring.  It runs over
+ranges of the kernels' rows, so its product and inverse transform take
+about ``_LAUNCH_BYTES`` at a time however tall the kernels are; each row's
+arithmetic is the same in any range and at any BLAS thread count.  The
+result is the literal sum_j R_j s_{n-j} up to floating-point ordering.
 
 This module alone owns the fast path's layout.  ``FastLayout`` takes the
 Ulam entries of the branches in order and decides the ``j_direct`` split,
 the window's columns and the kernel bands and pieces.  ``_FastRun`` plans
 one run from them and sizes it, so ``renewal_action`` checks the size
-before anything is allocated.  Its ``steps`` replaces each piece it
-reaches by the band's spectrum before the first step (the spectrum stays
-on the operator for later runs, the band is freed), keeps each read cell's
-trace in a ring as deep as that cell's largest first lag, and launches the
-blocks from a schedule keyed by step.  Operator assembly just feeds the
-layout entries.
+before anything is allocated.  Its ``steps`` fills each group's spectra
+array for the pieces it reaches before the first step (the spectra stay on
+the operator for later runs, the bands are freed), keeps each cell it reads,
+through the window or a kernel, in a trace ring as deep as the largest lag
+it is read at, and launches the blocks from a schedule keyed by step.
+Operator assembly just feeds the layout entries.
 
 Everything here acts in Lebesgue form (fixed point of the block sum is the
 invariant density).  Conversion to the measure-normalized form used in the
@@ -49,14 +52,26 @@ __all__ = ["FastLayout", "KernelGroup", "RenewalAccumulator", "renewal_action"]
 # cap on a kernel piece's lag span, so a block's FFT stays short
 _SPAN_CAP = 1024
 
-# bytes of one row range's spectra in a launch: a launch multiplies, sums and
+# bytes of one row range's product in a launch: a launch multiplies and
 # inverts its group's spectra one range of kernel rows at a time, so its
-# temporaries stay near this size however tall the kernels.  A range's
-# product, sum and inverse transform then fit a 2 MiB L2 cache together: at
+# temporaries stay near this size however tall the kernels (ranges are whole
+# ``_ROW_BLOCK``s, so blocks of 512 and up take 1 to 2 MiB).  A range's
+# product and inverse transform then fit a 2 MiB L2 cache together: at
 # criterion 7 the engine took 0.86 of the all-rows time at 512 KiB and 0.94
 # at 3 MiB (2-vCPU x86, one BLAS thread).  lsv0's launches at grid 1024
 # (71 rows, blocks up to 256) stay one range.
 _LAUNCH_BYTES = 1 << 19
+
+# rows per BLAS product in a launch: a launch's rows go through complex
+# matrix-vector products of this many rows each (``_product``), so a row's
+# arithmetic does not depend on the range of rows it falls in
+_ROW_BLOCK = 64
+
+# elements (pieces x rows) from which OpenBLAS splits a complex
+# matrix-vector product over its threads; the split moves the bits of the
+# rows near its cut (seen at 2 threads from 2 x 2049 on), so ``_product``
+# keeps each product below it
+_SERIAL_PRODUCT = 4096
 
 # floor on a group's block length where the first lag allows it, so short
 # pieces do not launch a transform pair every few steps
@@ -74,22 +89,25 @@ class KernelGroup:
     ``kernels[(i, p)]`` holds the columns of R_p, ..., R_{p+span-1} that
     read source cell i, shape (row_hi, span) with span <= block <= p; rows
     above the layout's ``row_hi`` are identically zero (the branch image is
-    [1/2, sup of the left branch]).  The first run that reaches a piece
-    replaces its band by the band's rfft at length 2·block, complex of
-    shape (row_hi, block + 1), in place, so the operator never holds both
-    and later runs take no transform.  That spectrum stays on the operator
-    and is larger than the band: at criterion 7 the spectra take 365.4 MiB
-    against 154.9 MiB of bands, and no size check after the run's own
-    counts them.  The pieces come in launch order, by p // block, and a
-    launch sums them in that order.  All pieces share launches at the
-    multiples t of ``block`` and one inverse transform per launch: launched
-    after step t - 1, piece (i, p) convolves the traces s_{t-p}[i], ...,
-    s_{t-p+block-1}[i], complete since block <= p, into outputs t, ...,
-    t + 2·block - 2.
+    [1/2, sup of the left branch]).  The pieces come in launch order, by
+    their first lag p, so every launch and every run reads a prefix of
+    them.  ``spectra`` holds the rfft at length 2·block of the first pieces'
+    bands, complex of shape (block + 1, pieces, row_hi), frequency-major;
+    the first run that reaches a piece fills its slice there and replaces
+    the band in ``kernels`` by that slice, transposed to (row_hi, block + 1),
+    so the operator never holds both and later runs take no transform.  The
+    spectra stay on the operator and are larger than the bands: at
+    criterion 7 they take 365.4 MiB against 154.9 MiB of bands, and no
+    size check after the run's own counts them.  All pieces share launches
+    at the multiples t of ``block`` and one inverse transform per launch:
+    launched after step t - 1, piece (i, p) convolves the traces
+    s_{t-p}[i], ..., s_{t-p+block-1}[i], complete since block <= p, into
+    outputs t, ..., t + 2·block - 2.
     """
 
     block: int
     kernels: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    spectra: np.ndarray | None = None
 
 
 class _Piece:
@@ -121,7 +139,7 @@ class FastLayout:
     ``_SPAN_CAP``) lags.  Its block length is the span rounded up to a power
     of two, raised to ``_BLOCK_MIN`` where p allows, so it never exceeds p.
     Pieces of equal block length form one ``KernelGroup``, in order of first
-    launch, ties by the cell's first lag, then cell, then lag.  Rows at or
+    lag (so of first launch), ties by the cell's first lag, then cell.  Rows at or
     above ``row_hi`` must be zero in every kernel branch.
 
     Why 128: from lag 51 on, every branch reads at most two source cells
@@ -190,7 +208,7 @@ class FastLayout:
                 lo = cut
 
     def groups(self) -> list[KernelGroup]:
-        """The filled pieces, grouped by block length, each group stably sorted by p // block.
+        """The filled pieces, grouped by block length, each group stably sorted by lag p.
 
         Call it once, after the last ``add``: the layout lets go of them.
         """
@@ -205,7 +223,7 @@ class FastLayout:
         self._bands = {}
         groups = [by_block[b] for b in sorted(by_block)]
         for g in groups:
-            g.kernels = dict(sorted(g.kernels.items(), key=lambda kv, L=g.block: kv[0][1] // L))
+            g.kernels = dict(sorted(g.kernels.items(), key=lambda kv: kv[0][1]))
         return groups
 
     def stacked(self) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -239,22 +257,23 @@ class RenewalAccumulator:
 class _FastRun:
     """One fast-path run to ``n_max``: planned and sized when built, allocated by ``steps``.
 
-    A group's live pieces are those with first lag <= ``n_max``, held as
-    spectrum or band, in the group's order: the order of first launch,
-    which replacing a band by its spectrum keeps, so a launch sums them as
-    on a fresh operator.  The first block of a piece at lag p is the one
-    whose inputs reach time 0, launched for t = block * (p // block), so a
-    launch convolves a prefix of them.
-    ``cells`` are the source cells whose traces are read; cell c keeps its
-    trace in a ring of ``depth[c]`` steps, the largest first lag of its
-    live pieces, at ``offset[c]`` of one flat array.  ``row_hi`` is the
-    kernels' rows (0 when no piece is live).  ``nbytes`` counts what the
-    run holds throughout: the spectra it still has to take (not those an
-    earlier run stored on the operator), the trace rings, the output ring
-    and the window history's jd x m ring in ``steps``, and the per-step
-    integrals of ``renewal_action``.  The run frees each live band as it
-    replaces it by its spectrum.  A launch's temporaries, one row range of
-    ``_LAUNCH_BYTES`` or so each, come and go and are not counted.
+    A group's live pieces are those with first lag <= ``n_max``: a prefix
+    of the group's pieces, which come by first lag.  The first block of a
+    piece at lag p is the one whose inputs reach time 0, launched for
+    t = block * (p // block), so a launch convolves a prefix of them too.
+    ``cells`` are the source cells whose past the run reads, through the
+    window's columns (lag j < j_direct, cell c) or through live pieces;
+    cell c keeps its trace in a ring of ``depth[c]`` steps, the largest
+    lag it is read at, at ``offset[c]`` of one flat array.
+    ``row_hi`` is the kernels' rows (0 when no piece is live).  ``nbytes``
+    counts what the run holds throughout: the group spectra arrays it
+    still has to fill (whole, where an earlier run stored fewer pieces),
+    the trace rings, the output ring, the slot and value buffers of
+    ``steps``, s_0 and the current s_n, and the per-step integrals of
+    ``renewal_action``.  The run frees each live band as it fills the
+    band's spectrum.  A launch's temporaries, one row range of
+    ``_LAUNCH_BYTES`` or so each, and the handoff's one-piece transform
+    come and go and are not counted.
     """
 
     def __init__(self, op, n_max: int):
@@ -262,83 +281,114 @@ class _FastRun:
         live = [(g, [e for e in g.kernels if e[1] <= n_max]) for g in op.groups]
         live = [(g, keys) for g, keys in live if keys]
         self.row_hi = next((g.kernels[keys[0]].shape[0] for g, keys in live), 0)
-        # each read cell's largest live lag: of the sorted (cell, lag) pairs, the last
-        depth = dict(sorted(e for _, keys in live for e in keys))
-        self.cells = np.array(list(depth), dtype=np.int64)
-        self.depth = np.array(list(depth.values()), dtype=np.int64)
+        # (cell, lag) of the window's columns, then of the live pieces
+        m, jd = op.grid.m, op.j_direct - 1
+        pieces = np.array([e for _, keys in live for e in keys], dtype=np.int64).reshape(-1, 2)
+        cell = np.concatenate([op.window % m, pieces[:, 0]])
+        lag = np.concatenate([jd - op.window // m, pieces[:, 1]])
+        self.cells, at = np.unique(cell, return_inverse=True)
+        self.depth = np.zeros(self.cells.size, dtype=np.int64)
+        np.maximum.at(self.depth, at, lag)
         self.offset = np.cumsum(self.depth) - self.depth
+        # the slots a step writes (per cell, lag 0) and reads (per window
+        # column): where they are at step 0, where their rings end, and the
+        # rings' depths
+        w, c = op.window.size, self.cells.size
+        ring = np.concatenate([np.arange(c), at[:w]])
+        start, depth = self.offset[ring], self.depth[ring]
+        lags = np.concatenate([np.zeros(c, dtype=np.int64), lag[:w]])
+        self._slots = start + (-lags) % depth, start + depth, depth
         # per group: the group, its live pieces, and per piece its first
         # launch, its lag and its cell's trace ring (offset and depth)
         self._groups = []
         for g, keys in live:
-            at = self.cells.searchsorted([i for i, _ in keys])[:, None]
-            self._groups.append((g, keys, np.array([g.block * (p // g.block) for _, p in keys]),
-                                 np.array([p for _, p in keys])[:, None],
-                                 self.offset[at], self.depth[at]))
+            k = slice(w, w + len(keys))
+            self._groups.append((g, keys, g.block * (lag[k] // g.block), lag[k],
+                                 self.offset[at[k]], self.depth[at[k]]))
+            w = k.stop
         self.ring_len = max(2 * max((g.block for g, _ in live), default=0), 1)
-        to_take = sum((g.block + 1) * sum(g.kernels[e].dtype == float for e in keys)
-                      for g, keys in live)
-        self.nbytes = (16 * self.row_hi * to_take  # spectra still to take
+        to_fill = sum((g.block + 1) * len(keys) for g, keys in live
+                      if g.spectra is None or g.spectra.shape[1] < len(keys))
+        self.nbytes = (16 * self.row_hi * to_fill  # group spectra still to fill
                        + 8 * int(self.depth.sum())  # trace rings
                        + 8 * self.ring_len * self.row_hi  # output ring
-                       + 8 * (op.j_direct - 1) * op.grid.m  # window history
+                       + 17 * (op.window.size + c)  # step slots and values
+                       + 16 * m  # s_0 and the current s_n
                        + 8 * (n_max + 1))  # per-step integrals
+
+    def _handoff(self):
+        """Fill each group's spectra array for its live pieces, longer blocks first.
+
+        A group whose stored array covers its live pieces keeps it.  Otherwise
+        a new array copies the stored spectra, then takes each further piece's
+        rfft into its slice and frees the band as it goes.  Longer blocks go
+        first, so the largest one-piece transforms come and go while the
+        fewest spectra are held.
+        """
+        for g, keys, *_ in sorted(self._groups, key=lambda run: -run[0].block):
+            have = 0 if g.spectra is None else g.spectra.shape[1]
+            if len(keys) <= have:
+                continue
+            spectra = np.empty((g.block + 1, len(keys), self.row_hi), complex)
+            if have:
+                spectra[:, :have] = g.spectra
+            for k, e in enumerate(keys):
+                if k >= have:
+                    spectra[:, k] = np.fft.rfft(g.kernels[e], n=2 * g.block, axis=1).T
+                g.kernels[e] = spectra[:, k].T  # frees the band
+            g.spectra = spectra
 
     def steps(self, s0: np.ndarray):
         """Generator of s_n: the stacked window plus blocked FFT convolutions.
 
         ``op.stacked`` multiplies the columns ``op.window`` of the history
-        [s_{n-jd}, ..., s_{n-1}] (jd = j_direct - 1), gathered from a ring
-        of jd rows that holds s_k in row k % jd.  Before the first step,
-        every live band is replaced by its spectrum in place; spectra an
-        earlier run stored are reused.  Step n writes s_n[c] into slot
-        n % depth[c] of cell c's trace ring.  A group launches after each
-        step t - 1 with t a multiple of its block, from its first piece's
-        first block while t <= n_max; piece (c, p) gathers times t - p + i,
-        i < block, from slots (t - p + i) % depth[c].  A time below 0 reads
-        0: depth[c] >= p >= block, so its slot is next written at a time >= t.
-        A launch after step n writes outputs n + 1 .. n + 2·block - 1, only
-        in the rows below ``row_hi``, so the pending outputs fit a ring of
-        2·(largest block) rows.  It runs over ranges of those rows whose
-        spectra take at most ``_LAUNCH_BYTES`` (at least one row); each
-        row's arithmetic does not depend on the range it falls in.
+        [s_{n-jd}, ..., s_{n-1}] (jd = j_direct - 1), each column (lag j,
+        cell c) read from slot (n - j) mod depth[c] of c's trace ring, and the
+        output ring's slot of step n adds to its rows below ``row_hi``.
+        Before the first step, ``_handoff`` fills each group's spectra array
+        for its live pieces; arrays an earlier run stored are reused.  Step
+        n writes s_n[c] into slot n mod depth[c] of cell c's trace ring.  A
+        group launches after each step t - 1 with t a multiple of its block,
+        from its first piece's first block while t <= n_max; piece (c, p)
+        gathers times t - p + i, i < block, from slots (t - p + i) mod
+        depth[c].  A time below 0 reads 0: depth[c] is at least the lag it
+        is read at, so its slot is next written no earlier than the read,
+        and after it.  A launch after step n
+        writes outputs n + 1 .. n + 2·block - 1, only in the rows below
+        ``row_hi``, so the pending outputs fit a ring of 2·(largest block)
+        rows.  It transforms the traces of its k started pieces once,
+        multiplies them into the first k spectra (``_product``) and inverts
+        along time, over ranges of whole ``_ROW_BLOCK``s of rows whose
+        product takes about ``_LAUNCH_BYTES``.
         """
         op, n_max, row_hi, ring_len = self.op, self.n_max, self.row_hi, self.ring_len
-        stacked, window = op.stacked, op.window
-        m = s0.shape[0]
-        jd = op.j_direct - 1
-        hist = np.zeros((jd, m))
-        flat = hist.ravel()
+        self._handoff()
+        stacked = op.stacked
         ring = np.zeros((ring_len, row_hi))
-        cells, offset, depth = self.cells, self.offset, self.depth
-        traces = np.zeros(int(depth.sum()))
-        # one rfft output per piece, which reuses heap the freed bands leave:
-        # copying the spectra into one preallocated array raised criterion
-        # 7's fresh-process peak RSS by about 2% (770 -> 785 MB), and one
-        # array per group lost most of the handoff's gain on lsv0 at grid
-        # 1024 (62.71-62.75 against 61.9-62.0 MB; 2-vCPU x86)
+        cells = self.cells
+        traces = np.zeros(int(self.depth.sum()))
+        at0, end, slot_depth = self._slots
+        at, wrap = at0.copy(), np.empty(at0.size, dtype=bool)
+        writes, reads = at[: cells.size], at[cells.size:]
+        written, gathered = np.empty(cells.size), np.empty(reads.size)
         launches: dict[int, list[tuple]] = {}
         for g, keys, first, lag, base, period in self._groups:
-            L = g.block
-            for e in keys:
-                if g.kernels[e].dtype == float:
-                    g.kernels[e] = np.fft.rfft(g.kernels[e], n=2 * L, axis=1)
-            spectra = [g.kernels[e] for e in keys]
             launches.setdefault(int(first[0]) - 1, []).append(
-                (L, first, lag, base, period, spectra))
+                (g.block, first, lag, base, period, g.spectra))
 
         for n in range(0, n_max + 1):
             if n == 0:
                 s = s0.copy()
             else:
+                # every slot moves on by one step, back to its ring's start at its end
+                at += 1
+                np.greater_equal(at, end, out=wrap)
+                np.subtract(at, slot_depth, out=at, where=wrap)
+                s = stacked @ traces.take(reads, out=gathered)
                 slot = n % ring_len
-                s = np.zeros(m)
-                s[:row_hi] = ring[slot]
+                s[:row_hi] += ring[slot]
                 ring[slot] = 0.0
-                s += stacked @ flat.take(window + (n % jd) * m, mode="wrap")
-            # record history for the stacked window and the kernel traces
-            hist[n % jd] = s
-            traces[offset + n % depth] = s[cells]
+            traces[writes] = s.take(cells, out=written)
             yield n, s
 
             # blocks whose first output is t = n + 1: outputs t .. t + 2·L - 2
@@ -348,21 +398,44 @@ class _FastRun:
                 L, first, lag, base, period, spectra = run
                 f = 2 * L
                 k = int(first.searchsorted(t, "right"))
-                times = np.arange(t, t + L) - lag[:k]
-                a_hat = np.fft.rfft(traces[base[:k] + times % period[:k]], n=f, axis=1)
+                times = np.arange(t, t + L)[:, None] - lag[:k]
+                a_hat = np.fft.rfft(traces[base[:k] + times % period[:k]], n=f, axis=0)
                 start = t % ring_len
                 head = min(f - 1, ring_len - start)
-                height = max(1, _LAUNCH_BYTES // (16 * (L + 1)))
+                height = max(1, _LAUNCH_BYTES // (16 * (L + 1) * _ROW_BLOCK)) * _ROW_BLOCK
                 for r0 in range(0, row_hi, height):
                     rs = slice(r0, r0 + height)
-                    acc = spectra[0][rs] * a_hat[0]
-                    for k_hat, a in zip(spectra[1:k], a_hat[1:]):
-                        acc += k_hat[rs] * a
-                    out_t = np.fft.irfft(acc, n=f, axis=1)[:, : f - 1].T
-                    ring[start: start + head, rs] += out_t[:head]
-                    ring[: f - 1 - head, rs] += out_t[head:]
+                    out = np.fft.irfft(_product(a_hat, spectra[:, :k, rs]), n=f, axis=0)
+                    ring[start: start + head, rs] += out[:head]
+                    ring[: f - 1 - head, rs] += out[head: f - 1]
                 if t + L <= n_max:
                     launches.setdefault(n + L, []).append(run)
+
+
+def _product(a_hat: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """sum_k a_hat[:, k] spectra[:, k]: (F, k) times (F, k, rows) into (F, rows).
+
+    One ``np.matmul`` runs the frequencies and the whole blocks of w rows,
+    each a product of the same shape, and one more the rows left over.  w
+    is ``_ROW_BLOCK``, halved while k·w reaches ``_SERIAL_PRODUCT``, so a
+    row's arithmetic depends only on k and its place in its block: not on
+    the range of rows a launch passes (a multiple of ``_ROW_BLOCK`` rows
+    from a multiple of it), and, below 4096 pieces, not on the BLAS thread
+    count.
+    """
+    F, k, rows = spectra.shape
+    w = _ROW_BLOCK
+    while w > 1 and k * w >= _SERIAL_PRODUCT:
+        w //= 2
+    out = np.empty((F, rows), complex)
+    c, cut = rows // w, rows - rows % w
+    a = a_hat[:, None, :]
+    if c:
+        np.matmul(a, spectra[:, :, :cut].reshape(F, k, c, w).transpose(2, 0, 1, 3),
+                  out=out[:, :cut].reshape(F, c, w).transpose(1, 0, 2)[:, :, None])
+    if cut < rows:
+        np.matmul(a, spectra[:, :, cut:], out=out[:, None, cut:])
+    return out
 
 
 def renewal_action(

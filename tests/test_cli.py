@@ -207,6 +207,24 @@ class TestExitCodes:
         assert float(sup_error) == pytest.approx(0.95809607509059358, rel=1e-9)
         assert float(error_bar) == pytest.approx(0.99999999999965883, rel=1e-12)
 
+    def test_lsv0_norming_refusal_advises_raising_nmax(self, tmp_path, capsys):
+        argv = ["dual-ergodic", "--family", "lsv0", "--grid", "32", "--ntrunc", "50"]
+        assert main(argv + ["--nmax", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: a_n is undefined at n = 1, where m(n) = 0; raise nmax above 1\n"
+
+    @pytest.mark.parametrize("argv, advice", [
+        (["renewal", "--beta", "0.99995"], "lower beta"),
+        # refused before the grid-1024 assembly, which would take seconds
+        (["dual-ergodic", "--alpha", "1.00001", "--grid", "1024"], "raise alpha"),
+    ], ids=["renewal", "dual-ergodic"])
+    def test_expansion_past_its_term_cap_advises_the_flag(self, tmp_path, capsys, argv, advice):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the expansion at beta=") and err.count("\n") == 1, err
+        assert err.endswith(f"terms, above 10000; {advice}\n"), err
+        assert not list(tmp_path.iterdir())
+
     def test_lsv0_kernel_at_nmax_1_runs(self, tmp_path):
         # kernel reads no norming, and its report times stay at 100 and 500
         assert main(["kernel", "--family", "lsv0", "--nmax", "1", "--out", str(tmp_path)]) == 0
@@ -345,9 +363,9 @@ def test_csv_bodies_do_not_depend_on_thread_count(tmp_path, argv, csv):
     src = str(Path(renewalops.__file__).resolve().parents[1])
     bodies = []
     for threads in ("1", "2"):
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-        env["OMP_NUM_THREADS"] = threads
+        env = {k: v for k, v in os.environ.items() if k != "MKL_NUM_THREADS"}
+        # the bundled OpenBLAS reads either variable: set both
+        env["OMP_NUM_THREADS"] = env["OPENBLAS_NUM_THREADS"] = threads
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / threads
         subprocess.run([sys.executable, "-m", "renewalops", *argv, "--out", str(out)],

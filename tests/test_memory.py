@@ -176,3 +176,25 @@ def test_a_run_hands_live_bands_over_to_their_spectra():
                 assert id(band[i, p]) not in reachable
             else:
                 assert k is band[i, p]
+
+
+@pytest.mark.parametrize("spec, m, n_trunc", OPERATORS, ids=["lsv-2", "lsv0"])
+def test_handoff_transient_is_at_most_one_piece(spec, m, n_trunc):
+    """Filling the group spectra arrays holds, beyond the arrays, at most one
+    piece's band plus its spectrum, and so less than any group's bands plus
+    its spectrum: each band's transform comes and goes by itself."""
+    op = ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
+    run = _FastRun(op, n_trunc)
+    assert len(op.groups) > 1
+    one_piece = max(k.nbytes + 16 * run.row_hi * (g.block + 1)
+                    for g in op.groups for k in g.kernels.values())
+    tracemalloc.start()
+    try:
+        run._handoff()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    spectra = sum(g.spectra.nbytes for g in op.groups)
+    assert spectra == 16 * run.row_hi * sum((g.block + 1) * len(g.kernels) for g in op.groups)
+    assert spectra <= held
+    assert peak - held <= one_piece, (peak - held, one_piece)

@@ -1,4 +1,9 @@
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -168,17 +173,19 @@ class TestFastPath:
             np.testing.assert_allclose(got.snapshots[n], want.snapshots[n], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("spec, m, n_trunc", [(ro.MapSpec("lsv", alpha=2.0), 64, 600),
-                                                  (ro.MapSpec("lsv0"), 256, 2000)],
-                             ids=["lsv-2", "lsv0"])
+                                                  (ro.MapSpec("lsv0"), 256, 2000),
+                                                  (ro.MapSpec("lsv", alpha=2.0), 256, 600)],
+                             ids=["lsv-2", "lsv0", "lsv-2-256"])
     def test_launch_row_ranges_do_not_change_any_step(self, monkeypatch, spec, m, n_trunc):
-        """A launch gives the same bits in ranges of one row, a few rows, or all rows."""
+        """A launch gives the same bits in ranges of one row block or of all rows."""
         op = ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
         row_hi = renewal_engine._FastRun(op, n_trunc).row_hi
         assert op.groups and 1 < row_hi and (spec.family == "lsv") == (row_hi == m)
         v = np.random.default_rng(5).uniform(0.5, 1.5, m)
         ns = list(range(0, n_trunc + 1, 7))
         runs = []
-        # one row; 11 rows at block 16 and one at block 128 and up; all rows
+        # one _ROW_BLOCK of 64 rows (below 4096 pieces), so 256 rows go in four
+        # ranges; the same at 3000 bytes; all rows
         for launch_bytes in (1, 3000, 16 * row_hi * (renewal_engine._SPAN_CAP + 1)):
             monkeypatch.setattr(renewal_engine, "_LAUNCH_BYTES", launch_bytes)
             runs.append(ro.renewal_action(op, v, n_trunc, snapshot_ns=ns))
@@ -286,3 +293,118 @@ class TestFastPath:
         acc = ro.renewal_action(op, v, 5)
         assert acc.tn_integral[0] == (h * v).sum() * op.grid.width
         assert not acc.tn_integral[1:].any()
+
+
+def per_piece_history(op, groups, s0, n_max):
+    """s_0..s_{n_max} of ``op`` with every launch summed piece by piece.
+
+    ``groups`` holds copies of the operator's bands as (block, {(cell,
+    lag): band}).  Each launch takes each started piece's product with its
+    trace's spectrum and adds them up one by one, in the group's order,
+    before one inverse transform, as the engine did before a group's
+    spectra shared one array; the window and the schedule are the
+    engine's.
+    """
+    m, jd = op.grid.m, op.j_direct - 1
+    lag, cell = jd - op.window // m, op.window % m
+    row_hi = next((k.shape[0] for _, pieces in groups for k in pieces.values()), 0)
+    longest = max((block for block, _ in groups), default=1)
+    hist = np.zeros((n_max + 1, m))
+    pending = np.zeros((n_max + 2 * longest, row_hi))
+    for n in range(n_max + 1):
+        if n == 0:
+            s = s0.copy()
+        else:
+            past = n - lag
+            s = op.stacked @ np.where(past >= 0, hist[np.maximum(past, 0), cell], 0.0)
+            s[:row_hi] += pending[n]
+        hist[n] = s
+        t = n + 1
+        for L, pieces in groups:
+            started = [(i, p, k) for (i, p), k in pieces.items()
+                       if p <= n_max and L * (p // L) <= t]
+            if t % L or t > n_max or not started:
+                continue
+            acc = None
+            for i, p, k in started:
+                times = np.arange(t, t + L) - p
+                trace = np.where(times >= 0, hist[np.maximum(times, 0), i], 0.0)
+                term = np.fft.rfft(k, n=2 * L, axis=1) * np.fft.rfft(trace, n=2 * L)
+                acc = term if acc is None else acc + term
+            pending[t: t + 2 * L - 1] += np.fft.irfft(acc, n=2 * L, axis=1)[:, : 2 * L - 1].T
+    return hist
+
+
+def kernel_blocks(m, reads, seed):
+    """Blocks R_1..R_n over m cells: cell c reads weight into a few rows at each lag of reads[c]."""
+    rng = np.random.default_rng(seed)
+    n = max(max(lags) for lags in reads.values())
+    blocks = [sp.lil_matrix((m, m)) for _ in range(n)]
+    for c in range(m):  # a window entry per cell keeps every step's s_n alive
+        blocks[0][rng.integers(m), c] = 0.3
+    for c, lags in reads.items():
+        for j in lags:
+            for row in rng.choice(m, size=min(m, 3), replace=False):
+                blocks[j - 1][row, c] += rng.uniform(0.005, 0.02)
+    return blocks
+
+
+class TestBatchedLaunch:
+    """The one-product launch against the per-piece sum, to 1e-13 of the largest value."""
+
+    def check(self, blocks, n_max, seed):
+        m = blocks[0].shape[0]
+        rng = np.random.default_rng(seed)
+        h = rng.uniform(0.5, 1.5, m)
+        op = synthetic_operator(ro.Grid(m), blocks, density=h, j_direct=2)
+        groups = [(g.block, {e: k.copy() for e, k in g.kernels.items()}) for g in op.groups]
+        v = rng.uniform(0.5, 1.5, m)
+        want = per_piece_history(op, groups, h * v, n_max)
+        got = fast_history(op, v, n_max)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        return op
+
+    def test_a_group_of_many_pieces(self):
+        # twelve cells read lags 20 + c .. 30 + c: twelve pieces of 11 lags, all of block 16
+        op = self.check(kernel_blocks(12, {c: range(20 + c, 31 + c) for c in range(12)}, 1),
+                        n_max=120, seed=1)
+        assert [(g.block, len(g.kernels)) for g in op.groups] == [(16, 12)]
+
+    def test_a_late_piece_after_an_earlier_cell(self):
+        # the layout of test_a_late_piece_launches_after_an_earlier_cell, with a window
+        reads = {0: [*range(16, 21), *range(64, 69)], 1: range(20, 25)}
+        op = self.check(kernel_blocks(2, reads, 2), n_max=150, seed=2)
+        assert [list(g.kernels) for g in op.groups] == [[(0, 16), (1, 20), (0, 64)]]
+
+    def test_rows_split_over_launch_ranges(self, monkeypatch):
+        # 200 rows in ranges of one 64-row block at block 16: 64, 64, 64 and the last 8
+        monkeypatch.setattr(renewal_engine, "_LAUNCH_BYTES", 16 * 17 * 64)
+        reads = {c: range(18 + c % 5, 30 + c % 5) for c in range(0, 200, 7)}
+        op = self.check(kernel_blocks(200, reads, 3), n_max=90, seed=3)
+        assert renewal_engine._FastRun(op, 90).row_hi == 200 > 3 * 64
+
+
+PRODUCT_SCRIPT = """
+import hashlib, numpy as np
+from renewalops.renewal_engine import _product
+rng = np.random.default_rng(0)
+F, k, rows = 17, 45, 1501
+spectra = rng.standard_normal((F, k, rows)) + 1j * rng.standard_normal((F, k, rows))
+a_hat = rng.standard_normal((F, k)) + 1j * rng.standard_normal((F, k))
+print(hashlib.sha256(_product(a_hat, spectra).tobytes()).hexdigest())
+"""
+
+
+def test_launch_product_does_not_depend_on_thread_count():
+    """A launch's product over 45 pieces x 1,501 rows, far above the size from
+    which OpenBLAS threads one product, gives the same bytes on 1 and 2 threads
+    (one plain ``np.matmul`` over those rows does not)."""
+    src = str(Path(renewal_engine.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", PRODUCT_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
