@@ -268,15 +268,19 @@ def _cmd_renewal(cfg: ExperimentConfig) -> _Table:
 
 def _cmd_dual_ergodic(cfg: ExperimentConfig) -> _Table:
     spec = MapSpec(cfg.family, alpha=cfg.alpha)
-    if 0.5 < spec.beta < 1.0:  # the report's expansion, refused before assembly
-        _advised(expansion_order, "raise alpha", spec.beta)
-    grid = Grid(cfg.grid)
-    op = _assemble(spec, grid, cfg.ntrunc, "ntrunc")
     # the log-spaced report times start at 10: keep those within nmax
     ns = np.round(np.logspace(1, np.log10(cfg.nmax), 25)).astype(int).tolist()
     ns = sorted({n for n in ns if n <= cfg.nmax} | {cfg.nmax})
-    # what the report can still refuse is lsv0's norming at its only time n = 1
-    report = _advised(dual_ergodic_report, "raise nmax above 1", op, np.ones(grid.m), ns)
+    # the report's own refusals, checked before assembly: its expansion, and
+    # lsv0's norming m(n) = c log n at a first report time of 1
+    if 0.5 < spec.beta < 1.0:
+        _advised(expansion_order, "raise alpha", spec.beta)
+    if spec.family == "lsv0":
+        _advised(Norming(0.0, SlowlyVarying("log_power", p=1.0)).return_sequence,
+                 "raise nmax above 1", ns[0])
+    grid = Grid(cfg.grid)
+    op = _assemble(spec, grid, cfg.ntrunc, "ntrunc")
+    report = dual_ergodic_report(op, np.ones(grid.m), ns)
     residual = report.expansion_residual
     residual = np.full(report.n.size, math.nan) if residual is None else residual
     extra = {"c": report.c, "beta": report.beta, "mass_deficit": report.mass_deficit}

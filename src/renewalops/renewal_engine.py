@@ -18,7 +18,8 @@ and inverts along time straight into the output ring.  It runs over
 ranges of the kernels' rows, so its product and inverse transform take
 about ``_LAUNCH_BYTES`` at a time however tall the kernels are; each row's
 arithmetic is the same in any range and at any BLAS thread count.  The
-result is the literal sum_j R_j s_{n-j} up to floating-point ordering.
+result is the literal sum_j R_j s_{n-j} up to floating-point ordering, with
+each s_m[cell] below the smallest normal float read as 0.
 
 This module alone owns the fast path's layout.  ``FastLayout`` takes the
 Ulam entries of the branches in order and decides the ``j_direct`` split,
@@ -28,7 +29,8 @@ before anything is allocated.  Its ``steps`` fills each group's spectra
 array for the pieces it reaches before the first step (the spectra stay on
 the operator for later runs, the bands are freed), keeps each cell it reads,
 through the window or a kernel, in a trace ring as deep as the largest lag
-it is read at, and launches the blocks from a schedule keyed by step.
+it is read at (values below the smallest normal float stored as 0), and
+launches the blocks from a schedule keyed by step.
 Operator assembly just feeds the layout entries.
 
 Everything here acts in Lebesgue form (fixed point of the block sum is the
@@ -53,13 +55,14 @@ __all__ = ["FastLayout", "KernelGroup", "RenewalAccumulator", "renewal_action"]
 _SPAN_CAP = 1024
 
 # bytes of one row range's product in a launch: a launch multiplies and
-# inverts its group's spectra one range of kernel rows at a time, so its
-# temporaries stay near this size however tall the kernels (ranges are whole
-# ``_ROW_BLOCK``s, so blocks of 512 and up take 1 to 2 MiB).  A range's
-# product and inverse transform then fit a 2 MiB L2 cache together: at
-# criterion 7 the engine took 0.86 of the all-rows time at 512 KiB and 0.94
-# at 3 MiB (2-vCPU x86, one BLAS thread).  lsv0's launches at grid 1024
-# (71 rows, blocks up to 256) stay one range.
+# inverts its group's spectra one range of kernel rows at a time, and the
+# handoff transforms bands the same way, so their temporaries stay near this
+# size however tall the kernels (ranges are whole ``_ROW_BLOCK``s, so blocks
+# of 512 and up take 1 to 2 MiB).  A range's product and inverse transform
+# then fit a 2 MiB L2 cache together: at criterion 7 the engine took 0.86 of
+# the all-rows time at 512 KiB and 0.94 at 3 MiB (2-vCPU x86, one BLAS
+# thread).  lsv0's launches at grid 1024 (71 rows, blocks up to 256) stay
+# one range.
 _LAUNCH_BYTES = 1 << 19
 
 # rows per BLAS product in a launch: a launch's rows go through complex
@@ -72,6 +75,16 @@ _ROW_BLOCK = 64
 # rows near its cut (seen at 2 threads from 2 x 2049 on), so ``_product``
 # keeps each product below it
 _SERIAL_PRODUCT = 4096
+
+# smallest normal float: a trace below it in size is stored as 0.  On lsv0
+# at grid 1024 the cells off the density's support decay through the
+# subnormal range near n = 1000, and x86 takes a slow path for arithmetic on
+# subnormal operands: the window products there averaged 24.7 us a step
+# against 11.6 us on normal inputs, and the flush took the engine from about
+# 0.15 to 0.10 s (2-vCPU x86, one BLAS thread).  What it drops is below
+# 1e-308, far under the rounding of every output: t_n and the snapshots came
+# out bit-identical there
+_NORMAL = np.finfo(float).tiny
 
 # floor on a group's block length where the first lag allows it, so short
 # pieces do not launch a transform pair every few steps
@@ -272,8 +285,7 @@ class _FastRun:
     ``steps``, s_0 and the current s_n, and the per-step integrals of
     ``renewal_action``.  The run frees each live band as it fills the
     band's spectrum.  A launch's temporaries, one row range of
-    ``_LAUNCH_BYTES`` or so each, and the handoff's one-piece transform
-    come and go and are not counted.
+    ``_LAUNCH_BYTES`` or so each, come and go and are not counted.
     """
 
     def __init__(self, op, n_max: int):
@@ -313,6 +325,7 @@ class _FastRun:
                        + 8 * int(self.depth.sum())  # trace rings
                        + 8 * self.ring_len * self.row_hi  # output ring
                        + 17 * (op.window.size + c)  # step slots and values
+                       + 9 * c  # the trace flush's sizes and mask
                        + 16 * m  # s_0 and the current s_n
                        + 8 * (n_max + 1))  # per-step integrals
 
@@ -321,9 +334,14 @@ class _FastRun:
 
         A group whose stored array covers its live pieces keeps it.  Otherwise
         a new array copies the stored spectra, then takes each further piece's
-        rfft into its slice and frees the band as it goes.  Longer blocks go
-        first, so the largest one-piece transforms come and go while the
-        fewest spectra are held.
+        rfft into its slice, one launch row range at a time, and frees the
+        band as it goes.  Longer blocks go first, so the shorter groups'
+        arrays can take the heap the longer groups' bands leave.  At
+        criterion 7 (2-vCPU x86) this peaks at 515-528 MB in a fresh process,
+        against 517-552 for one spectrum array per piece; a whole piece's
+        rfft as one temporary peaked at 547-560, shorter blocks first at 562,
+        and an rfft written straight into the slice held the peak but took
+        twice as long through its strided output.
         """
         for g, keys, *_ in sorted(self._groups, key=lambda run: -run[0].block):
             have = 0 if g.spectra is None else g.spectra.shape[1]
@@ -334,7 +352,8 @@ class _FastRun:
                 spectra[:, :have] = g.spectra
             for k, e in enumerate(keys):
                 if k >= have:
-                    spectra[:, k] = np.fft.rfft(g.kernels[e], n=2 * g.block, axis=1).T
+                    for rs in _row_ranges(g.block, self.row_hi):
+                        spectra[:, k, rs] = np.fft.rfft(g.kernels[e][rs], n=2 * g.block, axis=1).T
                 g.kernels[e] = spectra[:, k].T  # frees the band
             g.spectra = spectra
 
@@ -347,7 +366,8 @@ class _FastRun:
         output ring's slot of step n adds to its rows below ``row_hi``.
         Before the first step, ``_handoff`` fills each group's spectra array
         for its live pieces; arrays an earlier run stored are reused.  Step
-        n writes s_n[c] into slot n mod depth[c] of cell c's trace ring.  A
+        n writes s_n[c], or 0 where it is subnormal (``_NORMAL``), into slot
+        n mod depth[c] of cell c's trace ring.  A
         group launches after each step t - 1 with t a multiple of its block,
         from its first piece's first block while t <= n_max; piece (c, p)
         gathers times t - p + i, i < block, from slots (t - p + i) mod
@@ -371,6 +391,7 @@ class _FastRun:
         at, wrap = at0.copy(), np.empty(at0.size, dtype=bool)
         writes, reads = at[: cells.size], at[cells.size:]
         written, gathered = np.empty(cells.size), np.empty(reads.size)
+        size, subnormal = np.empty(cells.size), np.empty(cells.size, dtype=bool)
         launches: dict[int, list[tuple]] = {}
         for g, keys, first, lag, base, period in self._groups:
             launches.setdefault(int(first[0]) - 1, []).append(
@@ -388,7 +409,10 @@ class _FastRun:
                 slot = n % ring_len
                 s[:row_hi] += ring[slot]
                 ring[slot] = 0.0
-            traces[writes] = s.take(cells, out=written)
+            s.take(cells, out=written)
+            np.less(np.abs(written, out=size), _NORMAL, out=subnormal)
+            written[subnormal] = 0.0
+            traces[writes] = written
             yield n, s
 
             # blocks whose first output is t = n + 1: outputs t .. t + 2·L - 2
@@ -402,14 +426,18 @@ class _FastRun:
                 a_hat = np.fft.rfft(traces[base[:k] + times % period[:k]], n=f, axis=0)
                 start = t % ring_len
                 head = min(f - 1, ring_len - start)
-                height = max(1, _LAUNCH_BYTES // (16 * (L + 1) * _ROW_BLOCK)) * _ROW_BLOCK
-                for r0 in range(0, row_hi, height):
-                    rs = slice(r0, r0 + height)
+                for rs in _row_ranges(L, row_hi):
                     out = np.fft.irfft(_product(a_hat, spectra[:, :k, rs]), n=f, axis=0)
                     ring[start: start + head, rs] += out[:head]
                     ring[: f - 1 - head, rs] += out[head: f - 1]
                 if t + L <= n_max:
                     launches.setdefault(n + L, []).append(run)
+
+
+def _row_ranges(block: int, rows: int) -> list[slice]:
+    """Ranges of whole ``_ROW_BLOCK``s of rows whose spectra at ``block`` take about ``_LAUNCH_BYTES``."""
+    height = max(1, _LAUNCH_BYTES // (16 * (block + 1) * _ROW_BLOCK)) * _ROW_BLOCK
+    return [slice(r0, r0 + height) for r0 in range(0, rows, height)]
 
 
 def _product(a_hat: np.ndarray, spectra: np.ndarray) -> np.ndarray:

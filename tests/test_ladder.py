@@ -239,7 +239,7 @@ def reference_pieces(bands, row_hi):
     A piece at lag p spans at most min(p rounded down to a power of two,
     SPAN_CAP) lags; its block is its span rounded up to a power of two, at
     least ``_BLOCK_MIN`` where p allows.  A group holds its pieces by first
-    launch p // block, ties in order of the cell's first lag, then cell.
+    lag p, ties in order of the cell's first lag, then cell.
     """
     groups = {}
     for i, (j_first, band) in sorted(bands.items(), key=lambda kv: (kv[1][0], kv[0])):
@@ -250,7 +250,7 @@ def reference_pieces(bands, row_hi):
             block = min(max(1 << (span - 1).bit_length(), renewal_engine._BLOCK_MIN), floor)
             groups.setdefault(block, {})[i, p] = band[:row_hi, p - j_first: p - j_first + span]
             p += span
-    return {block: dict(sorted(pieces.items(), key=lambda kv, L=block: kv[0][1] // L))
+    return {block: dict(sorted(pieces.items(), key=lambda kv: kv[0][1]))
             for block, pieces in sorted(groups.items())}
 
 

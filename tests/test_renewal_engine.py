@@ -236,13 +236,13 @@ class TestFastPath:
                                                   (ro.MapSpec("lsv0"), 256, 2000)],
                              ids=["lsv-2", "lsv0"])
     def test_groups_hold_their_pieces_in_launch_order(self, spec, m, n_trunc):
-        """A fresh operator's groups list their pieces by first launch p // block,
-        and a run launches them in that order."""
+        """A fresh operator's groups list their pieces by first lag p, so by
+        first launch p // block too, and a run launches them in that order."""
         op = ro.assemble_operator(spec, ro.Grid(m), n_trunc=n_trunc)
         assert len(op.groups) > 1
         for g in op.groups:
-            launch = [p // g.block for _, p in g.kernels]
-            assert launch == sorted(launch)
+            lags = [p for _, p in g.kernels]
+            assert lags == sorted(lags)
         run = renewal_engine._FastRun(op, n_trunc)
         assert [keys for _, keys, *_ in run._groups] == [list(g.kernels) for g in op.groups]
 
@@ -262,6 +262,26 @@ class TestFastPath:
         v = np.array([0.7, 1.3])
         want = literal_exact_steps([sp.csr_matrix(b) for b in blocks], h * v, 150)
         assert np.max(np.abs(fast_history(op, v, 150) - want)) < 1e-12
+
+    def test_a_rerun_past_a_piece_the_layout_met_first_keeps_its_spectra(self):
+        """Cell 0 reads lags 8-15 and 20, cell 1 lag 17.  The layout meets cell 0
+        first, so its piece at 20 comes before cell 1's at 17, and both first
+        launch at t = 16.  A run to 18 stores only (1, 17)'s spectrum; a rerun
+        to 25 must keep it under (1, 17) and add (0, 20)'s: both runs match
+        the literal recursion."""
+        m = 2
+        blocks = [sp.lil_matrix((m, m)) for _ in range(25)]
+        for cell, lags in [(0, (*range(8, 16), 20)), (1, (17,))]:
+            for j in lags:
+                blocks[j - 1][j % m, cell] = 0.05
+        h = np.array([1.0, 2.0])
+        op = synthetic_operator(ro.Grid(m), blocks, density=h, j_direct=2)
+        assert [list(g.kernels) for g in op.groups] == [[(0, 8)], [(1, 17), (0, 20)]]
+        v = np.array([0.7, 1.3])
+        want = literal_exact_steps([sp.csr_matrix(b) for b in blocks], h * v, 25)
+        assert np.max(np.abs(fast_history(op, v, 18) - want[:19])) < 1e-12
+        assert op.groups[1].spectra.shape[1] == 1
+        assert np.max(np.abs(fast_history(op, v, 25) - want)) < 1e-12
 
     @pytest.mark.parametrize("spec, n_first",
                              [(ro.MapSpec("lsv", alpha=2.5), n) for n in (40, 150, 299)]
@@ -293,6 +313,24 @@ class TestFastPath:
         acc = ro.renewal_action(op, v, 5)
         assert acc.tn_integral[0] == (h * v).sum() * op.grid.width
         assert not acc.tn_integral[1:].any()
+
+    @pytest.mark.parametrize("lag, j_direct", [(1, None), (20, 2)], ids=["window", "kernel"])
+    def test_subnormal_traces_read_as_zero(self, lag, j_direct):
+        """R_lag = I / 2 halves cell 0's 1e-300 every lag steps until s_n[0] =
+        1.49e-308 at n = 26 lag is subnormal.  That step still yields it, but
+        the window or the kernel reads it as 0, so cell 0 stays 0 where the
+        literal recursion goes on through the subnormals; cell 1 matches."""
+        m, first = 2, 26 * lag
+        blocks = [sp.csr_matrix((m, m)) for _ in range(lag)]
+        blocks[lag - 1] = sp.identity(m, format="csr") / 2
+        op = synthetic_operator(ro.Grid(m), blocks, density=np.ones(m), j_direct=j_direct)
+        s0 = np.array([1e-300, 1.0])
+        got = fast_history(op, s0, first + 4 * lag)
+        want = literal_exact_steps(blocks, s0, first + 4 * lag)
+        assert 0 < want[first, 0] < np.finfo(float).tiny <= want[first - lag, 0]
+        assert np.max(np.abs(got[: first + 1, 0] - want[: first + 1, 0])) <= 5e-324
+        assert not got[first + 1:, 0].any() and want[first + lag::lag, 0].all()
+        assert np.allclose(got[:, 1], want[:, 1], rtol=1e-13, atol=1e-15)
 
 
 def per_piece_history(op, groups, s0, n_max):
