@@ -250,8 +250,9 @@ def _cmd_renewal(cfg: ExperimentConfig) -> _Table:
     extra = {"beta": beta}
     # the higher-order machinery covers (1/2, 1); other betas get first order only
     if 0.5 < beta < 1.0:
+        _advised(expansion_order, "lower beta", beta)  # the expansion's term cap
         ch = second_order_constant(beta)
-        exp = _advised(AsymptoticExpansion, "lower beta", beta=beta, c=1.0, c_h=ch.value)
+        exp = AsymptoticExpansion(beta=beta, c=1.0, c_h=ch.value)
         pred = exp.partial_sum_prediction(ns.astype(float))
         error_bar = ch.error_bar * ns ** exp.exponents[-1]
         if n_max >= 10**3:
